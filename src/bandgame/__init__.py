@@ -3,11 +3,12 @@
 Two transmitter/receiver pairs rent slices of a relay's band under linear
 pricing. This package computes the closed-form Nash equilibrium of the
 resulting concave game, the Nash bargaining solution on top of it (projected
-Polak-Ribiere conjugate gradient, cross-checked by a brute-force grid
-oracle), certifies local strict concavity of the bargaining objective through
-2x2 eigenvalues, builds the sampled utility region with its Pareto boundary
-and time-sharing hull, and sweeps relay positions into bandwidth-gain and
-welfare-gain maps.
+Polak-Ribiere conjugate gradient, with a brute-force grid oracle as fallback
+and as the reference the tests and ``bandgame nbs --oracle`` compare with),
+certifies local strict concavity of the bargaining objective through 2x2
+eigenvalues, builds the sampled utility region with its Pareto boundary and
+time-sharing hull, and sweeps relay positions into bandwidth-gain,
+welfare-gain and concavity maps through one per-position pipeline.
 """
 
 from .bargaining import (CgState, EigenPair, Hessian2x2, NashProductContext,
@@ -17,9 +18,9 @@ from .bargaining import (CgState, EigenPair, Hessian2x2, NashProductContext,
                          max_nash_product_on_pareto, nash_product,
                          nash_product_gradient, sample_utility_region,
                          utility_grids)
-from .experiments import (ConcavityRecord, SweepConfig, SweepGrid,
-                          SweepRecord, bandwidth_gain, concavity_map,
-                          social_welfare_gain, sweep)
+from .experiments import (SweepConfig, SweepGrid, SweepRecord,
+                          bandwidth_gain, concavity_map, social_welfare_gain,
+                          sweep)
 from .game import (BandAllocation, ConvergenceError, EquilibriumReport,
                    MarginalTerms, UtilityPair, best_response,
                    best_response_iteration, marginal_terms, nash_equilibrium,
@@ -29,7 +30,7 @@ from .system_model import (DegenerateGeometryError, LinkBudget, Point,
                            efficiency, link_budget, snr_direct, snr_relayed)
 
 __all__ = [
-    "BandAllocation", "CgState", "ConcavityRecord", "ConvergenceError",
+    "BandAllocation", "CgState", "ConvergenceError",
     "DegenerateGeometryError", "EigenPair", "EquilibriumReport", "Hessian2x2",
     "LinkBudget", "MarginalTerms", "NashProductContext", "ParetoPoint",
     "Point", "RegionSample", "Scenario", "SweepConfig", "SweepGrid",

@@ -19,7 +19,7 @@ import numpy as np
 
 from .game import (BandAllocation, EquilibriumReport, MarginalTerms,
                    UtilityPair, marginal_terms, nash_equilibrium, utility_pair,
-                   utility_value)
+                   utility_partial, utility_value)
 from .system_model import LinkBudget, Point, Scenario, link_budget
 
 
@@ -73,8 +73,8 @@ def nash_product_gradient(alloc: BandAllocation, ctx: NashProductContext):
     u = utility_pair(alloc, t, s)
     d1 = u.u1 - ctx.threat.u1
     d2 = u.u2 - ctx.threat.u2
-    du1 = t.relay_advantage(1) - s.b * (2.0 * alloc.w1 + alloc.w2)
-    du2 = t.relay_advantage(2) - s.b * (2.0 * alloc.w2 + alloc.w1)
+    du1 = utility_partial(1, alloc, t, s)
+    du2 = utility_partial(2, alloc, t, s)
     g1 = du1 * d2 + d1 * (-s.b * alloc.w2)
     g2 = d1 * du2 + d2 * (-s.b * alloc.w1)
     return g1, g2
@@ -82,12 +82,11 @@ def nash_product_gradient(alloc: BandAllocation, ctx: NashProductContext):
 
 @dataclass(frozen=True)
 class Hessian2x2:
-    """Second partials of the Nash product; symmetric by construction."""
+    """Second partials of the Nash product; ``a12`` is both off-diagonal entries."""
 
     a11: float
     a22: float
     a12: float
-    a21: float
 
     def trace(self) -> float:
         return self.a11 + self.a22
@@ -101,14 +100,12 @@ def hessian(alloc: BandAllocation, ctx: NashProductContext) -> Hessian2x2:
     d1 = u.u1 - ctx.threat.u1
     d2 = u.u2 - ctx.threat.u2
     w1, w2 = alloc.w1, alloc.w2
-    du1 = -t.phi1 + t.psi1 - b * (2.0 * w1 + w2)
-    du2 = -t.phi2 + t.psi2 - b * (2.0 * w2 + w1)
+    du1 = utility_partial(1, alloc, t, s)
+    du2 = utility_partial(2, alloc, t, s)
     a11 = -2.0 * b * d2 - 2.0 * b * w2 * du1
     a22 = -2.0 * b * d1 - 2.0 * b * w1 * du2
-    a12 = (-b * d2 - b * d1 + b * b * w1 * w2
-           + (t.phi1 - t.psi1 + b * (2.0 * w1 + w2))
-           * (t.phi2 - t.psi2 + b * (2.0 * w2 + w1)))
-    return Hessian2x2(a11=a11, a22=a22, a12=a12, a21=a12)
+    a12 = -b * d2 - b * d1 + b * b * w1 * w2 + du1 * du2
+    return Hessian2x2(a11=a11, a22=a22, a12=a12)
 
 
 @dataclass(frozen=True)
@@ -130,7 +127,7 @@ def eigenvalues(h: Hessian2x2) -> EigenPair:
     delta = (a11 - a22)**2 + 4*a12**2 is a sum of squares, hence the
     eigenvalues are always real.
     """
-    delta = (h.a11 - h.a22) ** 2 + 4.0 * h.a12 * h.a21
+    delta = (h.a11 - h.a22) ** 2 + 4.0 * h.a12 * h.a12
     root = math.sqrt(delta)
     tr = h.trace()
     return EigenPair(lambda1=(tr - root) / 2.0, lambda2=(tr + root) / 2.0, delta=delta)
@@ -289,7 +286,7 @@ def cg_nbs(ctx: NashProductContext, w0: BandAllocation | None = None,
 
     def hess_m(w):
         h = hessian(BandAllocation(w[0], w[1]), ctx)
-        return ((-h.a11, -h.a12), (-h.a21, -h.a22))
+        return ((-h.a11, -h.a12), (-h.a12, -h.a22))
 
     def fun_m(w):
         return -nash_product(BandAllocation(w[0], w[1]), ctx)

@@ -25,7 +25,7 @@ OUTPUT_DIR_ENV = "BANDGAME_OUTPUT_DIR"
 
 SWEEP_HEADER = ("xr,yr,w1_ne,w2_ne,w1_nbs,w2_nbs,u1_ne,u2_ne,u1_nbs,u2_nbs,"
                 "gain_bw_u1_pct,gain_bw_u2_pct,gain_bw_total_pct,gain_sw_pct,"
-                "lambda1,lambda2,strictly_concave,converged,cg_matched_oracle")
+                "lambda1,lambda2,strictly_concave,converged")
 REGION_HEADER = "w1,w2,u1,u2,on_hull,on_pareto"
 CONCAVITY_HEADER = "xr,yr,lambda1,lambda2,strictly_concave"
 
@@ -130,8 +130,6 @@ def load_paper_scenario() -> Scenario:
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if value is None:
-        return ""
     return f"{value:.17e}"
 
 
@@ -143,7 +141,7 @@ def sweep_csv(records) -> str:
             cells = [r.relay.x, r.relay.y, *nan8,
                      r.gain_bw_u1_pct, r.gain_bw_u2_pct, r.gain_bw_total_pct,
                      r.gain_sw_pct, r.lambda1, r.lambda2,
-                     r.strictly_concave, False, r.cg_matched_oracle]
+                     r.strictly_concave, False]
         else:
             cells = [r.relay.x, r.relay.y,
                      r.ne.allocation.w1, r.ne.allocation.w2,
@@ -152,7 +150,7 @@ def sweep_csv(records) -> str:
                      r.nbs.utilities.u1, r.nbs.utilities.u2,
                      r.gain_bw_u1_pct, r.gain_bw_u2_pct, r.gain_bw_total_pct,
                      r.gain_sw_pct, r.lambda1, r.lambda2,
-                     r.strictly_concave, r.converged, r.cg_matched_oracle]
+                     r.strictly_concave, r.converged]
         lines.append(",".join(_fmt(c) for c in cells))
     return "\n".join(lines) + "\n"
 
@@ -259,8 +257,7 @@ def _cmd_sweep(args) -> int:
     scenario = parse_scenario(args.scenario)
     grid = _grid_from_args(args)
     config = SweepConfig(epsilon=args.epsilon, max_iter=args.max_iter,
-                         mode=args.mode, oracle_resolution=args.oracle_resolution,
-                         oracle_every=args.oracle_every)
+                         mode=args.mode, oracle_resolution=args.oracle_resolution)
     records = sweep(scenario, grid, config)
     path = _out_path(args.out)
     path.write_text(sweep_csv(records))
@@ -327,8 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--max-iter", type=int, default=200)
     p_sweep.add_argument("--mode", choices=("joint", "alternating"), default="joint")
     p_sweep.add_argument("--oracle-resolution", type=int, default=401)
-    p_sweep.add_argument("--oracle-every", type=int, default=None,
-                         help="cross-check every Nth position (default: auto)")
     p_sweep.set_defaults(handler=_cmd_sweep)
 
     p_conc = commands.add_parser("concavity-map", help="strict-concavity map CSV")

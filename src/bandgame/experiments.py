@@ -1,13 +1,17 @@
-"""Relay-position sweeps: NE-vs-NBS gain maps, welfare comparison, concavity maps."""
+"""Relay-position sweeps: NE-vs-NBS gain maps, welfare comparison, concavity maps.
+
+``sweep`` is the one per-position pipeline: bargaining context (link budget,
+marginal terms, closed-form NE), CG bargaining solution, gains, and the Nash
+product eigenvalues at the reported NBS. The concavity map is read from it.
+"""
 
 import math
 from dataclasses import dataclass
 
-from .bargaining import (NashProductContext, cg_nbs, eigenvalues,
-                         grid_oracle_nbs, hessian)
+from .bargaining import cg_nbs, eigenvalues, hessian, make_context
 from .game import (BandAllocation, ConvergenceError, EquilibriumReport,
-                   UtilityPair, marginal_terms, nash_equilibrium)
-from .system_model import DegenerateGeometryError, Point, Scenario, link_budget
+                   UtilityPair)
+from .system_model import DegenerateGeometryError, Point, Scenario
 
 
 @dataclass(frozen=True)
@@ -53,8 +57,6 @@ class SweepConfig:
     mode: str = "joint"
     w0: BandAllocation | None = None
     oracle_resolution: int = 401
-    # None: check every position on grids up to 1000 points, every 10th beyond.
-    oracle_every: int | None = None
 
 
 @dataclass(frozen=True)
@@ -63,8 +65,7 @@ class SweepRecord:
 
     Failed positions (degenerate geometry, solver breakdown) carry the
     failure message, NaN allocations/utilities/eigenvalues and, by
-    convention, zero gains. ``cg_matched_oracle`` is None where the oracle
-    cross-check was skipped by the cadence setting.
+    convention, zero gains.
     """
 
     relay: Point
@@ -77,7 +78,6 @@ class SweepRecord:
     lambda1: float
     lambda2: float
     strictly_concave: bool
-    cg_matched_oracle: bool | None
     failure: str | None = None
 
     @property
@@ -115,49 +115,34 @@ def _failure_record(relay: Point, message: str) -> SweepRecord:
         relay=relay, ne=None, nbs=None,
         gain_bw_u1_pct=0.0, gain_bw_u2_pct=0.0, gain_bw_total_pct=0.0,
         gain_sw_pct=0.0, lambda1=math.nan, lambda2=math.nan,
-        strictly_concave=False, cg_matched_oracle=None, failure=message)
-
-
-def _solve_position(scenario: Scenario, relay: Point):
-    budget = link_budget(scenario, relay)
-    terms = marginal_terms(budget, scenario)
-    ne = nash_equilibrium(terms, scenario)
-    ctx = NashProductContext(scenario=scenario, budget=budget, terms=terms,
-                             threat=ne.utilities, ne_alloc=ne.allocation)
-    return ne, ctx
+        strictly_concave=False, failure=message)
 
 
 def sweep(scenario: Scenario, grid: SweepGrid,
           config: SweepConfig | None = None) -> list:
     """Solve NE and NBS at every relay position of the grid.
 
-    Per position: link budget, marginal terms, closed-form NE, CG bargaining
-    solution (grid-oracle cross-check at the configured cadence), bandwidth
-    and welfare gains, and the Nash product eigenvalues at the reported NBS
-    allocation. Individual position failures are recorded, never raised.
+    Per position: bargaining context with the closed-form NE, CG bargaining
+    solution, bandwidth and welfare gains, and the Nash product eigenvalues
+    at the reported NBS allocation. Individual position failures are
+    recorded, never raised.
     """
     if config is None:
         config = SweepConfig()
-    positions = grid.positions()
-    every = config.oracle_every
-    if every is None:
-        every = 1 if len(positions) <= 1000 else 10
     records = []
-    for idx, relay in enumerate(positions):
+    for relay in grid.positions():
         try:
-            ne, ctx = _solve_position(scenario, relay)
+            ctx = make_context(scenario, relay)
             nbs = cg_nbs(ctx, w0=config.w0, epsilon=config.epsilon,
                          max_iter=config.max_iter, mode=config.mode,
                          oracle_resolution=config.oracle_resolution)
         except (DegenerateGeometryError, ConvergenceError) as exc:
             records.append(_failure_record(relay, str(exc)))
             continue
-        matched = None
-        if every > 0 and idx % every == 0:
-            oracle = grid_oracle_nbs(ctx, config.oracle_resolution)
-            cell = scenario.omega / (config.oracle_resolution - 1)
-            matched = (abs(nbs.allocation.w1 - oracle.allocation.w1) <= cell * (1 + 1e-9)
-                       and abs(nbs.allocation.w2 - oracle.allocation.w2) <= cell * (1 + 1e-9))
+        # The context holds the closed-form NE; this is its solver report.
+        ne = EquilibriumReport(allocation=ctx.ne_alloc, utilities=ctx.threat,
+                               kind="NE", iterations=0, residual=0.0,
+                               converged=True)
         eig = eigenvalues(hessian(nbs.allocation, ctx))
         records.append(SweepRecord(
             relay=relay,
@@ -172,42 +157,18 @@ def sweep(scenario: Scenario, grid: SweepGrid,
             lambda1=eig.lambda1,
             lambda2=eig.lambda2,
             strictly_concave=eig.lambda2 < 0.0,
-            cg_matched_oracle=matched,
         ))
     return records
-
-
-@dataclass(frozen=True)
-class ConcavityRecord:
-    """Nash product eigenvalues at the grid-oracle NBS of one relay position."""
-
-    relay: Point
-    lambda1: float
-    lambda2: float
-    strictly_concave: bool
-    failure: str | None = None
 
 
 def concavity_map(scenario: Scenario, grid: SweepGrid,
                   oracle_resolution: int = 401) -> list:
     """Concavity certificate of the Nash product across relay positions.
 
-    The Hessian is evaluated at the grid-oracle NBS point of each position,
-    i.e. where a solver would actually operate. Failures are recorded with
-    NaN eigenvalues and a False flag.
+    Returns the sweep's records: ``lambda1``, ``lambda2`` and
+    ``strictly_concave`` are the Hessian eigenvalues at the reported NBS of
+    each position, so the map agrees with a sweep over the same grid.
+    ``oracle_resolution`` sets the grid of the bargaining solver's oracle
+    fallback. Failures carry NaN eigenvalues and a False flag.
     """
-    records = []
-    for relay in grid.positions():
-        try:
-            _, ctx = _solve_position(scenario, relay)
-            oracle = grid_oracle_nbs(ctx, oracle_resolution)
-            eig = eigenvalues(hessian(oracle.allocation, ctx))
-        except (DegenerateGeometryError, ConvergenceError) as exc:
-            records.append(ConcavityRecord(
-                relay=relay, lambda1=math.nan, lambda2=math.nan,
-                strictly_concave=False, failure=str(exc)))
-            continue
-        records.append(ConcavityRecord(
-            relay=relay, lambda1=eig.lambda1, lambda2=eig.lambda2,
-            strictly_concave=eig.lambda2 < 0.0))
-    return records
+    return sweep(scenario, grid, SweepConfig(oracle_resolution=oracle_resolution))

@@ -8,8 +8,9 @@ Its payoff is energy efficiency with a linear price on rented band:
 where ``phi_i = alpha*f(gamma_direct)/p_i`` is the per-Hz efficiency of the
 direct link and ``psi_i = alpha*f(gamma_af)/(p_i + p_r)`` that of the relayed
 link. The game is a concave quadratic game with a unique pure Nash
-equilibrium, computed here in closed form through a KKT case analysis and
-cross-validated by damped best-response iteration.
+equilibrium (Rosen 1965), computed here in closed form through a KKT case
+analysis. Damped best-response iteration is kept as an independent reference
+for that closed form.
 """
 
 import warnings
@@ -19,7 +20,7 @@ from .system_model import LinkBudget, Scenario, efficiency
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solve exhausted its iteration budget."""
+    """A solver found no valid solution for its inputs."""
 
 
 @dataclass(frozen=True)
@@ -229,10 +230,8 @@ def nash_equilibrium(terms: MarginalTerms, scenario: Scenario) -> EquilibriumRep
     """The unique pure Nash equilibrium of the band game.
 
     Solved in closed form by enumerating the nine clamp patterns of the KKT
-    conditions, then cross-validated against damped best-response iteration
-    started from (0, 0). A mismatch beyond 1e-6*omega is reported in the
-    diagnostics (the closed-form point is still returned); an iteration that
-    fails to converge raises ConvergenceError.
+    conditions; the first feasible pattern is the equilibrium. The report has
+    no iterations and zero residual.
     """
     b, omega = scenario.b, scenario.omega
     c1 = terms.relay_advantage(1)
@@ -249,23 +248,11 @@ def nash_equilibrium(terms: MarginalTerms, scenario: Scenario) -> EquilibriumRep
     if alloc is None:  # pragma: no cover - the patterns are exhaustive
         raise ConvergenceError("no KKT pattern validated; inconsistent inputs")
 
-    it_alloc, iters, resid, ok = best_response_iteration(terms, scenario)
-    if not ok:
-        raise ConvergenceError(
-            f"best-response validation did not converge within {iters} iterations "
-            f"(residual {resid:.3e})")
-    diagnostics = ()
-    gap = max(abs(alloc.w1 - it_alloc.w1), abs(alloc.w2 - it_alloc.w2))
-    if gap > 1e-6 * omega:
-        diagnostics = (
-            f"closed-form and best-response equilibria differ by {gap:.3e} Hz",)
-
     return EquilibriumReport(
         allocation=alloc,
         utilities=utility_pair(alloc, terms, scenario),
         kind="NE",
-        iterations=iters,
-        residual=resid,
+        iterations=0,
+        residual=0.0,
         converged=True,
-        diagnostics=diagnostics,
     )

@@ -67,6 +67,10 @@ class Scenario:
             raise ValueError("alpha must be a positive spectral efficiency")
         if self.M < 1 or int(self.M) != self.M:
             raise ValueError("M must be an integer >= 1")
+        if not self.pathloss_const > 0:
+            raise ValueError("pathloss_const must be a positive path-loss constant")
+        if self.pathloss_exp < 0:
+            raise ValueError("pathloss_exp must be a non-negative path-loss exponent")
         for name in ("pathloss_const", "pathloss_exp", "b", "alpha", "omega",
                      "sigma2", "p1", "p2", "p_r"):
             if not math.isfinite(getattr(self, name)):

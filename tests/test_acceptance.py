@@ -155,7 +155,7 @@ def test_criterion_4_derivative_correctness():
             [0.0, (pi(w + [0, hh]) - 2 * pi(w) + pi(w - [0, hh])) / hh**2]])
         fd_h[1, 0] = fd_h[0, 1]
         an = hessian(alloc, ctx)
-        an_h = np.array([[an.a11, an.a12], [an.a21, an.a22]])
+        an_h = np.array([[an.a11, an.a12], [an.a12, an.a22]])
         rel_h = np.linalg.norm(an_h - fd_h) / (np.linalg.norm(fd_h) + 1e-300)
         worst_h = max(worst_h, rel_h)
         assert rel_h <= 1e-4

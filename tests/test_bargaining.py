@@ -124,11 +124,19 @@ def test_hessian_zero_pricing():
 
 
 def test_hessian_symmetry(ctx450, paper):
+    # Both mixed partials of the analytic gradient match the one stored a12.
     rng = np.random.default_rng(24)
+    step = 1e-4 * paper.omega
     for _ in range(50):
-        alloc = BandAllocation(*(rng.uniform(0, paper.omega, 2)))
-        h = hessian(alloc, ctx450)
-        assert h.a12 == h.a21
+        w1, w2 = rng.uniform(0, paper.omega, 2)
+        h = hessian(BandAllocation(w1, w2), ctx450)
+        g1_up, _ = nash_product_gradient(BandAllocation(w1, w2 + step), ctx450)
+        g1_dn, _ = nash_product_gradient(BandAllocation(w1, w2 - step), ctx450)
+        _, g2_up = nash_product_gradient(BandAllocation(w1 + step, w2), ctx450)
+        _, g2_dn = nash_product_gradient(BandAllocation(w1 - step, w2), ctx450)
+        scale = abs(h.a11) + abs(h.a22) + abs(h.a12)
+        for mixed in ((g1_up - g1_dn) / (2 * step), (g2_up - g2_dn) / (2 * step)):
+            assert abs(mixed - h.a12) <= 1e-6 * scale
 
 
 def test_hessian_matches_finite_differences(ctx450, paper):
@@ -138,14 +146,14 @@ def test_hessian_matches_finite_differences(ctx450, paper):
         alloc = BandAllocation(*(rng.uniform(0.05, 0.95, 2) * paper.omega))
         fd = central_hessian(alloc, ctx450, h_step)
         an = hessian(alloc, ctx450)
-        an_m = np.array([[an.a11, an.a12], [an.a21, an.a22]])
+        an_m = np.array([[an.a11, an.a12], [an.a12, an.a22]])
         assert np.linalg.norm(an_m - fd) <= 1e-4 * (np.linalg.norm(fd) + 1e-9)
 
 
 def test_eigenvalues_trivial():
-    eig = eigenvalues(Hessian2x2(a11=3.0, a22=3.0, a12=0.0, a21=0.0))
+    eig = eigenvalues(Hessian2x2(a11=3.0, a22=3.0, a12=0.0))
     assert (eig.lambda1, eig.lambda2, eig.delta) == (3.0, 3.0, 0.0)
-    eig = eigenvalues(Hessian2x2(a11=0.0, a22=0.0, a12=-2.5, a21=-2.5))
+    eig = eigenvalues(Hessian2x2(a11=0.0, a22=0.0, a12=-2.5))
     assert (eig.lambda1, eig.lambda2) == (-2.5, 2.5)
 
 
@@ -153,7 +161,7 @@ def test_eigenvalues_match_lapack():
     rng = np.random.default_rng(26)
     for _ in range(300):
         a11, a22, a12 = rng.uniform(-50, 50, 3)
-        eig = eigenvalues(Hessian2x2(a11=a11, a22=a22, a12=a12, a21=a12))
+        eig = eigenvalues(Hessian2x2(a11=a11, a22=a22, a12=a12))
         ref = np.linalg.eigvalsh(np.array([[a11, a12], [a12, a22]]))
         assert eig.delta >= 0.0
         assert eig.lambda1 == pytest.approx(ref[0], rel=1e-10, abs=1e-10)
@@ -166,7 +174,7 @@ def test_eigenpair_rejects_negative_delta():
 
 
 def test_concavity_flag(ctx450):
-    assert eigenvalues(Hessian2x2(-1.0, -1.0, 0.0, 0.0)).lambda2 < 0.0
+    assert eigenvalues(Hessian2x2(-1.0, -1.0, 0.0)).lambda2 < 0.0
     oracle = grid_oracle_nbs(ctx450)
     assert is_strictly_concave_at(oracle.allocation, ctx450)
 

@@ -56,6 +56,8 @@ def test_parse_diagnostics(tmp_path, paper):
         (base.replace("source_1 = 300.0, 300.0", "source_1 = 300.0"), "source_1"),
         (base.replace("M = 80", "M = 80.5"), "M"),
         (base + "just some text\n", "key = value"),
+        (base.replace("pathloss_const = 0.097", "pathloss_const = -0.097"), "pathloss_const"),
+        (base.replace("pathloss_exp = 4.0", "pathloss_exp = -2"), "pathloss_exp"),
     ]
     for text, needle in cases:
         p = tmp_path / "case.cfg"
@@ -77,7 +79,7 @@ def test_golden_headers():
     assert SWEEP_HEADER == (
         "xr,yr,w1_ne,w2_ne,w1_nbs,w2_nbs,u1_ne,u2_ne,u1_nbs,u2_nbs,"
         "gain_bw_u1_pct,gain_bw_u2_pct,gain_bw_total_pct,gain_sw_pct,"
-        "lambda1,lambda2,strictly_concave,converged,cg_matched_oracle")
+        "lambda1,lambda2,strictly_concave,converged")
     assert REGION_HEADER == "w1,w2,u1,u2,on_hull,on_pareto"
     assert CONCAVITY_HEADER == "xr,yr,lambda1,lambda2,strictly_concave"
 

@@ -4,10 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bandgame import (BandAllocation, Point, SweepConfig, SweepGrid,
-                      UtilityPair, bandwidth_gain, cg_nbs, concavity_map,
-                      eigenvalues, grid_oracle_nbs, hessian,
-                      is_strictly_concave_at, make_context,
+from bandgame import (BandAllocation, Point, SweepGrid, UtilityPair,
+                      bandwidth_gain, cg_nbs, concavity_map, eigenvalues,
+                      hessian, is_strictly_concave_at, make_context,
                       nash_equilibrium, social_welfare_gain, sweep)
 from bandgame.cli import sweep_csv
 from conftest import RELAY_450, random_scenario
@@ -61,11 +60,6 @@ def test_sweep_single_position_composes(paper):
     eig = eigenvalues(hessian(nbs.allocation, ctx))
     assert (r.lambda1, r.lambda2) == (eig.lambda1, eig.lambda2)
     assert r.strictly_concave == (eig.lambda2 < 0.0)
-    oracle = grid_oracle_nbs(ctx)
-    cell = paper.omega / 400.0
-    assert r.cg_matched_oracle == (
-        abs(nbs.allocation.w1 - oracle.allocation.w1) <= cell * (1 + 1e-9)
-        and abs(nbs.allocation.w2 - oracle.allocation.w2) <= cell * (1 + 1e-9))
     assert r.converged
 
 
@@ -97,13 +91,9 @@ def test_sweep_deterministic(paper):
 
 
 def test_sweep_records_sorted_and_flagged(paper):
-    grid = SweepGrid(step=175.0)
-    config = SweepConfig(oracle_every=2)
-    records = sweep(paper, grid, config)
+    records = sweep(paper, SweepGrid(step=175.0))
     pos = [(r.relay.x, r.relay.y) for r in records]
     assert pos == sorted(pos)
-    checked = [r.cg_matched_oracle is not None for r in records]
-    assert checked == [i % 2 == 0 for i in range(len(records))]
 
 
 def test_sweep_invariants(paper):
@@ -115,7 +105,7 @@ def test_sweep_invariants(paper):
             for i in (1, 2):
                 ne_u, nbs_u = r.ne.utilities.u(i), r.nbs.utilities.u(i)
                 assert nbs_u >= ne_u - 1e-12 * abs(ne_u)
-        if r.cg_matched_oracle and r.strictly_concave:
+        if r.strictly_concave:
             assert r.gain_sw_pct >= -1e-9
 
 
@@ -124,10 +114,24 @@ def test_concavity_map_composes(paper):
     assert len(records) == 1
     r = records[0]
     ctx = make_context(paper, RELAY_450)
-    oracle = grid_oracle_nbs(ctx)
-    assert r.strictly_concave == is_strictly_concave_at(oracle.allocation, ctx)
-    eig = eigenvalues(hessian(oracle.allocation, ctx))
+    nbs = cg_nbs(ctx).allocation
+    assert r.strictly_concave == is_strictly_concave_at(nbs, ctx)
+    eig = eigenvalues(hessian(nbs, ctx))
     assert (r.lambda1, r.lambda2) == (eig.lambda1, eig.lambda2)
+
+
+def test_concavity_map_agrees_with_sweep(paper):
+    conc = concavity_map(paper, SweepGrid(step=100.0))
+    fine = {(r.relay.x, r.relay.y): r for r in sweep(paper, SweepGrid(step=50.0))}
+    assert len(conc) == 64
+    for r in conc:
+        s = fine[(r.relay.x, r.relay.y)]
+        assert r.strictly_concave == s.strictly_concave
+        if r.failure is None:
+            assert (r.lambda1, r.lambda2) == (s.lambda1, s.lambda2)
+        else:
+            assert s.failure is not None
+            assert math.isnan(r.lambda1) and math.isnan(s.lambda1)
 
 
 def test_concavity_map_zero_pricing():

@@ -177,7 +177,9 @@ def test_scenario_invariants(paper):
     from dataclasses import replace
     for field, bad in [("p1", 0.0), ("p2", -1.0), ("p_r", 0.0),
                        ("sigma2", 0.0), ("omega", 0.0), ("b", -1e-6),
-                       ("alpha", 0.0), ("M", 0)]:
+                       ("alpha", 0.0), ("M", 0), ("pathloss_const", 0.0),
+                       ("pathloss_const", -0.097), ("pathloss_exp", -1.0),
+                       ("pathloss_exp", math.nan)]:
         with pytest.raises(ValueError, match=field):
             replace(paper, **{field: bad})
 
