@@ -3,11 +3,11 @@
 Maximizes the product of utility gains with the projected Polak-Ribiere
 conjugate-gradient solver, shows the iteration trace, certifies local strict
 concavity through the Hessian eigenvalues, and cross-checks the result
-against the brute-force grid oracle.
+against the exact closed-form solver and the brute-force grid oracle.
 """
 
-from bandgame import (Point, cg_nbs, eigenvalues, grid_oracle_nbs, hessian,
-                      make_context, nash_product)
+from bandgame import (Point, cg_nbs, eigenvalues, exact_nbs, grid_oracle_nbs,
+                      hessian, make_context, nash_product)
 from bandgame.cli import load_paper_scenario
 
 scenario = load_paper_scenario()
@@ -31,6 +31,10 @@ print()
 eig = eigenvalues(hessian(report.allocation, ctx))
 print(f"hessian eigenvalues at the solution: ({eig.lambda1:.4f}, {eig.lambda2:.4f})"
       f" -> strictly concave: {eig.lambda2 < 0}")
+
+exact = exact_nbs(ctx)
+print(f"exact closed form: w = ({exact.allocation.w1:.2f}, {exact.allocation.w2:.2f}) Hz, "
+      f"product {nash_product(exact.allocation, ctx):.6e}")
 
 oracle = grid_oracle_nbs(ctx, resolution=401)
 cell = scenario.omega / 400.0

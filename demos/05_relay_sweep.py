@@ -7,12 +7,12 @@ strictly concave. Finer maps come from the CLI:
     bandgame sweep --scenario <file> --step 25 --out sweep.csv
 """
 
-from bandgame import SweepConfig, SweepGrid, sweep
+from bandgame import SweepGrid, sweep
 from bandgame.cli import load_paper_scenario
 
 scenario = load_paper_scenario()
 grid = SweepGrid(step=100.0)
-records = sweep(scenario, grid, SweepConfig(oracle_resolution=201))
+records = sweep(scenario, grid)
 
 xs = sorted({r.relay.x for r in records})
 ys = sorted({r.relay.y for r in records})

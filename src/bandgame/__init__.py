@@ -2,25 +2,25 @@
 
 Two transmitter/receiver pairs rent slices of a relay's band under linear
 pricing. This package computes the closed-form Nash equilibrium of the
-resulting concave game, the Nash bargaining solution on top of it (projected
-Polak-Ribiere conjugate gradient, with a brute-force grid oracle as fallback
-and as the reference the tests and ``bandgame nbs --oracle`` compare with),
-certifies local strict concavity of the bargaining objective through 2x2
-eigenvalues, builds the sampled utility region with its Pareto boundary and
+resulting concave game, the Nash bargaining solution on top of it (an exact
+closed-form solver used by sweeps; the paper's projected Polak-Ribiere
+conjugate gradient, which falls back to the exact solver; and a brute-force
+grid oracle, the reference the tests and ``bandgame nbs --oracle`` compare
+with), certifies local strict concavity of the bargaining objective through
+2x2 eigenvalues, builds the sampled utility region with its Pareto boundary and
 time-sharing hull, and sweeps relay positions into bandwidth-gain,
 welfare-gain and concavity maps through one per-position pipeline.
 """
 
 from .bargaining import (CgState, EigenPair, Hessian2x2, NashProductContext,
                          ParetoPoint, RegionSample, cg_minimize, cg_nbs,
-                         convex_hull_indices, eigenvalues, grid_oracle_nbs,
-                         hessian, is_strictly_concave_at, make_context,
-                         max_nash_product_on_pareto, nash_product,
-                         nash_product_gradient, sample_utility_region,
-                         utility_grids)
-from .experiments import (SweepConfig, SweepGrid, SweepRecord,
-                          bandwidth_gain, concavity_map, social_welfare_gain,
-                          sweep)
+                         convex_hull_indices, eigenvalues, exact_nbs,
+                         grid_oracle_nbs, hessian, is_strictly_concave_at,
+                         make_context, max_nash_product_on_pareto,
+                         nash_product, nash_product_gradient,
+                         sample_utility_region, utility_grids)
+from .experiments import (SweepGrid, SweepRecord, bandwidth_gain,
+                          concavity_map, social_welfare_gain, sweep)
 from .game import (BandAllocation, ConvergenceError, EquilibriumReport,
                    MarginalTerms, UtilityPair, best_response,
                    best_response_iteration, marginal_terms, nash_equilibrium,
@@ -33,11 +33,11 @@ __all__ = [
     "BandAllocation", "CgState", "ConvergenceError",
     "DegenerateGeometryError", "EigenPair", "EquilibriumReport", "Hessian2x2",
     "LinkBudget", "MarginalTerms", "NashProductContext", "ParetoPoint",
-    "Point", "RegionSample", "Scenario", "SweepConfig", "SweepGrid",
+    "Point", "RegionSample", "Scenario", "SweepGrid",
     "SweepRecord", "UserLink", "UtilityPair", "bandwidth_gain",
     "best_response", "best_response_iteration", "cg_minimize", "cg_nbs",
     "channel_gain", "concavity_map", "convex_hull_indices", "distance",
-    "efficiency", "eigenvalues", "grid_oracle_nbs", "hessian",
+    "efficiency", "eigenvalues", "exact_nbs", "grid_oracle_nbs", "hessian",
     "is_strictly_concave_at", "link_budget", "make_context",
     "marginal_terms", "max_nash_product_on_pareto", "nash_equilibrium",
     "nash_product", "nash_product_gradient", "sample_utility_region",

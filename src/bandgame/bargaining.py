@@ -6,10 +6,12 @@ The bargaining objective is the Nash product
 
 whose maximizer over the utilities weakly dominating the equilibrium pair is
 the Nash bargaining solution. This module provides the analytic gradient and
-Hessian of pi, its eigenvalue-based concavity certificate, a projected
-Polak-Ribiere conjugate-gradient solver with Newton step lengths, a brute-force
-grid oracle, and the sampled utility region with its convex hull, Pareto
-boundary and time-sharing mixtures.
+Hessian of pi, its eigenvalue-based concavity certificate, the exact
+closed-form bargaining solver that production paths use, the paper's projected
+Polak-Ribiere conjugate-gradient solver with Newton step lengths (which falls
+back to the exact solver), a brute-force grid oracle kept as a reference for
+tests and ``bandgame nbs --oracle``, and the sampled utility region with its
+convex hull, Pareto boundary and time-sharing mixtures.
 """
 
 import math
@@ -257,8 +259,7 @@ _RESTART_OFFSETS = ((0.01, 0.0162), (-0.01, -0.0162), (0.031, -0.017), (-0.031, 
 
 def cg_nbs(ctx: NashProductContext, w0: BandAllocation | None = None,
            epsilon: float | None = None, max_iter: int = 200,
-           mode: str = "joint", oracle_resolution: int = 401,
-           trace: list | None = None) -> EquilibriumReport:
+           mode: str = "joint", trace: list | None = None) -> EquilibriumReport:
     """Nash bargaining solution by conjugate-gradient descent on -pi.
 
     The default start is the equilibrium allocation shrunk by 10 percent:
@@ -271,9 +272,12 @@ def cg_nbs(ctx: NashProductContext, w0: BandAllocation | None = None,
     1e-8 * max(1, |grad pi|) at the start. A start where pi and its gradient
     both vanish sits on the saddle at the threat point and is nudged to a
     fixed nearby point first. Iterates are projected onto [0, omega]^2. The
-    dominance constraint u_i >= u_i_ne is not enforced during the iteration;
-    if the final point violates it the run is rejected and the grid-oracle
-    argmax is returned instead (flagged in the diagnostics).
+    dominance constraint u_i >= u_i_ne is not enforced during the iteration.
+    The endpoint is rejected, and :func:`exact_nbs` returned in its place
+    with a note, when it violates that constraint, or when its Nash product
+    is not positive although a bargain with a positive product exists (CG
+    can climb back to the threat point from a start outside the dominance
+    region).
     """
     omega = ctx.scenario.omega
     if w0 is None:
@@ -314,12 +318,15 @@ def cg_nbs(ctx: NashProductContext, w0: BandAllocation | None = None,
     u = utility_pair(alloc, ctx.terms, ctx.scenario)
     dominates = all(
         u.u(i) >= ctx.threat.u(i) - 1e-12 * abs(ctx.threat.u(i)) for i in (1, 2))
-    if not dominates:
-        oracle = grid_oracle_nbs(ctx, oracle_resolution)
-        return replace(
-            oracle,
-            diagnostics=oracle.diagnostics + tuple(notes) + (
-                "cg endpoint fell below the threat point; grid-oracle result returned",))
+    if not dominates or nash_product(alloc, ctx) <= 0.0:
+        exact = exact_nbs(ctx)
+        # exact_nbs returns the threat allocation only when no allocation
+        # has a positive product; a dominating CG endpoint then stands.
+        if not dominates or exact.allocation != ctx.ne_alloc:
+            return replace(
+                exact,
+                diagnostics=exact.diagnostics + tuple(notes) + (
+                    "cg endpoint rejected; exact result returned",))
 
     return EquilibriumReport(
         allocation=alloc,
@@ -330,6 +337,99 @@ def cg_nbs(ctx: NashProductContext, w0: BandAllocation | None = None,
         converged=converged,
         diagnostics=tuple(notes),
     )
+
+
+def _quadratic_roots(q2, q1, q0) -> np.ndarray:
+    """Both roots of q2*z**2 + q1*z + q0, elementwise, as a (2, ...) array.
+
+    Uses the cancellation-free form of the quadratic formula. A negative
+    discriminant is taken as zero, which yields the vertex; a vanishing q2
+    leaves the linear root and a non-finite one. Extra roots cost nothing:
+    every candidate is evaluated exactly afterwards.
+    """
+    disc = np.sqrt(np.maximum(q1 * q1 - 4.0 * q2 * q0, 0.0))
+    q = -0.5 * (q1 + np.copysign(disc, q1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.stack([q / q2, q0 / q])
+
+
+def exact_nbs(ctx: NashProductContext) -> EquilibriumReport:
+    """Nash bargaining solution in closed form: the maximizer of the Nash
+    product over the allocations that weakly dominate the threat point.
+
+    Works in units where the band is 1 and the largest of |c1|, |c2| and
+    b*omega is 1 (c_i = psi_i - phi_i), with the threat allocation a. On a
+    slice of fixed total band s = w1 + w2 both users pay b*s per Hz, so
+    with A = c1 - b*s and B = c2 - b*s the gains are affine,
+
+        g1 = alpha1 + A*w1,   g2 = alpha2 + B*(s - w1),
+        alpha_i = -a_i*(c_i - b*(a1 + a2)),
+
+    and the product is a quadratic in w1. Where AB > 0 its peak
+    w1*(s) = (A*(alpha2 + B*s) - B*alpha1) / (2AB) has the value
+    N(s)**2 / (4AB) with N = A*alpha2 + B*alpha1 + AB*s, which is stationary
+    in s at the roots of the quartic 2N'AB - N(AB)'. On each box edge the
+    product is a cubic in the free coordinate. Candidates are those roots,
+    the edge stationary points and the four corners; each is scored with
+    gains written without subtracting two nearly equal utilities, and the
+    dominating candidate with the largest product wins (ties go to the
+    larger utility sum). Where no candidate has a positive product the
+    threat allocation is returned, with a note.
+    """
+    s, t = ctx.scenario, ctx.terms
+    omega = s.omega
+    c1, c2 = t.relay_advantage(1), t.relay_advantage(2)
+    unit = max(abs(c1), abs(c2), s.b * omega) or 1.0  # all zero: no scaling
+    c1, c2, b = c1 / unit, c2 / unit, s.b * omega / unit
+    a1, a2 = ctx.ne_alloc.w1 / omega, ctx.ne_alloc.w2 / omega
+    alpha1 = -a1 * (c1 - b * (a1 + a2))
+    alpha2 = -a2 * (c2 - b * (a1 + a2))
+
+    # Interior: stationary points in s of the slice maximum N**2/(4AB),
+    # with AB = p2*s**2 + p1*s + p0 and N = n3*s**3 + ... + n0.
+    p2, p1, p0 = b * b, -b * (c1 + c2), c1 * c2
+    n = np.array([p2, p1, p0 - b * (alpha1 + alpha2), c1 * alpha2 + c2 * alpha1])
+    quartic = (2.0 * np.convolve(n[:3] * [3.0, 2.0, 1.0], [p2, p1, p0])
+               - np.convolve(n, [2.0 * p2, p1]))
+    roots = np.roots(quartic)
+    # A double root can leave the companion matrix as a close complex pair.
+    total = roots.real[np.abs(roots.imag) <= 1e-6 * (1.0 + np.abs(roots.real))]
+    total = np.clip(total, 0.0, 2.0)
+    av, bv = c1 - b * total, c2 - b * total
+    peaked = av * bv > 0.0
+    total, av, bv = total[peaked], av[peaked], bv[peaked]
+    inner1 = (av * (alpha2 + bv * total) - bv * alpha1) / (2.0 * av * bv)
+    # Edges w1 = 0, w2 = 0, w1 = 1, w2 = 1: with one user's band pinned at e,
+    # its gain h0 + h1*z is linear and the other's af + f1*z - b*z**2 is
+    # quadratic in the free band z, so the product's slope is a quadratic.
+    e = np.array([0.0, 0.0, 1.0, 1.0])
+    pins_w1 = np.array([True, False, True, False])
+    cp, ap = np.array([c1, c2, c1, c2]), np.array([alpha1, alpha2, alpha1, alpha2])
+    cf, af = cp[[1, 0, 3, 2]], ap[[1, 0, 3, 2]]
+    h0, h1, f1 = ap + cp * e - b * e * e, -b * e, cf - b * e
+    z = _quadratic_roots(-3.0 * b * h1, 2.0 * (h1 * f1 - b * h0), h1 * af + h0 * f1)
+
+    y = np.column_stack([
+        np.concatenate([[0.0, 0.0, 1.0, 1.0], inner1, np.where(pins_w1, e, z).ravel()]),
+        np.concatenate([[0.0, 1.0, 0.0, 1.0], total - inner1, np.where(pins_w1, z, e).ravel()])])
+    y = np.clip(y[np.isfinite(y).all(axis=1)], 0.0, 1.0)
+    d1, d2 = y[:, 0] - a1, y[:, 1] - a2
+    g1 = d1 * (c1 - b * (y[:, 0] + a1 + y[:, 1])) - b * a1 * d2
+    g2 = d2 * (c2 - b * (y[:, 1] + a2 + y[:, 0])) - b * a2 * d1
+    product = np.where((g1 >= 0.0) & (g2 >= 0.0), g1 * g2, -np.inf)
+    best = product.max()
+    if not best > 0.0:
+        return EquilibriumReport(
+            allocation=ctx.ne_alloc, utilities=ctx.threat, kind="NBS",
+            iterations=0, residual=0.0, converged=True,
+            diagnostics=("no allocation improves both utilities on the threat "
+                         "point; returning the threat allocation",))
+    ties = np.flatnonzero(product == best)
+    k = int(ties[np.argmax(g1[ties] + g2[ties])])
+    alloc = BandAllocation(float(omega * y[k, 0]), float(omega * y[k, 1]))
+    return EquilibriumReport(
+        allocation=alloc, utilities=utility_pair(alloc, t, s), kind="NBS",
+        iterations=0, residual=0.0, converged=True)
 
 
 def utility_grids(W1, W2, terms: MarginalTerms, scenario: Scenario):

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .bargaining import (cg_nbs, grid_oracle_nbs, make_context,
                          sample_utility_region)
-from .experiments import SweepConfig, SweepGrid, concavity_map, sweep
+from .experiments import SweepGrid, concavity_map, sweep
 from .game import (BandAllocation, EquilibriumReport, marginal_terms,
                    nash_equilibrium)
 from .system_model import Point, Scenario, link_budget
@@ -219,7 +219,7 @@ def _cmd_nbs(args) -> int:
     if args.w0 is not None:
         w0 = BandAllocation(*_parse_pair(args.w0, "--w0"))
     report = cg_nbs(ctx, w0=w0, epsilon=args.epsilon, max_iter=args.max_iter,
-                    mode=args.mode, oracle_resolution=args.oracle_resolution)
+                    mode=args.mode)
     _print_report(report, "nbs")
     status = 0 if report.converged else 1
     if args.oracle:
@@ -256,9 +256,7 @@ def _grid_from_args(args) -> SweepGrid:
 def _cmd_sweep(args) -> int:
     scenario = parse_scenario(args.scenario)
     grid = _grid_from_args(args)
-    config = SweepConfig(epsilon=args.epsilon, max_iter=args.max_iter,
-                         mode=args.mode, oracle_resolution=args.oracle_resolution)
-    records = sweep(scenario, grid, config)
+    records = sweep(scenario, grid)
     path = _out_path(args.out)
     path.write_text(sweep_csv(records))
     failures = sum(1 for r in records if r.failure is not None)
@@ -269,7 +267,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_concavity(args) -> int:
     scenario = parse_scenario(args.scenario)
     grid = _grid_from_args(args)
-    records = concavity_map(scenario, grid, oracle_resolution=args.oracle_resolution)
+    records = concavity_map(scenario, grid)
     path = _out_path(args.out)
     path.write_text(concavity_csv(records))
     concave = sum(1 for r in records if r.strictly_concave)
@@ -306,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_nbs.add_argument("--max-iter", type=int, default=200)
     p_nbs.add_argument("--mode", choices=("joint", "alternating"), default="joint")
     p_nbs.add_argument("--oracle", action="store_true", help="cross-check against the grid oracle")
-    p_nbs.add_argument("--oracle-resolution", type=int, default=401)
+    p_nbs.add_argument("--oracle-resolution", type=int, default=401,
+                       help="grid points per axis of the --oracle cross-check")
     p_nbs.set_defaults(handler=_cmd_nbs)
 
     p_region = commands.add_parser("region", help="utility region / Pareto CSV")
@@ -320,17 +319,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_sweep)
     _add_bounds(p_sweep)
     p_sweep.add_argument("--out", default="sweep.csv")
-    p_sweep.add_argument("--epsilon", type=float, default=None)
-    p_sweep.add_argument("--max-iter", type=int, default=200)
-    p_sweep.add_argument("--mode", choices=("joint", "alternating"), default="joint")
-    p_sweep.add_argument("--oracle-resolution", type=int, default=401)
     p_sweep.set_defaults(handler=_cmd_sweep)
 
     p_conc = commands.add_parser("concavity-map", help="strict-concavity map CSV")
     _add_common(p_conc)
     _add_bounds(p_conc)
     p_conc.add_argument("--out", default="concavity.csv")
-    p_conc.add_argument("--oracle-resolution", type=int, default=401)
     p_conc.set_defaults(handler=_cmd_concavity)
 
     return parser

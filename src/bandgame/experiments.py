@@ -1,16 +1,16 @@
 """Relay-position sweeps: NE-vs-NBS gain maps, welfare comparison, concavity maps.
 
 ``sweep`` is the one per-position pipeline: bargaining context (link budget,
-marginal terms, closed-form NE), CG bargaining solution, gains, and the Nash
-product eigenvalues at the reported NBS. The concavity map is read from it.
+marginal terms, closed-form NE), exact bargaining solution, gains, and the
+Nash product eigenvalues at the reported NBS. The concavity map is read from
+it.
 """
 
 import math
 from dataclasses import dataclass
 
-from .bargaining import cg_nbs, eigenvalues, hessian, make_context
-from .game import (BandAllocation, ConvergenceError, EquilibriumReport,
-                   UtilityPair)
+from .bargaining import eigenvalues, exact_nbs, hessian, make_context
+from .game import ConvergenceError, EquilibriumReport, UtilityPair
 from .system_model import DegenerateGeometryError, Point, Scenario
 
 
@@ -46,17 +46,6 @@ class SweepGrid:
         return [Point(x, y)
                 for x in self.axis(self.x_min, self.x_max)
                 for y in self.axis(self.y_min, self.y_max)]
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    """Solver settings shared by every position of a sweep."""
-
-    epsilon: float | None = None
-    max_iter: int = 200
-    mode: str = "joint"
-    w0: BandAllocation | None = None
-    oracle_resolution: int = 401
 
 
 @dataclass(frozen=True)
@@ -118,27 +107,22 @@ def _failure_record(relay: Point, message: str) -> SweepRecord:
         strictly_concave=False, failure=message)
 
 
-def sweep(scenario: Scenario, grid: SweepGrid,
-          config: SweepConfig | None = None) -> list:
+def sweep(scenario: Scenario, grid: SweepGrid) -> list:
     """Solve NE and NBS at every relay position of the grid.
 
-    Per position: bargaining context with the closed-form NE, CG bargaining
-    solution, bandwidth and welfare gains, and the Nash product eigenvalues
-    at the reported NBS allocation. Individual position failures are
-    recorded, never raised.
+    Per position: bargaining context with the closed-form NE, the exact
+    bargaining solution (:func:`exact_nbs`), bandwidth and welfare gains,
+    and the Nash product eigenvalues at the reported NBS allocation.
+    Individual position failures are recorded, never raised.
     """
-    if config is None:
-        config = SweepConfig()
     records = []
     for relay in grid.positions():
         try:
             ctx = make_context(scenario, relay)
-            nbs = cg_nbs(ctx, w0=config.w0, epsilon=config.epsilon,
-                         max_iter=config.max_iter, mode=config.mode,
-                         oracle_resolution=config.oracle_resolution)
         except (DegenerateGeometryError, ConvergenceError) as exc:
             records.append(_failure_record(relay, str(exc)))
             continue
+        nbs = exact_nbs(ctx)
         # The context holds the closed-form NE; this is its solver report.
         ne = EquilibriumReport(allocation=ctx.ne_alloc, utilities=ctx.threat,
                                kind="NE", iterations=0, residual=0.0,
@@ -161,14 +145,12 @@ def sweep(scenario: Scenario, grid: SweepGrid,
     return records
 
 
-def concavity_map(scenario: Scenario, grid: SweepGrid,
-                  oracle_resolution: int = 401) -> list:
+def concavity_map(scenario: Scenario, grid: SweepGrid) -> list:
     """Concavity certificate of the Nash product across relay positions.
 
     Returns the sweep's records: ``lambda1``, ``lambda2`` and
     ``strictly_concave`` are the Hessian eigenvalues at the reported NBS of
     each position, so the map agrees with a sweep over the same grid.
-    ``oracle_resolution`` sets the grid of the bargaining solver's oracle
-    fallback. Failures carry NaN eigenvalues and a False flag.
+    Failures carry NaN eigenvalues and a False flag.
     """
-    return sweep(scenario, grid, SweepConfig(oracle_resolution=oracle_resolution))
+    return sweep(scenario, grid)

@@ -122,12 +122,18 @@ def channel_gain(d: float, scenario: Scenario) -> float:
 
     Raises DegenerateGeometryError for d == 0: a zero-length link has no
     physical meaning and almost always indicates a misconfigured geometry.
+    The same holds for a positive distance so small that ``d**pathloss_exp``
+    underflows to zero (below about 1e-81 m at exponent 4).
     """
     if d < 0:
         raise ValueError("distance must be non-negative")
     if d == 0:
         raise DegenerateGeometryError("co-located nodes: channel gain undefined at zero distance")
-    return scenario.pathloss_const / d ** scenario.pathloss_exp
+    attenuation = d ** scenario.pathloss_exp
+    if attenuation == 0.0:
+        raise DegenerateGeometryError(
+            f"nodes {d!r} m apart: d**pathloss_exp underflows to zero")
+    return scenario.pathloss_const / attenuation
 
 
 def snr_direct(p: float, h_sq: float, sigma2: float) -> float:

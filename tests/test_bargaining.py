@@ -4,17 +4,29 @@ import numpy as np
 import pytest
 
 from bandgame import (BandAllocation, EigenPair, Hessian2x2, MarginalTerms,
-                      NashProductContext, Point, cg_minimize, cg_nbs,
-                      convex_hull_indices, eigenvalues, grid_oracle_nbs,
-                      hessian, is_strictly_concave_at, link_budget,
-                      make_context, max_nash_product_on_pareto,
-                      nash_equilibrium, nash_product, nash_product_gradient,
-                      sample_utility_region, utility_pair)
-from conftest import RELAY_450, random_scenario
+                      NashProductContext, Point, SweepGrid, bandwidth_gain,
+                      cg_minimize, cg_nbs, convex_hull_indices, eigenvalues,
+                      exact_nbs, grid_oracle_nbs, hessian,
+                      is_strictly_concave_at, link_budget, make_context,
+                      max_nash_product_on_pareto, nash_equilibrium,
+                      nash_product, nash_product_gradient,
+                      sample_utility_region, sweep, utility_pair)
+from conftest import RELAY_450, random_relay, random_scenario
+from test_acceptance import _criterion3_sites
 
 PI_QUARTER = 128468211184.22597  # 50-digit value at alloc (omega/4, omega/4)
 NBS_CONTINUUM = (111097.1332281624, 111106.24565861714)
 PI_STAR = 752415308.27585719
+# Relay positions of the 25 m paper sweep where no point of the 401 x 401
+# oracle grid dominates the threat point, although a bargain with a positive
+# Nash product exists: a grid search reports zero gain there.
+MISSED_BARGAINS = (
+    (75, 0), (75, 25), (75, 50), (100, 0), (100, 25), (100, 50), (100, 75),
+    (125, 75), (125, 100), (150, 100), (150, 125), (175, 125), (175, 150),
+    (250, 200), (300, 250), (325, 75), (325, 100), (325, 125), (325, 150),
+    (325, 300), (350, 125), (350, 150), (350, 175), (350, 200), (375, 225),
+    (425, 150), (425, 175), (425, 200), (450, 0), (450, 25), (450, 50),
+    (475, 0), (550, 675), (550, 700))
 
 
 @pytest.fixture(scope="module")
@@ -247,13 +259,25 @@ def test_cg_modes_agree_in_concave_region(ctx450):
     assert abs(joint.allocation.w2 - alternating.allocation.w2) <= 1e-6 * omega
 
 
-def test_cg_center_start_falls_back_to_oracle(ctx450, paper):
+def test_cg_center_start_falls_back_to_exact(ctx450, paper):
     # (omega/2, omega/2) sits where both players lose; the run must be
-    # rejected at the dominance check and return the oracle point, flagged.
+    # rejected at the dominance check and return the exact solution, flagged.
     report = cg_nbs(ctx450, w0=BandAllocation(paper.omega / 2, paper.omega / 2))
-    oracle = grid_oracle_nbs(ctx450)
-    assert report.allocation == oracle.allocation
-    assert any("grid-oracle result returned" in d for d in report.diagnostics)
+    assert report.allocation == exact_nbs(ctx450).allocation
+    assert "cg endpoint rejected; exact result returned" in report.diagnostics
+
+
+def test_cg_corner_equilibrium_finds_bargain(paper):
+    # Both users rent the whole band at the equilibrium, yet renting a little
+    # less helps both. The default start 0.9*NE lies outside the dominance
+    # region and CG climbs back to the threat point, whose product is zero.
+    terms = MarginalTerms(phi1=1.0, psi1=37.0, phi2=2.0, psi2=41.6)
+    ctx = _context_for(paper, terms)
+    assert ctx.ne_alloc == BandAllocation(paper.omega, paper.omega)
+    report = cg_nbs(ctx)
+    assert nash_product(report.allocation, ctx) > 0.0
+    assert report.allocation == exact_nbs(ctx).allocation
+    assert "cg endpoint rejected; exact result returned" in report.diagnostics
 
 
 def test_cg_saddle_start_is_repositioned(ctx450):
@@ -267,6 +291,72 @@ def test_cg_dominance_on_accepted_result(ctx450):
     for i in (1, 2):
         assert (report.utilities.u(i)
                 >= ctx450.threat.u(i) - 1e-12 * abs(ctx450.threat.u(i)))
+
+
+def test_exact_matches_continuum(ctx450):
+    report = exact_nbs(ctx450)
+    assert report.kind == "NBS" and report.converged and not report.diagnostics
+    assert report.allocation.w1 == pytest.approx(NBS_CONTINUUM[0], rel=1e-9)
+    assert report.allocation.w2 == pytest.approx(NBS_CONTINUUM[1], rel=1e-9)
+    assert nash_product(report.allocation, ctx450) == pytest.approx(PI_STAR, rel=1e-12)
+
+
+def test_exact_mirror_symmetric(paper):
+    # c1 = c2 = c: the equilibrium rents c/(3b) per user and the bargain
+    # c/(4b), a quarter less band. The direct-link slopes do not matter.
+    for terms in (MarginalTerms(phi1=0.5, psi1=2.0, phi2=0.5, psi2=2.0),
+                  MarginalTerms(phi1=0.25, psi1=1.75, phi2=3.0, psi2=4.5)):
+        ctx = _context_for(paper, terms)
+        c = terms.relay_advantage(1)
+        assert ctx.ne_alloc.w1 == pytest.approx(c / (3.0 * paper.b), rel=1e-12)
+        nbs = exact_nbs(ctx).allocation
+        assert nbs.w1 == pytest.approx(c / (4.0 * paper.b), rel=1e-12)
+        assert nbs.w2 == pytest.approx(c / (4.0 * paper.b), rel=1e-12)
+        gain = bandwidth_gain(ctx.ne_alloc.w1 + ctx.ne_alloc.w2, nbs.w1 + nbs.w2)
+        assert gain == pytest.approx(25.0, rel=1e-9)
+
+
+def test_exact_returns_threat_without_bargain(paper):
+    # Zero pricing: each gain c_i*(w_i - a_i) is <= 0 on the whole box.
+    free = _context_for(replace(paper, b=0.0),
+                        MarginalTerms(phi1=1.0, psi1=2.0, phi2=2.5, psi2=1.5))
+    # Useless relay: renting band only costs, and the threat is (0, 0).
+    useless = _context_for(paper, MarginalTerms(phi1=1.5, psi1=1.5, phi2=0.7, psi2=0.7))
+    far = make_context(paper, Point(1e6, 1e6))
+    for ctx in (free, useless, far):
+        report = exact_nbs(ctx)
+        assert report.allocation == ctx.ne_alloc
+        assert report.utilities == ctx.threat
+        assert any("threat allocation" in d for d in report.diagnostics)
+
+
+def test_exact_dominates_and_beats_oracle(paper):
+    contexts = [ctx for _, ctx, _, _ in _criterion3_sites(paper)]
+    rng = np.random.default_rng(4242)
+    while len(contexts) < 20 + 200:
+        scenario = random_scenario(rng)
+        try:
+            contexts.append(make_context(scenario, random_relay(rng, scenario)))
+        except ValueError:
+            continue
+    bargains = 0
+    for ctx in contexts:
+        report = exact_nbs(ctx)
+        for i in (1, 2):
+            assert report.utilities.u(i) >= ctx.threat.u(i) - 1e-12 * abs(ctx.threat.u(i))
+        exact = nash_product(report.allocation, ctx)
+        oracle = nash_product(grid_oracle_nbs(ctx, 401).allocation, ctx)
+        assert exact >= oracle - 1e-12 * abs(oracle)
+        bargains += exact > 0.0
+    assert bargains > 0, "no context had a bargain; the comparison checked nothing"
+
+
+def test_exact_sweep_reports_missed_bargains(paper):
+    records = {(r.relay.x, r.relay.y): r for r in sweep(paper, SweepGrid(step=25.0))}
+    for xy in MISSED_BARGAINS:
+        r = records[xy]
+        for i in (1, 2):
+            assert r.nbs.utilities.u(i) > r.ne.utilities.u(i), xy
 
 
 def test_oracle_degenerate_relay_useless(paper):

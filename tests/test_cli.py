@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -126,7 +128,7 @@ def test_cli_region(paper_path, tmp_path, capsys):
 def test_cli_sweep_corner_grid(paper_path, tmp_path):
     out_file = tmp_path / "sweep.csv"
     rc = main(["sweep", "--scenario", paper_path, "--step", "700",
-               "--oracle-resolution", "101", "--out", str(out_file)])
+               "--out", str(out_file)])
     assert rc == 0
     lines = out_file.read_text().splitlines()
     assert lines[0] == SWEEP_HEADER
@@ -137,8 +139,7 @@ def test_cli_sweep_corner_grid(paper_path, tmp_path):
 
 def test_cli_sweep_deterministic(paper_path, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    args = ["sweep", "--scenario", paper_path, "--step", "350",
-            "--oracle-resolution", "101"]
+    args = ["sweep", "--scenario", paper_path, "--step", "350"]
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
@@ -147,7 +148,7 @@ def test_cli_sweep_deterministic(paper_path, tmp_path):
 def test_cli_output_dir_env(paper_path, tmp_path, monkeypatch):
     monkeypatch.setenv("BANDGAME_OUTPUT_DIR", str(tmp_path / "outputs"))
     rc = main(["concavity-map", "--scenario", paper_path, "--step", "700",
-               "--oracle-resolution", "51", "--out", "conc.csv"])
+               "--out", "conc.csv"])
     assert rc == 0
     lines = (tmp_path / "outputs" / "conc.csv").read_text().splitlines()
     assert lines[0] == CONCAVITY_HEADER
@@ -163,6 +164,10 @@ def test_cli_error_exits(paper_path, tmp_path, capsys):
     assert main(["ne", "--scenario", str(bad), "--relay", "450,450"]) == 2
     # relay on top of a node is a degenerate geometry
     assert main(["ne", "--scenario", paper_path, "--relay", "300,300"]) == 2
+    # so is a relay whose distance to a node underflows d**4 to zero
+    at_origin = tmp_path / "origin.cfg"
+    write_scenario(replace(parse_scenario(paper_path), source_1=Point(0.0, 0.0)), at_origin)
+    assert main(["ne", "--scenario", str(at_origin), "--relay", "1e-90,0"]) == 2
 
 
 def test_cli_full_precision_output(paper_path, capsys):

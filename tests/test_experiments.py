@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bandgame import (BandAllocation, Point, SweepGrid, UtilityPair,
-                      bandwidth_gain, cg_nbs, concavity_map, eigenvalues,
+                      bandwidth_gain, concavity_map, eigenvalues, exact_nbs,
                       hessian, is_strictly_concave_at, make_context,
                       nash_equilibrium, social_welfare_gain, sweep)
 from bandgame.cli import sweep_csv
@@ -49,7 +49,7 @@ def test_sweep_single_position_composes(paper):
 
     ctx = make_context(paper, RELAY_450)
     ne = nash_equilibrium(ctx.terms, paper)
-    nbs = cg_nbs(ctx)
+    nbs = exact_nbs(ctx)
     assert r.ne.allocation == ne.allocation
     assert r.ne.utilities == ne.utilities
     assert r.nbs.allocation == nbs.allocation
@@ -74,13 +74,16 @@ def test_sweep_useless_relay(paper):
 
 
 def test_sweep_degenerate_position_recorded(paper):
-    records = sweep(paper, single_position_grid(paper.source_1))
-    r = records[0]
-    assert r.failure is not None
-    assert not r.converged
-    assert math.isnan(r.lambda1) and math.isnan(r.lambda2)
-    assert r.gain_bw_total_pct == 0.0 and r.gain_sw_pct == 0.0
-    assert not r.strictly_concave
+    # A relay on a node, and one so close to a node that d**4 underflows.
+    at_origin = replace(paper, source_1=Point(0.0, 0.0))
+    for scenario, relay in ((paper, paper.source_1), (at_origin, Point(1e-90, 0.0))):
+        records = sweep(scenario, single_position_grid(relay))
+        r = records[0]
+        assert r.failure is not None
+        assert not r.converged
+        assert math.isnan(r.lambda1) and math.isnan(r.lambda2)
+        assert r.gain_bw_total_pct == 0.0 and r.gain_sw_pct == 0.0
+        assert not r.strictly_concave
 
 
 def test_sweep_deterministic(paper):
@@ -114,7 +117,7 @@ def test_concavity_map_composes(paper):
     assert len(records) == 1
     r = records[0]
     ctx = make_context(paper, RELAY_450)
-    nbs = cg_nbs(ctx).allocation
+    nbs = exact_nbs(ctx).allocation
     assert r.strictly_concave == is_strictly_concave_at(nbs, ctx)
     eig = eigenvalues(hessian(nbs, ctx))
     assert (r.lambda1, r.lambda2) == (eig.lambda1, eig.lambda2)
@@ -138,7 +141,7 @@ def test_concavity_map_zero_pricing():
     rng = np.random.default_rng(31)
     scenario = replace(random_scenario(rng), b=0.0)
     grid = SweepGrid(step=350.0)
-    records = concavity_map(scenario, grid, oracle_resolution=51)
+    records = concavity_map(scenario, grid)
     assert len(records) == 9
     clean = [r for r in records if r.failure is None]
     assert clean, "every position failed, nothing was actually checked"

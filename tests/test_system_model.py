@@ -51,6 +51,8 @@ def test_channel_gain_zero_exponent(paper):
 def test_channel_gain_degenerate(paper):
     with pytest.raises(DegenerateGeometryError):
         channel_gain(0.0, paper)
+    with pytest.raises(DegenerateGeometryError):  # 1e-90**4 underflows to 0.0
+        channel_gain(1e-90, paper)
     with pytest.raises(ValueError):
         channel_gain(-1.0, paper)
 
