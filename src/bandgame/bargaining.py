@@ -502,35 +502,79 @@ def _cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def convex_hull_indices(points: np.ndarray) -> list:
-    """Monotone-chain convex hull; returns CCW indices into ``points``.
+# Directions whose extreme points span the Akl-Toussaint polygon, listed CCW
+# by angle: +x, +(x+y), +y, -(x-y), -x, -(x+y), -y, +(x-y).
+_OCTANT_DIRECTIONS = ((1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (-1.0, 1.0),
+                      (-1.0, 0.0), (-1.0, -1.0), (0.0, -1.0), (1.0, -1.0))
+_PREFILTER_MARGIN = 1e-9  # relative to the normalized cloud's unit box
 
+
+def _outside_extreme_polygon(pts: np.ndarray) -> np.ndarray:
+    """Mask of the points not strictly inside the 8-direction extreme polygon.
+
+    The polygon's vertices are input points, so a point strictly inside it is
+    no hull vertex. Coordinates are normalized to the unit box first, and a
+    point counts as inside only by a margin far above rounding error, so
+    every borderline point is kept.
+    """
+    lo = pts.min(axis=0)
+    span = pts.max(axis=0) - lo
+    keep = np.ones(len(pts), dtype=bool)
+    if not np.all(span > 0.0):
+        return keep
+    x = (pts[:, 0] - lo[0]) / span[0]
+    y = (pts[:, 1] - lo[1]) / span[1]
+    poly = []
+    for dx, dy in _OCTANT_DIRECTIONS:
+        k = int(np.argmax(dx * x + dy * y))
+        v = (float(x[k]), float(y[k]))
+        if not poly or v != poly[-1]:
+            poly.append(v)
+    if poly[0] == poly[-1]:
+        poly.pop()
+    if len(poly) < 3:
+        return keep
+    inside = np.ones(len(pts), dtype=bool)
+    for (ax, ay), (bx, by) in zip(poly, poly[1:] + poly[:1]):
+        ex, ey = bx - ax, by - ay
+        margin = _PREFILTER_MARGIN * math.hypot(ex, ey)
+        inside &= ex * (y - ay) - ey * (x - ax) > margin
+    return ~inside
+
+
+def convex_hull_indices(points: np.ndarray) -> list:
+    """Monotone-chain convex hull with an extreme-point prefilter.
+
+    Returns CCW indices into ``points``. An Akl-Toussaint prefilter first
+    drops the points strictly inside the polygon of the cloud's extreme
+    points in eight directions; the chain then runs on the survivors.
     Collinear boundary points are left off the hull. Duplicate points are
     collapsed to their first occurrence; degenerate clouds yield hulls of one
     or two vertices.
     """
     pts = np.asarray(points, dtype=float)
-    uniq, first = np.unique(pts, axis=0, return_index=True)
-    if len(uniq) == 1:
-        return [int(first[0])]
-    order = sorted(range(len(uniq)), key=lambda i: (uniq[i, 0], uniq[i, 1]))
-    if len(uniq) == 2:
-        return [int(first[order[0]]), int(first[order[1]])]
+    candidates = np.flatnonzero(_outside_extreme_polygon(pts))
+    # Duplicates share a prefilter verdict, so the first occurrence among the
+    # candidates is the first occurrence in ``points``.
+    uniq, first = np.unique(pts[candidates], axis=0, return_index=True)  # sorted by (x, y)
+    first = candidates[first].tolist()
+    if len(uniq) <= 2:
+        return first
+    rows = uniq.tolist()
 
     def chain(indices):
         out = []
         for i in indices:
-            while len(out) >= 2 and _cross(uniq[out[-2]], uniq[out[-1]], uniq[i]) <= 0:
+            while len(out) >= 2 and _cross(rows[out[-2]], rows[out[-1]], rows[i]) <= 0:
                 out.pop()
             out.append(i)
         return out
 
-    lower = chain(order)
-    upper = chain(order[::-1])
-    hull = lower[:-1] + upper[:-1]
+    order = range(len(rows))
+    hull = chain(order)[:-1] + chain(reversed(order))[:-1]
     if len(hull) < 2:  # every point collinear: keep the two extremes
-        hull = [order[0], order[-1]]
-    return [int(first[i]) for i in hull]
+        hull = [0, len(rows) - 1]
+    return [first[i] for i in hull]
 
 
 @dataclass(frozen=True)

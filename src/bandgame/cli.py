@@ -14,6 +14,8 @@ import sys
 from importlib.resources import files as _pkg_files
 from pathlib import Path
 
+import numpy as np
+
 from .bargaining import (cg_nbs, grid_oracle_nbs, make_context,
                          sample_utility_region)
 from .experiments import SweepGrid, concavity_map, sweep
@@ -28,6 +30,8 @@ SWEEP_HEADER = ("xr,yr,w1_ne,w2_ne,w1_nbs,w2_nbs,u1_ne,u2_ne,u1_nbs,u2_nbs,"
                 "lambda1,lambda2,strictly_concave,converged")
 REGION_HEADER = "w1,w2,u1,u2,on_hull,on_pareto"
 CONCAVITY_HEADER = "xr,yr,lambda1,lambda2,strictly_concave"
+_REGION_ROW = "%s,%s,%.17e,%.17e,%s,%s"
+_REGION_BLOCK_ROWS = 4096  # rows per formatting call; bounds the peak memory
 
 
 class ScenarioFormatError(ValueError):
@@ -156,15 +160,26 @@ def sweep_csv(records) -> str:
 
 
 def region_csv(sample) -> str:
-    on_hull = set(int(i) for i in sample.hull_indices)
-    on_pareto = set(int(i) for i in sample.pareto_indices)
-    lines = [REGION_HEADER]
-    for i in range(len(sample.allocations)):
-        cells = [sample.allocations[i, 0], sample.allocations[i, 1],
-                 sample.utilities[i, 0], sample.utilities[i, 1],
-                 i in on_hull, i in on_pareto]
-        lines.append(",".join(_fmt(c) for c in cells))
-    return "\n".join(lines) + "\n"
+    columns = []
+    for j in (0, 1):
+        # Grid columns repeat few values: format each distinct value once,
+        # told apart by bit pattern so that -0.0 keeps its own text.
+        bits, inverse = np.unique(sample.allocations[:, j].view(np.uint64),
+                                  return_inverse=True)
+        text = np.array([_fmt(v) for v in bits.view(np.float64).tolist()], dtype=object)
+        columns.append(text[inverse])
+    columns.extend(sample.utilities.T)
+    words = np.array(["false", "true"], dtype=object)
+    for indices in (sample.hull_indices, sample.pareto_indices):
+        flag = np.zeros(len(sample.utilities), dtype=np.intp)
+        flag[indices] = 1
+        columns.append(words[flag])
+    blocks = [REGION_HEADER]
+    for start in range(0, len(sample.utilities), _REGION_BLOCK_ROWS):
+        block = np.column_stack([c[start:start + _REGION_BLOCK_ROWS] for c in columns])
+        blocks.append("\n".join([_REGION_ROW] * len(block)) % tuple(block.ravel().tolist()))
+    blocks.append("")  # ends the last row without another copy of the text
+    return "\n".join(blocks)
 
 
 def concavity_csv(records) -> str:

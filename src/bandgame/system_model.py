@@ -123,13 +123,17 @@ def channel_gain(d: float, scenario: Scenario) -> float:
     Raises DegenerateGeometryError for d == 0: a zero-length link has no
     physical meaning and almost always indicates a misconfigured geometry.
     The same holds for a positive distance so small that ``d**pathloss_exp``
-    underflows to zero (below about 1e-81 m at exponent 4).
+    underflows to zero (below about 1e-81 m at exponent 4). A distance so
+    large that ``d**pathloss_exp`` overflows gets the law's limit, a zero gain.
     """
     if d < 0:
         raise ValueError("distance must be non-negative")
     if d == 0:
         raise DegenerateGeometryError("co-located nodes: channel gain undefined at zero distance")
-    attenuation = d ** scenario.pathloss_exp
+    try:
+        attenuation = d ** scenario.pathloss_exp
+    except OverflowError:
+        return 0.0
     if attenuation == 0.0:
         raise DegenerateGeometryError(
             f"nodes {d!r} m apart: d**pathloss_exp underflows to zero")

@@ -417,6 +417,57 @@ def test_convex_hull_basics():
     assert sorted(seg) == [0, 2]
 
 
+def _reference_hull(points):
+    """Plain monotone chain over every point: no prefilter, tuple-key sort."""
+    uniq, first = np.unique(points, axis=0, return_index=True)
+    pts = uniq.tolist()
+    order = sorted(range(len(pts)), key=lambda i: (pts[i][0], pts[i][1]))
+    if len(pts) <= 2:
+        return [int(first[i]) for i in order]
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    def chain(indices):
+        out = []
+        for i in indices:
+            while len(out) >= 2 and cross(pts[out[-2]], pts[out[-1]], pts[i]) <= 0:
+                out.pop()
+            out.append(i)
+        return out
+
+    hull = chain(order)[:-1] + chain(order[::-1])[:-1]
+    if len(hull) < 2:  # every point collinear: keep the two extremes
+        hull = [order[0], order[-1]]
+    return [int(first[i]) for i in hull]
+
+
+def _hull_clouds(rng):
+    """Seeded clouds with the degenerate shapes a hull must survive."""
+    for _ in range(40):
+        n = int(rng.integers(4, 300))
+        base = rng.normal(size=(n, 2))
+        yield base
+        yield base[rng.integers(0, n, size=2 * n)]  # duplicates
+        yield rng.integers(0, 4, size=(n, 2)).astype(float)  # collinear triples
+        yield np.column_stack([np.full(n, 2.5), base[:, 1]])  # vertical line
+        yield np.column_stack([base[:, 0], 3.0 * base[:, 0] - 1.0])  # collinear
+        yield base[:int(rng.integers(1, 4))]  # one to three points
+        yield 1e9 + base
+        yield 1e-8 * base
+        yield base * [1e-8, 1e8]
+        angle = rng.uniform(0.0, 2.0 * np.pi, n)  # every point near the hull
+        yield np.column_stack([np.cos(angle), np.sin(angle)])
+
+
+def test_convex_hull_matches_plain_chain(ctx450):
+    rng = np.random.default_rng(5)
+    for points in _hull_clouds(rng):
+        assert convex_hull_indices(points) == _reference_hull(points)
+    utilities = sample_utility_region(ctx450, resolution=401).utilities
+    assert convex_hull_indices(utilities) == _reference_hull(utilities)
+
+
 def test_region_rejects_resolution(ctx450):
     with pytest.raises(ValueError):
         sample_utility_region(ctx450, resolution=1)

@@ -3,11 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bandgame import Point
+from bandgame import Point, make_context, sample_utility_region
 from bandgame.cli import (CONCAVITY_HEADER, REGION_HEADER, SWEEP_HEADER,
-                          ScenarioFormatError, format_scenario, main,
-                          paper_scenario_path, parse_scenario, write_scenario)
-from conftest import random_scenario
+                          ScenarioFormatError, _fmt, format_scenario, main,
+                          paper_scenario_path, parse_scenario, region_csv,
+                          write_scenario)
+from conftest import RELAY_450, random_relay, random_scenario
 
 
 @pytest.fixture()
@@ -96,11 +97,13 @@ def test_cli_ne_paper(paper_path, capsys):
 
 
 def test_cli_ne_useless_relay(paper_path, capsys):
-    rc = main(["ne", "--scenario", paper_path, "--relay", "1e6,1e6"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert float(out.split("w1 = ")[1].splitlines()[0]) == 0.0
-    assert float(out.split("w2 = ")[1].splitlines()[0]) == 0.0
+    # At 1e100 m, d**4 overflows: the relay links get the limit gain of zero.
+    for relay in ("1e6,1e6", "1e100,0"):
+        rc = main(["ne", "--scenario", paper_path, "--relay", relay])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert float(out.split("w1 = ")[1].splitlines()[0]) == 0.0
+        assert float(out.split("w2 = ")[1].splitlines()[0]) == 0.0
 
 
 def test_cli_nbs_with_oracle(paper_path, capsys):
@@ -123,6 +126,28 @@ def test_cli_region(paper_path, tmp_path, capsys):
     pareto_rows = [l for l in lines[1:] if l.split(",")[5] == "true"]
     assert hull_rows and pareto_rows
     assert len(pareto_rows) <= len(hull_rows)
+
+
+def _reference_region_csv(sample):
+    """One ``_fmt`` call per cell and set membership for the flags."""
+    on_hull = set(sample.hull_indices.tolist())
+    on_pareto = set(sample.pareto_indices.tolist())
+    lines = [REGION_HEADER]
+    for i, ((w1, w2), (u1, u2)) in enumerate(zip(sample.allocations, sample.utilities)):
+        cells = [w1, w2, u1, u2, i in on_hull, i in on_pareto]
+        lines.append(",".join(_fmt(c) for c in cells))
+    return "\n".join(lines) + "\n"
+
+
+def test_region_csv_matches_per_cell_format(paper):
+    rng = np.random.default_rng(31)
+    scenario = random_scenario(rng)
+    for ctx in (make_context(paper, RELAY_450),
+                make_context(scenario, random_relay(rng, scenario))):
+        sample = sample_utility_region(ctx, resolution=41)
+        assert len(sample.hull_indices) and len(sample.pareto_indices)
+        # Compared row by row, so that a failure names the first bad row.
+        assert region_csv(sample).split("\n") == _reference_region_csv(sample).split("\n")
 
 
 def test_cli_sweep_corner_grid(paper_path, tmp_path):

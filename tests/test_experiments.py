@@ -64,13 +64,17 @@ def test_sweep_single_position_composes(paper):
 
 
 def test_sweep_useless_relay(paper):
-    records = sweep(paper, single_position_grid(Point(1e6, 1e6)))
-    r = records[0]
-    assert r.failure is None
-    assert r.ne.allocation == BandAllocation(0.0, 0.0)
-    assert r.nbs.allocation == BandAllocation(0.0, 0.0)
-    assert (r.gain_bw_u1_pct, r.gain_bw_u2_pct, r.gain_bw_total_pct) == (0.0, 0.0, 0.0)
-    assert r.gain_sw_pct == 0.0
+    # At 1e100 m, d**4 overflows: the relay links get the limit gain of zero.
+    far = SweepGrid(step=1e100, x_min=1e100, x_max=1.5e100, y_min=0.0, y_max=0.5)
+    for grid in (single_position_grid(Point(1e6, 1e6)), far):
+        records = sweep(paper, grid)
+        assert len(records) == 1
+        r = records[0]
+        assert r.failure is None
+        assert r.ne.allocation == BandAllocation(0.0, 0.0)
+        assert r.nbs.allocation == BandAllocation(0.0, 0.0)
+        assert (r.gain_bw_u1_pct, r.gain_bw_u2_pct, r.gain_bw_total_pct) == (0.0, 0.0, 0.0)
+        assert r.gain_sw_pct == 0.0
 
 
 def test_sweep_degenerate_position_recorded(paper):

@@ -48,6 +48,14 @@ def test_channel_gain_zero_exponent(paper):
         assert channel_gain(d, flat) == 0.097
 
 
+def test_channel_gain_overflow_is_zero(paper):
+    from dataclasses import replace
+    # 1e100**4 overflows a float: the path-loss law's limit is a zero gain.
+    assert channel_gain(1e100, paper) == 0.0
+    assert channel_gain(1e300, replace(paper, pathloss_exp=2.0)) == 0.0
+    assert channel_gain(1e75, paper) > 0.0
+
+
 def test_channel_gain_degenerate(paper):
     with pytest.raises(DegenerateGeometryError):
         channel_gain(0.0, paper)
