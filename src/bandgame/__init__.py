@@ -9,7 +9,8 @@ grid oracle, the reference the tests and ``bandgame nbs --oracle`` compare
 with), certifies local strict concavity of the bargaining objective through
 2x2 eigenvalues, builds the sampled utility region with its Pareto boundary and
 time-sharing hull, and sweeps relay positions into bandwidth-gain,
-welfare-gain and concavity maps through one per-position pipeline.
+welfare-gain and concavity maps through one array pipeline over all positions,
+whose single-position calls are the scalar API.
 """
 
 from .bargaining import (CgState, EigenPair, Hessian2x2, NashProductContext,

@@ -12,6 +12,13 @@ Polak-Ribiere conjugate-gradient solver with Newton step lengths (which falls
 back to the exact solver), a brute-force grid oracle kept as a reference for
 tests and ``bandgame nbs --oracle``, and the sampled utility region with its
 convex hull, Pareto boundary and time-sharing mixtures.
+
+Contexts, allocations, Hessians and eigenvalue pairs hold floats for one
+relay position, or equal-length arrays for a batch of positions (see
+:func:`make_context_batch`). The Nash product, its gradient and its Hessian
+are plain arithmetic and serve both; the bargaining solution and the
+eigenvalues are computed for a batch at once, and their scalar forms are the
+batch call with N = 1.
 """
 
 import math
@@ -19,10 +26,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .game import (BandAllocation, EquilibriumReport, MarginalTerms,
-                   UtilityPair, marginal_terms, nash_equilibrium, utility_pair,
-                   utility_partial, utility_value)
-from .system_model import LinkBudget, Point, Scenario, link_budget
+from .game import (BandAllocation, ConvergenceError, EquilibriumReport,
+                   MarginalTerms, UtilityPair, marginal_terms_batch,
+                   nash_equilibrium_batch, utility_pair, utility_partial,
+                   utility_value)
+from .system_model import (LinkBudget, Point, Scenario, as_batch,
+                           link_budget_batch, select)
 
 
 @dataclass(frozen=True)
@@ -41,22 +50,54 @@ class NashProductContext:
 
     def __post_init__(self):
         check = utility_pair(self.ne_alloc, self.terms, self.scenario)
-        if (check.u1, check.u2) != (self.threat.u1, self.threat.u2):
+        if np.logical_or(check.u1 != self.threat.u1, check.u2 != self.threat.u2).any():
             raise ValueError("threat point does not equal the utilities at ne_alloc")
 
 
 def make_context(scenario: Scenario, relay: Point) -> NashProductContext:
     """Build the bargaining context for one relay position (computes the NE)."""
-    budget = link_budget(scenario, relay)
-    terms = marginal_terms(budget, scenario)
-    ne = nash_equilibrium(terms, scenario)
-    return NashProductContext(
+    budget, terms, ne, failures = _equilibria(scenario, [relay])
+    if failures[0] is not None:
+        raise failures[0]
+    terms, ne = select(terms, 0), select(ne, 0)
+    return NashProductContext(scenario=scenario, budget=select(budget, 0), terms=terms,
+                              threat=utility_pair(ne, terms, scenario), ne_alloc=ne)
+
+
+def make_context_batch(scenario: Scenario, relays) -> tuple:
+    """Bargaining contexts at N relay positions: link budgets, marginal terms
+    and closed-form equilibria, each computed for all positions at once.
+
+    Returns the context of the solvable positions, whose value fields are
+    arrays over them in the order of ``relays``, and a tuple with, for each
+    position, None or the error that leaves it unsolvable (a
+    DegenerateGeometryError from the link budget, or a ConvergenceError).
+    """
+    budget, terms, ne, failures = _equilibria(scenario, relays)
+    if failures.count(None) < len(failures):
+        ok = np.array([f is None for f in failures], dtype=bool)
+        budget, terms, ne = select(budget, ok), select(terms, ok), select(ne, ok)
+    ctx = NashProductContext(
         scenario=scenario,
         budget=budget,
         terms=terms,
-        threat=ne.utilities,
-        ne_alloc=ne.allocation,
+        threat=utility_pair(ne, terms, scenario),
+        ne_alloc=ne,
     )
+    return ctx, failures
+
+
+def _equilibria(scenario: Scenario, relays) -> tuple:
+    """Link budgets, marginal terms and equilibria at N relay positions, and
+    the failure of each position, as :func:`make_context_batch` describes."""
+    budget, failures = link_budget_batch(scenario, relays)
+    terms = marginal_terms_batch(budget, scenario)
+    ne = nash_equilibrium_batch(terms, scenario)
+    unsolved = np.isnan(ne.w1)
+    if unsolved.any():
+        failures = tuple(f or (ConvergenceError("no KKT pattern validated; inconsistent inputs")
+                               if bad else None) for f, bad in zip(failures, unsolved.tolist()))
+    return budget, terms, ne, failures
 
 
 def nash_product(alloc: BandAllocation, ctx: NashProductContext) -> float:
@@ -95,7 +136,8 @@ class Hessian2x2:
 
 
 def hessian(alloc: BandAllocation, ctx: NashProductContext) -> Hessian2x2:
-    """Analytic Hessian of the Nash product at ``alloc``."""
+    """Analytic Hessian of the Nash product at ``alloc``; elementwise for a
+    batch context and allocation."""
     s, t = ctx.scenario, ctx.terms
     b = s.b
     u = utility_pair(alloc, t, s)
@@ -119,7 +161,7 @@ class EigenPair:
     delta: float
 
     def __post_init__(self):
-        if self.delta < 0:
+        if np.any(self.delta < 0):
             raise ValueError("discriminant of a symmetric 2x2 matrix cannot be negative")
 
 
@@ -129,8 +171,16 @@ def eigenvalues(h: Hessian2x2) -> EigenPair:
     delta = (a11 - a22)**2 + 4*a12**2 is a sum of squares, hence the
     eigenvalues are always real.
     """
-    delta = (h.a11 - h.a22) ** 2 + 4.0 * h.a12 * h.a12
-    root = math.sqrt(delta)
+    return select(eigenvalues_batch(as_batch(h)), 0)
+
+
+def eigenvalues_batch(h: Hessian2x2) -> EigenPair:
+    """:func:`eigenvalues` of a batch of Hessians (fields are arrays)."""
+    # Python's ``x ** 2`` (libm pow) and numpy's (a product) differ in the last
+    # bit for about 1 input in 1,400; the square is taken with the former.
+    square = np.array([d ** 2 for d in (h.a11 - h.a22).tolist()])
+    delta = square + 4.0 * h.a12 * h.a12
+    root = np.sqrt(delta)
     tr = h.trace()
     return EigenPair(lambda1=(tr - root) / 2.0, lambda2=(tr + root) / 2.0, delta=delta)
 
@@ -339,8 +389,8 @@ def cg_nbs(ctx: NashProductContext, w0: BandAllocation | None = None,
     )
 
 
-def _quadratic_roots(q2, q1, q0) -> np.ndarray:
-    """Both roots of q2*z**2 + q1*z + q0, elementwise, as a (2, ...) array.
+def _quadratic_roots(q2, q1, q0) -> tuple:
+    """Both roots of q2*z**2 + q1*z + q0, elementwise.
 
     Uses the cancellation-free form of the quadratic formula. A negative
     discriminant is taken as zero, which yields the vertex; a vanishing q2
@@ -349,13 +399,51 @@ def _quadratic_roots(q2, q1, q0) -> np.ndarray:
     """
     disc = np.sqrt(np.maximum(q1 * q1 - 4.0 * q2 * q0, 0.0))
     q = -0.5 * (q1 + np.copysign(disc, q1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.stack([q / q2, q0 / q])
+    return q / q2, q0 / q
+
+
+# Candidate slots of exact_nbs_batch, per position: 4 corners, 4 quartic
+# roots, then the two roots of the slope quadratic on each of the 4 edges
+# w1 = 0, w2 = 0, w1 = 1, w2 = 1 (root 0 of every edge, then root 1).
+_CORNERS = np.array([[0.0, 0.0, 1.0, 1.0], [0.0, 1.0, 0.0, 1.0]])
+_EDGE = np.array([0.0, 0.0, 1.0, 1.0])            # the pinned band of each edge
+_PINNED = np.array([0, 1, 0, 1])                  # the user whose band is pinned
+_FREE = 1 - _PINNED
+_PINS_W1 = np.tile(_PINNED == 0, 2)
+_EDGE8 = np.tile(_EDGE, 2)
+
+
+NO_BARGAIN_NOTE = ("no allocation improves both utilities on the threat "
+                   "point; returning the threat allocation")
 
 
 def exact_nbs(ctx: NashProductContext) -> EquilibriumReport:
     """Nash bargaining solution in closed form: the maximizer of the Nash
     product over the allocations that weakly dominate the threat point.
+
+    Solved by :func:`exact_nbs_batch` with N = 1. Where no allocation has a
+    positive product the threat allocation is returned, with a note.
+    """
+    alloc, bargain = exact_nbs_batch(ctx.terms, ctx.ne_alloc, ctx.scenario)
+    if not bargain[0]:
+        return EquilibriumReport(
+            allocation=ctx.ne_alloc, utilities=ctx.threat, kind="NBS",
+            iterations=0, residual=0.0, converged=True,
+            diagnostics=(NO_BARGAIN_NOTE,))
+    alloc = select(alloc, 0)
+    return EquilibriumReport(
+        allocation=alloc, utilities=utility_pair(alloc, ctx.terms, ctx.scenario),
+        kind="NBS", iterations=0, residual=0.0, converged=True)
+
+
+def exact_nbs_batch(terms: MarginalTerms, ne_alloc: BandAllocation,
+                    scenario: Scenario) -> tuple:
+    """Bargaining solutions of a batch: marginal terms and threat (equilibrium)
+    allocations whose fields are arrays over the positions, or floats for one
+    position.
+
+    Returns the allocations, with the threat allocation where there is no
+    bargain, and the mask of the positions that have one, as arrays.
 
     Works in units where the band is 1 and the largest of |c1|, |c2| and
     b*omega is 1 (c_i = psi_i - phi_i), with the threat allocation a. On a
@@ -369,67 +457,106 @@ def exact_nbs(ctx: NashProductContext) -> EquilibriumReport:
     w1*(s) = (A*(alpha2 + B*s) - B*alpha1) / (2AB) has the value
     N(s)**2 / (4AB) with N = A*alpha2 + B*alpha1 + AB*s, which is stationary
     in s at the roots of the quartic 2N'AB - N(AB)'. On each box edge the
-    product is a cubic in the free coordinate. Candidates are those roots,
-    the edge stationary points and the four corners; each is scored with
-    gains written without subtracting two nearly equal utilities, and the
-    dominating candidate with the largest product wins (ties go to the
-    larger utility sum). Where no candidate has a positive product the
-    threat allocation is returned, with a note.
+    product is a cubic in the free coordinate. Every position has 16
+    candidate slots: the four corners, the four quartic roots and two
+    stationary points on each edge. Each candidate is scored with gains
+    written without subtracting two nearly equal utilities; a slot without a
+    candidate (a complex or unpeaked root, a non-finite value) or one that
+    does not dominate the threat point scores -inf. The largest product wins,
+    ties going to the larger utility sum, then to the first slot. There is a
+    bargain where the winning product is positive.
     """
-    s, t = ctx.scenario, ctx.terms
-    omega = s.omega
-    c1, c2 = t.relay_advantage(1), t.relay_advantage(2)
-    unit = max(abs(c1), abs(c2), s.b * omega) or 1.0  # all zero: no scaling
-    c1, c2, b = c1 / unit, c2 / unit, s.b * omega / unit
-    a1, a2 = ctx.ne_alloc.w1 / omega, ctx.ne_alloc.w2 / omega
-    alpha1 = -a1 * (c1 - b * (a1 + a2))
-    alpha2 = -a2 * (c2 - b * (a1 + a2))
+    omega = scenario.omega
+    n = np.size(ne_alloc.w1)
+    # Up to the quartic's coefficients every step is arithmetic, which runs
+    # on floats as well as on arrays.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        c1, c2 = terms.relay_advantage(1), terms.relay_advantage(2)
+        unit = np.maximum(np.maximum(abs(c1), abs(c2)), scenario.b * omega)
+        unit = unit + (unit == 0.0)  # all zero: no scaling
+        c1, c2, b = c1 / unit, c2 / unit, scenario.b * omega / unit
+        a1, a2 = ne_alloc.w1 / omega, ne_alloc.w2 / omega
+        alpha1 = -a1 * (c1 - b * (a1 + a2))
+        alpha2 = -a2 * (c2 - b * (a1 + a2))
 
-    # Interior: stationary points in s of the slice maximum N**2/(4AB),
-    # with AB = p2*s**2 + p1*s + p0 and N = n3*s**3 + ... + n0.
-    p2, p1, p0 = b * b, -b * (c1 + c2), c1 * c2
-    n = np.array([p2, p1, p0 - b * (alpha1 + alpha2), c1 * alpha2 + c2 * alpha1])
-    quartic = (2.0 * np.convolve(n[:3] * [3.0, 2.0, 1.0], [p2, p1, p0])
-               - np.convolve(n, [2.0 * p2, p1]))
-    roots = np.roots(quartic)
-    # A double root can leave the companion matrix as a close complex pair.
-    total = roots.real[np.abs(roots.imag) <= 1e-6 * (1.0 + np.abs(roots.real))]
-    total = np.clip(total, 0.0, 2.0)
-    av, bv = c1 - b * total, c2 - b * total
-    peaked = av * bv > 0.0
-    total, av, bv = total[peaked], av[peaked], bv[peaked]
-    inner1 = (av * (alpha2 + bv * total) - bv * alpha1) / (2.0 * av * bv)
-    # Edges w1 = 0, w2 = 0, w1 = 1, w2 = 1: with one user's band pinned at e,
-    # its gain h0 + h1*z is linear and the other's af + f1*z - b*z**2 is
-    # quadratic in the free band z, so the product's slope is a quadratic.
-    e = np.array([0.0, 0.0, 1.0, 1.0])
-    pins_w1 = np.array([True, False, True, False])
-    cp, ap = np.array([c1, c2, c1, c2]), np.array([alpha1, alpha2, alpha1, alpha2])
-    cf, af = cp[[1, 0, 3, 2]], ap[[1, 0, 3, 2]]
-    h0, h1, f1 = ap + cp * e - b * e * e, -b * e, cf - b * e
-    z = _quadratic_roots(-3.0 * b * h1, 2.0 * (h1 * f1 - b * h0), h1 * af + h0 * f1)
+        # Interior: stationary points in s of the slice maximum N**2/(4AB),
+        # with AB = p2*s**2 + p1*s + p0 and N = n3*s**3 + ... + n0 (n0 = p2).
+        # The quartic is 2*(3*n0, 2*n1, n2)*(p2, p1, p0) - (n0, n1, n2, n3)*(2*p2, p1),
+        # with * the product of coefficient lists.
+        p2, p1, p0 = b * b, -b * (c1 + c2), c1 * c2
+        n1, n2, n3 = p1, p0 - b * (alpha1 + alpha2), c1 * alpha2 + c2 * alpha1
+        m0, m1, v0 = p2 * 3.0, p1 * 2.0, 2.0 * p2
+        quartic = np.empty((n, 5))
+        quartic[:, 0] = 2.0 * (m0 * p2) - p2 * v0
+        quartic[:, 1] = 2.0 * (m0 * p1 + m1 * p2) - (p2 * p1 + n1 * v0)
+        quartic[:, 2] = 2.0 * (m0 * p0 + m1 * p1 + n2 * p2) - (n1 * p1 + n2 * v0)
+        quartic[:, 3] = 2.0 * (m1 * p0 + n2 * p1) - (n2 * p1 + n3 * v0)
+        quartic[:, 4] = 2.0 * (n2 * p0) - n3 * p1
+        roots = _quartic_roots(quartic)
+        b, c1, c2, a1, a2, alpha1, alpha2 = (
+            np.reshape(x, (-1, 1)) for x in (b, c1, c2, a1, a2, alpha1, alpha2))
+        # A double root can leave the companion matrix as a close complex pair.
+        real = np.abs(roots.imag) <= 1e-6 * (1.0 + np.abs(roots.real))
+        total = np.clip(np.where(real, roots.real, 0.0), 0.0, 2.0)
+        av, bv = c1 - b * total, c2 - b * total
+        peaked = real & (av * bv > 0.0)
+        inner1 = (av * (alpha2 + bv * total) - bv * alpha1) / (2.0 * av * bv)
 
-    y = np.column_stack([
-        np.concatenate([[0.0, 0.0, 1.0, 1.0], inner1, np.where(pins_w1, e, z).ravel()]),
-        np.concatenate([[0.0, 1.0, 0.0, 1.0], total - inner1, np.where(pins_w1, z, e).ravel()])])
-    y = np.clip(y[np.isfinite(y).all(axis=1)], 0.0, 1.0)
-    d1, d2 = y[:, 0] - a1, y[:, 1] - a2
-    g1 = d1 * (c1 - b * (y[:, 0] + a1 + y[:, 1])) - b * a1 * d2
-    g2 = d2 * (c2 - b * (y[:, 1] + a2 + y[:, 0])) - b * a2 * d1
-    product = np.where((g1 >= 0.0) & (g2 >= 0.0), g1 * g2, -np.inf)
-    best = product.max()
-    if not best > 0.0:
-        return EquilibriumReport(
-            allocation=ctx.ne_alloc, utilities=ctx.threat, kind="NBS",
-            iterations=0, residual=0.0, converged=True,
-            diagnostics=("no allocation improves both utilities on the threat "
-                         "point; returning the threat allocation",))
-    ties = np.flatnonzero(product == best)
-    k = int(ties[np.argmax(g1[ties] + g2[ties])])
-    alloc = BandAllocation(float(omega * y[k, 0]), float(omega * y[k, 1]))
-    return EquilibriumReport(
-        allocation=alloc, utilities=utility_pair(alloc, t, s), kind="NBS",
-        iterations=0, residual=0.0, converged=True)
+        # Edges: with one user's band pinned at e, its gain h0 + h1*z is linear
+        # and the other's af + f1*z - b*z**2 is quadratic in the free band z,
+        # so the product's slope is a quadratic.
+        c = np.concatenate([c1, c2], axis=1)
+        alpha = np.concatenate([alpha1, alpha2], axis=1)
+        cp, ap, cf, af = c[:, _PINNED], alpha[:, _PINNED], c[:, _FREE], alpha[:, _FREE]
+        h0, h1, f1 = ap + cp * _EDGE - b * _EDGE * _EDGE, -b * _EDGE, cf - b * _EDGE
+        z = np.concatenate(_quadratic_roots(-3.0 * b * h1, 2.0 * (h1 * f1 - b * h0),
+                                            h1 * af + h0 * f1), axis=1)
+
+        y1, y2 = np.empty((n, 16)), np.empty((n, 16))
+        y1[:, :4], y2[:, :4] = _CORNERS
+        y1[:, 4:8], y2[:, 4:8] = inner1, total - inner1
+        y1[:, 8:] = np.where(_PINS_W1, _EDGE8, z)
+        y2[:, 8:] = np.where(_PINS_W1, z, _EDGE8)
+        valid = np.isfinite(y1) & np.isfinite(y2)
+        valid[:, 4:8] &= peaked
+        y1 = np.clip(np.where(valid, y1, 0.0), 0.0, 1.0)
+        y2 = np.clip(np.where(valid, y2, 0.0), 0.0, 1.0)
+        d1, d2 = y1 - a1, y2 - a2
+        g1 = d1 * (c1 - b * (y1 + a1 + y2)) - b * a1 * d2
+        g2 = d2 * (c2 - b * (y2 + a2 + y1)) - b * a2 * d1
+        product = np.where(valid & (g1 >= 0.0) & (g2 >= 0.0), g1 * g2, -np.inf)
+    best = product.max(axis=1)
+    k = np.argmax(np.where(product == best[:, None], g1 + g2, -np.inf), axis=1)
+    rows = np.arange(n)
+    bargain = best > 0.0
+    alloc = BandAllocation(
+        w1=np.where(bargain, omega * y1[rows, k], ne_alloc.w1),
+        w2=np.where(bargain, omega * y2[rows, k], ne_alloc.w2))
+    return alloc, bargain
+
+
+def _quartic_roots(q: np.ndarray) -> np.ndarray:
+    """The four complex roots of each row of quartic coefficients ``q``
+    (highest degree first), as ``np.roots`` finds them; NaN fills the slots
+    of a row of lower degree.
+
+    Rows with non-zero end coefficients share one eigenvalue call on their
+    stacked 4x4 companion matrices, the matrices ``np.roots`` builds. The
+    others go through ``np.roots``, which strips zero end coefficients.
+    """
+    top = -q[:, 1:] / q[:, :1]
+    regular = (q[:, 0] != 0.0) & (q[:, 4] != 0.0) & np.isfinite(top).all(axis=1)
+    companion = np.zeros((int(regular.sum()), 4, 4))
+    companion[:, 0, :] = top[regular]
+    companion[:, [1, 2, 3], [0, 1, 2]] = 1.0
+    if regular.all():
+        return np.linalg.eigvals(companion)
+    roots = np.full((len(q), 4), np.nan, dtype=complex)
+    roots[regular] = np.linalg.eigvals(companion)
+    for k in np.flatnonzero(~regular).tolist():
+        found = np.roots(q[k])
+        roots[k, :len(found)] = found
+    return roots
 
 
 def utility_grids(W1, W2, terms: MarginalTerms, scenario: Scenario):

@@ -12,6 +12,7 @@ import math
 import os
 import sys
 from importlib.resources import files as _pkg_files
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,11 @@ SWEEP_HEADER = ("xr,yr,w1_ne,w2_ne,w1_nbs,w2_nbs,u1_ne,u2_ne,u1_nbs,u2_nbs,"
 REGION_HEADER = "w1,w2,u1,u2,on_hull,on_pareto"
 CONCAVITY_HEADER = "xr,yr,lambda1,lambda2,strictly_concave"
 _REGION_ROW = "%s,%s,%.17e,%.17e,%s,%s"
-_REGION_BLOCK_ROWS = 4096  # rows per formatting call; bounds the peak memory
+_SWEEP_ROW = ",".join(["%.17e"] * 16 + ["%s"] * 2)
+_CONCAVITY_ROW = "%.17e,%.17e,%.17e,%.17e,%s"
+_CSV_BLOCK_ROWS = 4096  # rows per formatting call; bounds the peak memory
+_WORDS = ("false", "true")
+_NAN8 = (math.nan,) * 8
 
 
 class ScenarioFormatError(ValueError):
@@ -137,26 +142,44 @@ def _fmt(value) -> str:
     return f"{value:.17e}"
 
 
+def _csv(header: str, row: str, blocks) -> str:
+    """``header`` and one line per row. Each block is the flat list of the
+    cells of whole rows, formatted by one ``%`` with ``row`` repeated; the
+    cells of ``%.17e`` are the text of :func:`_fmt`."""
+    width = row.count("%")
+    parts = [header]
+    for cells in blocks:
+        parts.append("\n".join([row] * (len(cells) // width)) % tuple(cells))
+    parts.append("")  # ends the last row without another copy of the text
+    return "\n".join(parts)
+
+
+def _record_blocks(records, cells):
+    """Flat cell lists of blocks of ``_CSV_BLOCK_ROWS`` records."""
+    records = list(records)
+    for start in range(0, len(records), _CSV_BLOCK_ROWS):
+        yield list(chain.from_iterable(map(cells, records[start:start + _CSV_BLOCK_ROWS])))
+
+
+def _sweep_cells(r) -> tuple:
+    if r.failure is not None:
+        return (r.relay.x, r.relay.y, *_NAN8,
+                r.gain_bw_u1_pct, r.gain_bw_u2_pct, r.gain_bw_total_pct,
+                r.gain_sw_pct, r.lambda1, r.lambda2,
+                _WORDS[r.strictly_concave], "false")
+    ne, nbs = r.ne, r.nbs
+    return (r.relay.x, r.relay.y,
+            ne.allocation.w1, ne.allocation.w2,
+            nbs.allocation.w1, nbs.allocation.w2,
+            ne.utilities.u1, ne.utilities.u2,
+            nbs.utilities.u1, nbs.utilities.u2,
+            r.gain_bw_u1_pct, r.gain_bw_u2_pct, r.gain_bw_total_pct,
+            r.gain_sw_pct, r.lambda1, r.lambda2,
+            _WORDS[r.strictly_concave], _WORDS[r.converged])
+
+
 def sweep_csv(records) -> str:
-    lines = [SWEEP_HEADER]
-    for r in records:
-        if r.failure is not None:
-            nan8 = [math.nan] * 8
-            cells = [r.relay.x, r.relay.y, *nan8,
-                     r.gain_bw_u1_pct, r.gain_bw_u2_pct, r.gain_bw_total_pct,
-                     r.gain_sw_pct, r.lambda1, r.lambda2,
-                     r.strictly_concave, False]
-        else:
-            cells = [r.relay.x, r.relay.y,
-                     r.ne.allocation.w1, r.ne.allocation.w2,
-                     r.nbs.allocation.w1, r.nbs.allocation.w2,
-                     r.ne.utilities.u1, r.ne.utilities.u2,
-                     r.nbs.utilities.u1, r.nbs.utilities.u2,
-                     r.gain_bw_u1_pct, r.gain_bw_u2_pct, r.gain_bw_total_pct,
-                     r.gain_sw_pct, r.lambda1, r.lambda2,
-                     r.strictly_concave, r.converged]
-        lines.append(",".join(_fmt(c) for c in cells))
-    return "\n".join(lines) + "\n"
+    return _csv(SWEEP_HEADER, _SWEEP_ROW, _record_blocks(records, _sweep_cells))
 
 
 def region_csv(sample) -> str:
@@ -169,25 +192,22 @@ def region_csv(sample) -> str:
         text = np.array([_fmt(v) for v in bits.view(np.float64).tolist()], dtype=object)
         columns.append(text[inverse])
     columns.extend(sample.utilities.T)
-    words = np.array(["false", "true"], dtype=object)
+    words = np.array(_WORDS, dtype=object)
     for indices in (sample.hull_indices, sample.pareto_indices):
         flag = np.zeros(len(sample.utilities), dtype=np.intp)
         flag[indices] = 1
         columns.append(words[flag])
-    blocks = [REGION_HEADER]
-    for start in range(0, len(sample.utilities), _REGION_BLOCK_ROWS):
-        block = np.column_stack([c[start:start + _REGION_BLOCK_ROWS] for c in columns])
-        blocks.append("\n".join([_REGION_ROW] * len(block)) % tuple(block.ravel().tolist()))
-    blocks.append("")  # ends the last row without another copy of the text
-    return "\n".join(blocks)
+    blocks = (np.column_stack([c[start:start + _CSV_BLOCK_ROWS] for c in columns]).ravel().tolist()
+              for start in range(0, len(sample.utilities), _CSV_BLOCK_ROWS))
+    return _csv(REGION_HEADER, _REGION_ROW, blocks)
+
+
+def _concavity_cells(r) -> tuple:
+    return (r.relay.x, r.relay.y, r.lambda1, r.lambda2, _WORDS[r.strictly_concave])
 
 
 def concavity_csv(records) -> str:
-    lines = [CONCAVITY_HEADER]
-    for r in records:
-        cells = [r.relay.x, r.relay.y, r.lambda1, r.lambda2, r.strictly_concave]
-        lines.append(",".join(_fmt(c) for c in cells))
-    return "\n".join(lines) + "\n"
+    return _csv(CONCAVITY_HEADER, _CONCAVITY_ROW, _record_blocks(records, _concavity_cells))
 
 
 def _out_path(name: str) -> Path:

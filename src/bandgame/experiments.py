@@ -1,17 +1,21 @@
 """Relay-position sweeps: NE-vs-NBS gain maps, welfare comparison, concavity maps.
 
-``sweep`` is the one per-position pipeline: bargaining context (link budget,
-marginal terms, closed-form NE), exact bargaining solution, gains, and the
-Nash product eigenvalues at the reported NBS. The concavity map is read from
-it.
+``sweep`` is one pass of array functions over all grid positions: bargaining
+contexts (link budget, marginal terms, closed-form NE), exact bargaining
+solutions, gains, and the Nash product eigenvalues at the reported NBS. The
+single-position API (``make_context``, ``exact_nbs``, ...) is the same
+functions called with one position. The concavity map is read from the sweep.
 """
 
 import math
 from dataclasses import dataclass
 
-from .bargaining import eigenvalues, exact_nbs, hessian, make_context
-from .game import ConvergenceError, EquilibriumReport, UtilityPair
-from .system_model import DegenerateGeometryError, Point, Scenario
+import numpy as np
+
+from .bargaining import (NO_BARGAIN_NOTE, eigenvalues_batch, exact_nbs_batch,
+                         hessian, make_context_batch)
+from .game import BandAllocation, EquilibriumReport, UtilityPair, utility_pair
+from .system_model import Point, Scenario, as_batch
 
 
 @dataclass(frozen=True)
@@ -25,6 +29,9 @@ class SweepGrid:
     y_max: float = 700.0
 
     def __post_init__(self):
+        for name in ("step", "x_min", "x_max", "y_min", "y_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.step > 0:
             raise ValueError("step must be positive")
         if not (self.x_max > self.x_min and self.y_max > self.y_min):
@@ -43,9 +50,8 @@ class SweepGrid:
 
     def positions(self) -> list:
         """Grid points sorted by (x, y)."""
-        return [Point(x, y)
-                for x in self.axis(self.x_min, self.x_max)
-                for y in self.axis(self.y_min, self.y_max)]
+        ys = self.axis(self.y_min, self.y_max)
+        return [Point(x, y) for x in self.axis(self.x_min, self.x_max) for y in ys]
 
 
 @dataclass(frozen=True)
@@ -82,9 +88,13 @@ def bandwidth_gain(ne_w: float, nbs_w: float) -> float:
     Zero by convention when the equilibrium already rents no band (both
     solutions skip the relay there).
     """
-    if ne_w == 0.0:
-        return 0.0
-    return 100.0 * (ne_w - nbs_w) / ne_w
+    return float(bandwidth_gain_batch(np.array([ne_w]), np.array([nbs_w]))[0])
+
+
+def bandwidth_gain_batch(ne_w: np.ndarray, nbs_w: np.ndarray) -> np.ndarray:
+    """:func:`bandwidth_gain` of every entry of two arrays of band widths."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(ne_w == 0.0, 0.0, 100.0 * (ne_w - nbs_w) / ne_w)
 
 
 def social_welfare_gain(ne_u: UtilityPair, nbs_u: UtilityPair) -> float:
@@ -93,10 +103,14 @@ def social_welfare_gain(ne_u: UtilityPair, nbs_u: UtilityPair) -> float:
     Returns NaN (undefined-gain marker) when the equilibrium welfare is not
     positive, where a ratio would be meaningless.
     """
+    return float(social_welfare_gain_batch(as_batch(ne_u), as_batch(nbs_u))[0])
+
+
+def social_welfare_gain_batch(ne_u: UtilityPair, nbs_u: UtilityPair) -> np.ndarray:
+    """:func:`social_welfare_gain` of utility pairs whose fields are arrays."""
     ne_sum = ne_u.total()
-    if ne_sum <= 0.0:
-        return math.nan
-    return 100.0 * (nbs_u.total() - ne_sum) / ne_sum
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(ne_sum <= 0.0, math.nan, 100.0 * (nbs_u.total() - ne_sum) / ne_sum)
 
 
 def _failure_record(relay: Point, message: str) -> SweepRecord:
@@ -111,36 +125,44 @@ def sweep(scenario: Scenario, grid: SweepGrid) -> list:
     """Solve NE and NBS at every relay position of the grid.
 
     Per position: bargaining context with the closed-form NE, the exact
-    bargaining solution (:func:`exact_nbs`), bandwidth and welfare gains,
-    and the Nash product eigenvalues at the reported NBS allocation.
-    Individual position failures are recorded, never raised.
+    bargaining solution (:func:`exact_nbs_batch`), bandwidth and welfare
+    gains, and the Nash product eigenvalues at the reported NBS allocation,
+    each stage computed for all positions at once. Individual position
+    failures are recorded, never raised.
     """
+    relays = grid.positions()
+    ctx, failures = make_context_batch(scenario, relays)
+    ne, ne_u = ctx.ne_alloc, ctx.threat
+    nbs, bargain = exact_nbs_batch(ctx.terms, ne, scenario)
+    nbs_u = utility_pair(nbs, ctx.terms, scenario)
+    eig = eigenvalues_batch(hessian(nbs, ctx))
+    columns = zip(
+        ne.w1.tolist(), ne.w2.tolist(), ne_u.u1.tolist(), ne_u.u2.tolist(),
+        nbs.w1.tolist(), nbs.w2.tolist(), nbs_u.u1.tolist(), nbs_u.u2.tolist(),
+        bargain.tolist(),
+        bandwidth_gain_batch(ne.w1, nbs.w1).tolist(),
+        bandwidth_gain_batch(ne.w2, nbs.w2).tolist(),
+        bandwidth_gain_batch(ne.w1 + ne.w2, nbs.w1 + nbs.w2).tolist(),
+        social_welfare_gain_batch(ne_u, nbs_u).tolist(),
+        eig.lambda1.tolist(), eig.lambda2.tolist())
     records = []
-    for relay in grid.positions():
-        try:
-            ctx = make_context(scenario, relay)
-        except (DegenerateGeometryError, ConvergenceError) as exc:
-            records.append(_failure_record(relay, str(exc)))
+    for relay, failure in zip(relays, failures):
+        if failure is not None:
+            records.append(_failure_record(relay, str(failure)))
             continue
-        nbs = exact_nbs(ctx)
-        # The context holds the closed-form NE; this is its solver report.
-        ne = EquilibriumReport(allocation=ctx.ne_alloc, utilities=ctx.threat,
-                               kind="NE", iterations=0, residual=0.0,
-                               converged=True)
-        eig = eigenvalues(hessian(nbs.allocation, ctx))
+        (w1, w2, u1, u2, b1, b2, v1, v2, bargained,
+         g1, g2, gt, gs, l1, l2) = next(columns)
         records.append(SweepRecord(
             relay=relay,
-            ne=ne,
-            nbs=nbs,
-            gain_bw_u1_pct=bandwidth_gain(ne.allocation.w1, nbs.allocation.w1),
-            gain_bw_u2_pct=bandwidth_gain(ne.allocation.w2, nbs.allocation.w2),
-            gain_bw_total_pct=bandwidth_gain(
-                ne.allocation.w1 + ne.allocation.w2,
-                nbs.allocation.w1 + nbs.allocation.w2),
-            gain_sw_pct=social_welfare_gain(ne.utilities, nbs.utilities),
-            lambda1=eig.lambda1,
-            lambda2=eig.lambda2,
-            strictly_concave=eig.lambda2 < 0.0,
+            ne=EquilibriumReport(
+                allocation=BandAllocation(w1, w2), utilities=UtilityPair(u1, u2),
+                kind="NE", iterations=0, residual=0.0, converged=True),
+            nbs=EquilibriumReport(
+                allocation=BandAllocation(b1, b2), utilities=UtilityPair(v1, v2),
+                kind="NBS", iterations=0, residual=0.0, converged=True,
+                diagnostics=() if bargained else (NO_BARGAIN_NOTE,)),
+            gain_bw_u1_pct=g1, gain_bw_u2_pct=g2, gain_bw_total_pct=gt,
+            gain_sw_pct=gs, lambda1=l1, lambda2=l2, strictly_concave=l2 < 0.0,
         ))
     return records
 

@@ -11,12 +11,22 @@ link. The game is a concave quadratic game with a unique pure Nash
 equilibrium (Rosen 1965), computed here in closed form through a KKT case
 analysis. Damped best-response iteration is kept as an independent reference
 for that closed form.
+
+The value types hold floats for one relay position, or equal-length arrays
+for a batch of positions. The marginal terms and the equilibrium are computed
+for a batch at once (the ``*_batch`` functions); their scalar forms are the
+batch call with N = 1. The utility functions are plain arithmetic and serve
+both.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
-from .system_model import LinkBudget, Scenario, efficiency
+import numpy as np
+
+from .system_model import (LinkBudget, Scenario, as_batch, efficiency_batch,
+                           select)
 
 
 class ConvergenceError(RuntimeError):
@@ -81,13 +91,17 @@ class EquilibriumReport:
 
 def marginal_terms(budget: LinkBudget, scenario: Scenario) -> MarginalTerms:
     """phi_i and psi_i of both users from a link budget."""
-    vals = {}
-    for i in (1, 2):
-        link = budget.user(i)
-        p = scenario.power(i)
-        vals[f"phi{i}"] = scenario.alpha * efficiency(link.gamma_direct, scenario.M) / p
-        vals[f"psi{i}"] = scenario.alpha * efficiency(link.gamma_af, scenario.M) / (p + scenario.p_r)
-    return MarginalTerms(**vals)
+    return select(marginal_terms_batch(as_batch(budget), scenario), 0)
+
+
+def marginal_terms_batch(budget: LinkBudget, scenario: Scenario) -> MarginalTerms:
+    """:func:`marginal_terms` of a batch link budget (fields are arrays)."""
+    u1, u2 = budget.user1, budget.user2
+    f = efficiency_batch(np.array([u1.gamma_direct, u1.gamma_af, u2.gamma_direct, u2.gamma_af]),
+                         scenario.M)
+    a, p1, p2, p_r = scenario.alpha, scenario.p1, scenario.p2, scenario.p_r
+    return MarginalTerms(phi1=a * f[0] / p1, psi1=a * f[1] / (p1 + p_r),
+                         phi2=a * f[2] / p2, psi2=a * f[3] / (p2 + p_r))
 
 
 def utility_value(phi: float, psi: float, w_own, w_other, omega: float, b: float):
@@ -168,86 +182,26 @@ def best_response_iteration(terms: MarginalTerms, scenario: Scenario,
 
 
 _LO, _IN, _HI = 0, 1, 2
-
-
-def _kkt_candidate(pattern, c1, c2, b, omega):
-    """Allocation for one boundary pattern, or None if the pattern is infeasible.
-
-    Pattern entries: clamped at 0, interior (stationary), clamped at omega.
-    Interior coordinates solve the stationarity equations given the clamped
-    ones; with b == 0 an interior coordinate exists only at an exact tie.
-    """
-    s1, s2 = pattern
-    slack = 1e-12 * max(1.0, abs(c1), abs(c2), 3.0 * b * omega)
-
-    fixed = {_LO: 0.0, _HI: omega}
-    if s1 == _IN and s2 == _IN:
-        if b == 0:
-            if abs(c1) > slack or abs(c2) > slack:
-                return None
-            w1 = w2 = 0.0
-        else:
-            w1 = (2.0 * c1 - c2) / (3.0 * b)
-            w2 = (2.0 * c2 - c1) / (3.0 * b)
-    elif s1 == _IN:
-        w2 = fixed[s2]
-        if b == 0:
-            if abs(c1) > slack:
-                return None
-            w1 = 0.0
-        else:
-            w1 = (c1 - b * w2) / (2.0 * b)
-    elif s2 == _IN:
-        w1 = fixed[s1]
-        if b == 0:
-            if abs(c2) > slack:
-                return None
-            w2 = 0.0
-        else:
-            w2 = (c2 - b * w1) / (2.0 * b)
-    else:
-        w1, w2 = fixed[s1], fixed[s2]
-
-    # Box feasibility of interior coordinates, then exact clamp.
-    tol_w = 1e-12 * max(1.0, omega)
-    for s, w in ((s1, w1), (s2, w2)):
-        if s == _IN and not (-tol_w <= w <= omega + tol_w):
-            return None
-    w1 = min(max(w1, 0.0), omega)
-    w2 = min(max(w2, 0.0), omega)
-
-    # KKT sign conditions on clamped coordinates.
-    for i, s, w_own, w_oth in ((1, s1, w1, w2), (2, s2, w2, w1)):
-        partial = (c1 if i == 1 else c2) - b * (2.0 * w_own + w_oth)
-        if s == _LO and partial > slack:
-            return None
-        if s == _HI and partial < -slack:
-            return None
-    return BandAllocation(w1, w2)
+# The nine clamp patterns (user 1's state, user 2's state) of the KKT
+# conditions, in the order they are tried: the first feasible one is the
+# equilibrium. Each coordinate is clamped at 0, interior, or clamped at omega.
+_ORDER = (_IN, _LO, _HI)
+_STATE = np.array([np.repeat(_ORDER, 3), np.tile(_ORDER, 3)])[:, None, :]  # (user, 1, pattern)
+_INSIDE, _HIGH = _STATE == _IN, _STATE == _HI
+# The partial derivative at a clamped coordinate must not point into the box:
+# sign * partial <= slack, with sign +1 at 0 and -1 at omega (0 if interior).
+_SIGN = np.where(_STATE == _LO, 1.0, np.where(_HIGH, -1.0, 0.0))
 
 
 def nash_equilibrium(terms: MarginalTerms, scenario: Scenario) -> EquilibriumReport:
     """The unique pure Nash equilibrium of the band game.
 
-    Solved in closed form by enumerating the nine clamp patterns of the KKT
-    conditions; the first feasible pattern is the equilibrium. The report has
-    no iterations and zero residual.
+    Solved in closed form by :func:`nash_equilibrium_batch` with N = 1. The
+    report has no iterations and zero residual.
     """
-    b, omega = scenario.b, scenario.omega
-    c1 = terms.relay_advantage(1)
-    c2 = terms.relay_advantage(2)
-
-    alloc = None
-    for s1 in (_IN, _LO, _HI):
-        for s2 in (_IN, _LO, _HI):
-            alloc = _kkt_candidate((s1, s2), c1, c2, b, omega)
-            if alloc is not None:
-                break
-        if alloc is not None:
-            break
-    if alloc is None:  # pragma: no cover - the patterns are exhaustive
+    alloc = select(nash_equilibrium_batch(terms, scenario), 0)
+    if math.isnan(alloc.w1):  # pragma: no cover - the patterns are exhaustive
         raise ConvergenceError("no KKT pattern validated; inconsistent inputs")
-
     return EquilibriumReport(
         allocation=alloc,
         utilities=utility_pair(alloc, terms, scenario),
@@ -256,3 +210,48 @@ def nash_equilibrium(terms: MarginalTerms, scenario: Scenario) -> EquilibriumRep
         residual=0.0,
         converged=True,
     )
+
+
+def nash_equilibrium_batch(terms: MarginalTerms, scenario: Scenario) -> BandAllocation:
+    """Equilibrium allocations of a batch of marginal terms, whose fields are
+    arrays over the positions or floats for one position; the allocations are
+    arrays.
+
+    Every position tries the nine clamp patterns of the KKT conditions in a
+    fixed order and takes the first feasible one. In a pattern, interior
+    coordinates solve the stationarity equations given the clamped ones; with
+    b == 0 an interior coordinate exists only at an exact tie (within a slack).
+    A pattern is feasible when its interior coordinates lie in the box (within
+    ``tol_w``) and the partial derivative at each clamped coordinate does not
+    point into the box (within the slack). Positions where no pattern is
+    feasible get NaN.
+    """
+    b, omega = scenario.b, scenario.omega
+    # Arrays are indexed (user, position, pattern); [::-1] swaps the users.
+    c = np.reshape(np.array([terms.psi1, terms.psi2]) - np.array([terms.phi1, terms.phi2]),
+                   (2, -1, 1))
+    size = abs(c)
+    slack = 1e-12 * np.maximum(np.maximum(size[0], size[1]), max(1.0, 3.0 * b * omega))
+    fixed = _HIGH * omega
+
+    tol_w = 1e-12 * max(1.0, omega)
+    with np.errstate(invalid="ignore"):
+        if b == 0:
+            # An interior coordinate exists only at a tie: it is 0, and |c| <= slack.
+            w = np.broadcast_to(np.where(_INSIDE, 0.0, fixed), (2, len(c[0]), len(_ORDER) ** 2))
+        else:
+            w = np.where(_INSIDE, np.where(_INSIDE[::-1], (2.0 * c - c[::-1]) / (3.0 * b),
+                                           (c - b * fixed[::-1]) / (2.0 * b)), fixed)
+        # Box feasibility of interior coordinates, then exact clamp.
+        bad = _INSIDE & ~((-tol_w <= w) & (w <= omega + tol_w))
+        if b == 0:
+            bad |= _INSIDE & (size > slack)
+        w = np.minimum(np.maximum(w, 0.0), omega)
+        # KKT sign conditions on clamped coordinates.
+        bad |= _SIGN * (c - b * (2.0 * w + w[::-1])) > slack
+    feasible = ~(bad[0] | bad[1])
+
+    rows = np.arange(feasible.shape[0])
+    first = np.argmax(feasible, axis=1)
+    chosen = np.where(feasible[rows, first], w[:, rows, first], np.nan)
+    return BandAllocation(w1=chosen[0], w2=chosen[1])

@@ -6,10 +6,19 @@ relay offers an extra hop: source i reaches its destination either directly
 combined two-phase link behaves like a single channel whose SNR is the sum of
 the two (``gamma_af``). Channel power gains follow a deterministic path-loss
 law ``pathloss_const / d**pathloss_exp``.
+
+The link budget is computed for N relay positions at once
+(:func:`link_budget_batch`); :func:`link_budget` is its call with N = 1.
+Steps with a transcendental function (``hypot``, ``**`` and, in the game
+layer, ``expm1``) run element by element through :mod:`math`, because numpy's
+versions can differ from it in the last bit; the rest is numpy arithmetic,
+which rounds exactly as Python floats do.
 """
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 class DegenerateGeometryError(ValueError):
@@ -76,21 +85,13 @@ class Scenario:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
 
-    def source(self, i: int) -> Point:
-        return self.source_1 if i == 1 else self.source_2
-
-    def dest(self, i: int) -> Point:
-        return self.dest_1 if i == 1 else self.dest_2
-
-    def power(self, i: int) -> float:
-        return self.p1 if i == 1 else self.p2
-
 
 @dataclass(frozen=True)
 class UserLink:
     """Channel gains and SNRs of one user for a fixed relay position.
 
-    ``gamma_af`` is exactly ``gamma_direct + gamma_relayed``.
+    ``gamma_af`` is exactly ``gamma_direct + gamma_relayed``. In a batch (see
+    :func:`link_budget_batch`) every field is an array over the positions.
     """
 
     h_ii_sq: float
@@ -112,6 +113,37 @@ class LinkBudget:
         return self.user1 if i == 1 else self.user2
 
 
+def select(batch, index):
+    """Positions ``index`` of a batch value: the same dataclass with every
+    array field indexed by ``index``, nested value dataclasses included. An
+    int index gives floats, the value of one position."""
+    cls = type(batch)
+    values = []
+    for name in cls.__dataclass_fields__:
+        v = getattr(batch, name)
+        if type(v) is np.ndarray:
+            v = v.item(index) if isinstance(index, int) else v[index]
+        elif hasattr(v, "__dataclass_fields__") and type(v) is not Scenario:
+            v = select(v, index)
+        values.append(v)
+    return cls(*values)
+
+
+def as_batch(value):
+    """A value of one position as a batch of one: every number field becomes a
+    one-element float array, nested value dataclasses included."""
+    cls = type(value)
+    values = []
+    for name in cls.__dataclass_fields__:
+        v = getattr(value, name)
+        if isinstance(v, (int, float)) and not isinstance(v, bool):
+            v = np.array([v], dtype=float)
+        elif hasattr(v, "__dataclass_fields__") and type(v) is not Scenario:
+            v = as_batch(v)
+        values.append(v)
+    return cls(*values)
+
+
 def distance(a: Point, b: Point) -> float:
     """Euclidean distance between two nodes in meters."""
     return math.hypot(a.x - b.x, a.y - b.y)
@@ -128,38 +160,66 @@ def channel_gain(d: float, scenario: Scenario) -> float:
     """
     if d < 0:
         raise ValueError("distance must be non-negative")
-    if d == 0:
-        raise DegenerateGeometryError("co-located nodes: channel gain undefined at zero distance")
+    gains, failures = _channel_gains([d], scenario)
+    if failures:
+        raise failures[0][1]
+    return gains.item()
+
+
+def _channel_gains(d: list, scenario: Scenario):
+    """Gains of links of lengths ``d`` (floats >= 0) as an array, and the
+    list of ``(index, DegenerateGeometryError)`` of the links that have none,
+    by index; those links get a NaN gain."""
+    e = scenario.pathloss_exp
     try:
-        attenuation = d ** scenario.pathloss_exp
+        attenuation = [x ** e for x in d]
     except OverflowError:
-        return 0.0
-    if attenuation == 0.0:
-        raise DegenerateGeometryError(
-            f"nodes {d!r} m apart: d**pathloss_exp underflows to zero")
-    return scenario.pathloss_const / attenuation
+        attenuation = [_power_or_inf(x, e) for x in d]
+    attenuation = np.array(attenuation)
+    with np.errstate(divide="ignore", over="ignore"):
+        gains = scenario.pathloss_const / attenuation
+    failures = []
+    if attenuation.all() and 0.0 not in d:
+        return gains, failures
+    for k in np.flatnonzero((attenuation == 0.0) | (np.array(d) == 0.0)).tolist():
+        if d[k] == 0.0:
+            exc = DegenerateGeometryError(
+                "co-located nodes: channel gain undefined at zero distance")
+        else:
+            exc = DegenerateGeometryError(
+                f"nodes {d[k]!r} m apart: d**pathloss_exp underflows to zero")
+        failures.append((k, exc))
+        gains[k] = math.nan
+    return gains, failures
 
 
-def snr_direct(p: float, h_sq: float, sigma2: float) -> float:
-    """Single-hop SNR ``p * h_sq / sigma2``."""
+def _power_or_inf(x: float, e: float) -> float:
+    try:
+        return x ** e
+    except OverflowError:
+        return math.inf
+
+
+def snr_direct(p, h_sq, sigma2: float):
+    """Single-hop SNR ``p * h_sq / sigma2``; elementwise over arrays."""
     if not sigma2 > 0:
         raise ValueError("sigma2 must be positive")
-    if p < 0 or h_sq < 0:
+    if np.less(np.fmin(p, h_sq), 0).any():
         raise ValueError("power and channel gain must be non-negative")
     return p * h_sq / sigma2
 
 
-def snr_relayed(p_i: float, p_r: float, h_ir_sq: float, h_ri_sq: float,
-                sigma2: float) -> float:
+def snr_relayed(p_i, p_r: float, h_ir_sq, h_ri_sq, sigma2: float):
     """End-to-end SNR of the amplify-and-forward hop.
 
     Equals ``p_i*p_r*h_ir_sq*h_ri_sq / (sigma2*(p_i*h_ir_sq + p_r*h_ri_sq + sigma2))``
     and is symmetric under swapping the roles (p_i, h_ir_sq) <-> (p_r, h_ri_sq).
-    It never exceeds the SNR of either constituent hop.
+    It never exceeds the SNR of either constituent hop. Elementwise over
+    arrays.
     """
     if not sigma2 > 0:
         raise ValueError("sigma2 must be positive")
-    if min(p_i, p_r, h_ir_sq, h_ri_sq) < 0:
+    if p_r < 0 or np.less(np.fmin(np.fmin(p_i, h_ir_sq), h_ri_sq), 0).any():
         raise ValueError("powers and channel gains must be non-negative")
     num = p_i * p_r * h_ir_sq * h_ri_sq
     den = sigma2 * (p_i * h_ir_sq + p_r * h_ri_sq + sigma2)
@@ -175,30 +235,61 @@ def efficiency(x: float, M: int) -> float:
         raise ValueError("SNR must be non-negative")
     if M < 1 or int(M) != M:
         raise ValueError("M must be an integer >= 1")
-    if x == 0.0:
-        return 0.0
+    return float(efficiency_batch(np.array([x]), M)[0])
+
+
+def efficiency_batch(x: np.ndarray, M: int) -> np.ndarray:
+    """:func:`efficiency` of every entry of an array of SNRs (NaN stays NaN)."""
     # -expm1 keeps full relative accuracy for small x, where 1 - exp(-x/2)
     # would cancel.
-    base = -math.expm1(-0.5 * x)
-    return base ** M
+    values = [(-math.expm1(-0.5 * v)) ** M for v in x.ravel().tolist()]
+    return np.array(values).reshape(x.shape)
+
+
+def link_budget_batch(scenario: Scenario, relays) -> tuple:
+    """Channel gains and the three SNRs of both users at N relay positions.
+
+    Returns a LinkBudget whose fields are arrays over ``relays``, and a tuple
+    with, for each position, None or the DegenerateGeometryError that leaves
+    it without a budget: a zero-length link, a ``d**pathloss_exp`` underflow
+    (the first such link of user 1, then of user 2, in the order direct,
+    source-relay, relay-destination), or a relay so close to a node that an
+    SNR overflows. The entries of failed positions are NaN.
+    """
+    n = len(relays)
+    xs, ys = [r.x for r in relays], [r.y for r in relays]
+    lengths = []
+    for src, dst in ((scenario.source_1, scenario.dest_1),
+                     (scenario.source_2, scenario.dest_2)):
+        lengths += [distance(src, dst)] * n
+        # distance(src, relay) and distance(relay, dst), inlined
+        lengths += [math.hypot(src.x - x, src.y - y) for x, y in zip(xs, ys)]
+        lengths += [math.hypot(x - dst.x, y - dst.y) for x, y in zip(xs, ys)]
+    gains, bad = _channel_gains(lengths, scenario)
+    h_ii, h_ir, h_ri = gains.reshape(2, 3, n).transpose(1, 0, 2)  # each (user, position)
+    failures = [None] * n
+    for k, exc in bad:  # link by link in the order above: the first one names it
+        if failures[k % n] is None:
+            failures[k % n] = exc
+    p = np.array([[scenario.p1], [scenario.p2]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        g_direct = snr_direct(p, h_ii, scenario.sigma2)
+        g_relayed = snr_relayed(p, scenario.p_r, h_ir, h_ri, scenario.sigma2)
+        g_af = g_direct + g_relayed
+    if not np.isfinite(g_af).all():
+        for k in np.flatnonzero(~np.isfinite(g_af).all(axis=0)).tolist():
+            if failures[k] is None:
+                failures[k] = DegenerateGeometryError(
+                    "relay too close to a node: an SNR overflows")
+    users = [UserLink(h_ii_sq=h_ii[i], h_ir_sq=h_ir[i], h_ri_sq=h_ri[i],
+                      gamma_direct=g_direct[i], gamma_relayed=g_relayed[i],
+                      gamma_af=g_af[i]) for i in (0, 1)]
+    return LinkBudget(user1=users[0], user2=users[1]), tuple(failures)
 
 
 def link_budget(scenario: Scenario, relay: Point) -> LinkBudget:
     """Channel gains and the three SNRs of both users for one relay position."""
-    users = []
-    for i in (1, 2):
-        src, dst, p = scenario.source(i), scenario.dest(i), scenario.power(i)
-        h_ii_sq = channel_gain(distance(src, dst), scenario)
-        h_ir_sq = channel_gain(distance(src, relay), scenario)
-        h_ri_sq = channel_gain(distance(relay, dst), scenario)
-        g_direct = snr_direct(p, h_ii_sq, scenario.sigma2)
-        g_relayed = snr_relayed(p, scenario.p_r, h_ir_sq, h_ri_sq, scenario.sigma2)
-        users.append(UserLink(
-            h_ii_sq=h_ii_sq,
-            h_ir_sq=h_ir_sq,
-            h_ri_sq=h_ri_sq,
-            gamma_direct=g_direct,
-            gamma_relayed=g_relayed,
-            gamma_af=g_direct + g_relayed,
-        ))
-    return LinkBudget(user1=users[0], user2=users[1])
+    budget, failures = link_budget_batch(scenario, [relay])
+    if failures[0] is not None:
+        raise failures[0]
+    return select(budget, 0)

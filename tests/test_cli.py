@@ -193,6 +193,11 @@ def test_cli_error_exits(paper_path, tmp_path, capsys):
     at_origin = tmp_path / "origin.cfg"
     write_scenario(replace(parse_scenario(paper_path), source_1=Point(0.0, 0.0)), at_origin)
     assert main(["ne", "--scenario", str(at_origin), "--relay", "1e-90,0"]) == 2
+    # and one so close that the relayed SNR overflows
+    assert main(["ne", "--scenario", str(at_origin), "--relay", "1e-80,0"]) == 2
+    # a non-finite grid step would never end the grid's axis
+    assert main(["sweep", "--scenario", paper_path, "--step", "inf",
+                 "--out", str(tmp_path / "never.csv")]) == 2
 
 
 def test_cli_full_precision_output(paper_path, capsys):

@@ -1,14 +1,19 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from bandgame import (BandAllocation, Point, SweepGrid, UtilityPair,
-                      bandwidth_gain, concavity_map, eigenvalues, exact_nbs,
-                      hessian, is_strictly_concave_at, make_context,
-                      nash_equilibrium, social_welfare_gain, sweep)
+import loop_reference
+from bandgame import (BandAllocation, MarginalTerms, Point, SweepGrid,
+                      UtilityPair, bandwidth_gain, concavity_map, eigenvalues,
+                      exact_nbs, hessian, is_strictly_concave_at,
+                      make_context, nash_equilibrium, social_welfare_gain,
+                      sweep)
+from bandgame.bargaining import NO_BARGAIN_NOTE
 from bandgame.cli import sweep_csv
+from bandgame.game import nash_equilibrium_batch
 from conftest import RELAY_450, random_scenario
 
 
@@ -29,6 +34,11 @@ def test_sweep_grid_validation():
         SweepGrid(step=0.0)
     with pytest.raises(ValueError):
         SweepGrid(step=10.0, x_min=5.0, x_max=5.0)
+    # Non-finite values would leave the axis loop without an end.
+    for bad in ({"step": math.inf}, {"step": math.nan}, {"x_max": math.inf},
+                {"y_min": -math.inf}, {"y_max": math.nan}):
+        with pytest.raises(ValueError):
+            SweepGrid(**{"step": 10.0, **bad})
     grid = SweepGrid(step=50.0)
     assert len(grid.positions()) == 225  # 15 x 15 over [0, 700]^2
     corner = SweepGrid(step=700.0)
@@ -78,9 +88,11 @@ def test_sweep_useless_relay(paper):
 
 
 def test_sweep_degenerate_position_recorded(paper):
-    # A relay on a node, and one so close to a node that d**4 underflows.
+    # A relay on a node, one so close to a node that d**4 underflows, and one
+    # so close that the relayed SNR overflows (inf / inf).
     at_origin = replace(paper, source_1=Point(0.0, 0.0))
-    for scenario, relay in ((paper, paper.source_1), (at_origin, Point(1e-90, 0.0))):
+    for scenario, relay in ((paper, paper.source_1), (at_origin, Point(1e-90, 0.0)),
+                            (at_origin, Point(1e-80, 0.0))):
         records = sweep(scenario, single_position_grid(relay))
         r = records[0]
         assert r.failure is not None
@@ -158,3 +170,110 @@ def test_concavity_map_degenerate_position(paper):
     assert records[0].failure is not None
     assert math.isnan(records[0].lambda1)
     assert not records[0].strictly_concave
+
+
+def _bits(values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+def _assert_sweep_matches_loop(scenario, grid) -> tuple:
+    """Compare ``sweep`` with the per-position reference loop, and at every
+    fifth position with the single-position API; returns the number of
+    bargains and of rows whose bargain moved within tolerance.
+
+    Failures carry the same message. The equilibrium, its utilities and the
+    bargain/no-bargain status are bit-equal. The bargaining allocation is
+    within 1e-13*omega, because the batch sums the quartic's coefficients in
+    another order than ``np.convolve``; where it is bit-equal, so is every
+    other value of the row. The concavity flag is always the same.
+    """
+    records = sweep(scenario, grid)
+    assert [(r.relay.x, r.relay.y) for r in records] == [
+        (p.x, p.y) for p in grid.positions()]
+    bargains = moved = 0
+    for k, r in enumerate(records):
+        ref = loop_reference.position(scenario, r.relay)
+        if isinstance(ref, str):
+            assert r.failure == ref, r.relay
+            with pytest.raises((ValueError, RuntimeError), match="^" + re.escape(ref) + "$"):
+                make_context(scenario, r.relay)
+            continue
+        assert r.failure is None, r.relay
+        if k % 5 == 0:  # the single-position API: the same functions with N = 1
+            ctx = make_context(scenario, r.relay)
+            nbs = exact_nbs(ctx)
+            eig = eigenvalues(hessian(nbs.allocation, ctx))
+            assert (ctx.ne_alloc, ctx.threat, nbs.allocation, nbs.utilities, nbs.diagnostics) == (
+                r.ne.allocation, r.ne.utilities, r.nbs.allocation, r.nbs.utilities,
+                r.nbs.diagnostics), r.relay
+            assert _bits([eig.lambda1, eig.lambda2]) == _bits([r.lambda1, r.lambda2]), r.relay
+        assert _bits([r.ne.allocation.w1, r.ne.allocation.w2]) == _bits(ref["ne"]), r.relay
+        assert _bits([r.ne.utilities.u1, r.ne.utilities.u2]) == _bits(ref["ne_u"]), r.relay
+        assert (NO_BARGAIN_NOTE not in r.nbs.diagnostics) == ref["bargain"], r.relay
+        bargains += ref["bargain"]
+        nbs = [r.nbs.allocation.w1, r.nbs.allocation.w2]
+        if _bits(nbs) == _bits(ref["nbs"]):
+            got = [r.nbs.utilities.u1, r.nbs.utilities.u2, r.gain_bw_u1_pct,
+                   r.gain_bw_u2_pct, r.gain_bw_total_pct, r.gain_sw_pct,
+                   r.lambda1, r.lambda2]
+            assert _bits(got) == _bits([*ref["nbs_u"], *ref["gains"], *ref["lambdas"]]), r.relay
+        else:
+            moved += 1
+            assert np.abs(np.subtract(nbs, ref["nbs"])).max() <= 1e-13 * scenario.omega, r.relay
+        assert r.strictly_concave == (ref["lambdas"][1] < 0.0), r.relay
+    return bargains, moved
+
+
+def test_sweep_matches_loop_reference(paper):
+    at_origin = replace(paper, source_1=Point(0.0, 0.0))
+    cases = [
+        (paper, SweepGrid(step=25.0)),
+        (replace(paper, b=0.0), SweepGrid(step=50.0)),
+        # (300, 300) is on source_1; at 1e100 m, d**4 overflows.
+        (paper, SweepGrid(step=1e100, x_min=300.0, x_max=1e100, y_min=300.0, y_max=301.0)),
+        # At 1e-90 m from source_1, d**4 underflows; with dest_2 at 2e-90 m
+        # too, the first failing link names the failure.
+        (at_origin, SweepGrid(step=1e100, x_min=1e-90, x_max=1e100, y_min=0.0, y_max=1.0)),
+        (replace(at_origin, dest_2=Point(-1e-90, 0.0)),
+         SweepGrid(step=1e100, x_min=1e-90, x_max=1e100, y_min=0.0, y_max=1.0)),
+    ]
+    rng = np.random.default_rng(61)
+    cases += [(random_scenario(rng), SweepGrid(step=100.0)) for _ in range(20)]
+    bargains = moved = 0
+    for scenario, grid in cases:
+        b, m = _assert_sweep_matches_loop(scenario, grid)
+        bargains, moved = bargains + b, moved + m
+    assert bargains > 100, "too few bargains for the comparison to check the solver"
+    assert moved < bargains
+
+
+def test_equilibrium_batch_matches_loop_at_pattern_ties(paper):
+    # Interior equilibria within tol_w of a box bound, and zero-price relay
+    # advantages within the slack of zero, satisfy several clamp patterns
+    # with different allocations: the pattern order decides, bit for bit.
+    omega = paper.omega
+    tol = 1e-12 * omega
+    near = (-0.5 * tol, 0.5 * tol, 0.3 * omega, omega - 0.5 * tol, omega + 0.5 * tol)
+    cases = []
+    b = paper.b
+    cases += [(b, b * (2.0 * w1 + w2), b * (2.0 * w2 + w1)) for w1 in near for w2 in near]
+    # Advantages a few tol_w*b from those of the zero and full-band corners:
+    # here the interior pattern can fail while two clamped ones both hold.
+    steps = (-2.6, -1.8, -1.0, -0.4, 0.4, 1.0)
+    near_c = [b * (base + tol * k) for base in (0.0, 3.0 * omega) for k in steps]
+    cases += [(b, c1, c2) for c1 in near_c for c2 in near_c]
+    ties = (-0.5e-12, 0.0, 0.5e-12, 1.0, -1.0)
+    cases += [(0.0, c1, c2) for c1 in ties for c2 in ties]
+    ambiguous = 0
+    for price in (b, 0.0):
+        rows = [(c1, c2) for p, c1, c2 in cases if p == price]
+        c1, c2 = np.array(rows).T
+        terms = MarginalTerms(phi1=np.zeros_like(c1), psi1=c1, phi2=np.zeros_like(c2), psi2=c2)
+        got = nash_equilibrium_batch(terms, replace(paper, b=price))
+        ref = [loop_reference.nash_equilibrium(x, y, price, omega) for x, y in rows]
+        assert _bits(np.column_stack([got.w1, got.w2])) == _bits(ref)
+        for x, y in rows:
+            found = {loop_reference._kkt_candidate((s1, s2), x, y, price, omega)
+                     for s1 in range(3) for s2 in range(3)} - {None}
+            ambiguous += len(found) > 1
+    assert ambiguous >= 20, "the cases must make the pattern order matter"
