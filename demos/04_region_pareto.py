@@ -20,8 +20,9 @@ print(f"sampled {len(sample.utilities)} allocations "
 print()
 print("Pareto boundary (every 4th vertex):")
 print(f"{'u1':>14s} {'u2':>14s} {'w1':>10s} {'w2':>10s}")
-for p in sample.pareto[::4]:
-    print(f"{p.u1:14.2f} {p.u2:14.2f} {p.alloc_a.w1:10.0f} {p.alloc_a.w2:10.0f}")
+for i in sample.pareto_indices[::4]:
+    (u1, u2), (w1, w2) = sample.utilities[i], sample.allocations[i]
+    print(f"{u1:14.2f} {u2:14.2f} {w1:10.0f} {w2:10.0f}")
 print()
 
 best = max_nash_product_on_pareto(sample, ctx.threat)

@@ -3,14 +3,14 @@
 Two transmitter/receiver pairs rent slices of a relay's band under linear
 pricing. This package computes the closed-form Nash equilibrium of the
 resulting concave game, the Nash bargaining solution on top of it (an exact
-closed-form solver used by sweeps; the paper's projected Polak-Ribiere
-conjugate gradient, which falls back to the exact solver; and a brute-force
-grid oracle, the reference the tests and ``bandgame nbs --oracle`` compare
-with), certifies local strict concavity of the bargaining objective through
-2x2 eigenvalues, builds the sampled utility region with its Pareto boundary and
-time-sharing hull, and sweeps relay positions into bandwidth-gain,
-welfare-gain and concavity maps through one array pipeline over all positions,
-whose single-position calls are the scalar API.
+closed-form solver used by sweeps and by ``bandgame nbs --oracle`` as the
+cross-check; the paper's projected Polak-Ribiere conjugate gradient, which
+falls back to the exact solver; and a brute-force grid oracle, kept only as
+the tests' reference), certifies local strict concavity of the bargaining
+objective through 2x2 eigenvalues, builds the sampled utility region with its
+Pareto boundary and time-sharing hull, and sweeps relay positions into
+bandwidth-gain, welfare-gain and concavity maps through one array pipeline
+over all positions, whose single-position calls are the scalar API.
 """
 
 from .bargaining import (CgState, EigenPair, Hessian2x2, NashProductContext,

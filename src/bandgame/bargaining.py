@@ -9,9 +9,9 @@ the Nash bargaining solution. This module provides the analytic gradient and
 Hessian of pi, its eigenvalue-based concavity certificate, the exact
 closed-form bargaining solver that production paths use, the paper's projected
 Polak-Ribiere conjugate-gradient solver with Newton step lengths (which falls
-back to the exact solver), a brute-force grid oracle kept as a reference for
-tests and ``bandgame nbs --oracle``, and the sampled utility region with its
-convex hull, Pareto boundary and time-sharing mixtures.
+back to the exact solver), a brute-force grid oracle kept as the tests'
+reference, and the sampled utility region with its convex hull, Pareto
+boundary and time-sharing mixtures.
 
 Contexts, allocations, Hessians and eigenvalue pairs hold floats for one
 relay position, or equal-length arrays for a batch of positions (see
@@ -22,7 +22,7 @@ batch call with N = 1.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,38 +30,31 @@ from .game import (BandAllocation, ConvergenceError, EquilibriumReport,
                    MarginalTerms, UtilityPair, marginal_terms_batch,
                    nash_equilibrium_batch, utility_pair, utility_partial,
                    utility_value)
-from .system_model import (LinkBudget, Point, Scenario, as_batch,
-                           link_budget_batch, select)
+from .system_model import Point, Scenario, as_batch, link_budget_batch, select
 
 
 @dataclass(frozen=True)
 class NashProductContext:
-    """Frozen inputs of one bargaining problem: scenario, links, threat point.
-
-    The threat point must be exactly the utilities at ``ne_alloc``; contexts
-    built by :func:`make_context` satisfy this by construction.
-    """
+    """Frozen inputs of one bargaining problem: scenario, marginal terms and
+    the threat (equilibrium) allocation. ``threat``, the utilities at
+    ``ne_alloc``, is derived from them."""
 
     scenario: Scenario
-    budget: LinkBudget
     terms: MarginalTerms
-    threat: UtilityPair
     ne_alloc: BandAllocation
+    threat: UtilityPair = field(init=False)
 
     def __post_init__(self):
-        check = utility_pair(self.ne_alloc, self.terms, self.scenario)
-        if np.logical_or(check.u1 != self.threat.u1, check.u2 != self.threat.u2).any():
-            raise ValueError("threat point does not equal the utilities at ne_alloc")
+        object.__setattr__(self, "threat",
+                           utility_pair(self.ne_alloc, self.terms, self.scenario))
 
 
 def make_context(scenario: Scenario, relay: Point) -> NashProductContext:
     """Build the bargaining context for one relay position (computes the NE)."""
-    budget, terms, ne, failures = _equilibria(scenario, [relay])
+    terms, ne, failures = _equilibria(scenario, [relay])
     if failures[0] is not None:
         raise failures[0]
-    terms, ne = select(terms, 0), select(ne, 0)
-    return NashProductContext(scenario=scenario, budget=select(budget, 0), terms=terms,
-                              threat=utility_pair(ne, terms, scenario), ne_alloc=ne)
+    return NashProductContext(scenario=scenario, terms=select(terms, 0), ne_alloc=select(ne, 0))
 
 
 def make_context_batch(scenario: Scenario, relays) -> tuple:
@@ -73,23 +66,16 @@ def make_context_batch(scenario: Scenario, relays) -> tuple:
     position, None or the error that leaves it unsolvable (a
     DegenerateGeometryError from the link budget, or a ConvergenceError).
     """
-    budget, terms, ne, failures = _equilibria(scenario, relays)
+    terms, ne, failures = _equilibria(scenario, relays)
     if failures.count(None) < len(failures):
         ok = np.array([f is None for f in failures], dtype=bool)
-        budget, terms, ne = select(budget, ok), select(terms, ok), select(ne, ok)
-    ctx = NashProductContext(
-        scenario=scenario,
-        budget=budget,
-        terms=terms,
-        threat=utility_pair(ne, terms, scenario),
-        ne_alloc=ne,
-    )
-    return ctx, failures
+        terms, ne = select(terms, ok), select(ne, ok)
+    return NashProductContext(scenario=scenario, terms=terms, ne_alloc=ne), failures
 
 
 def _equilibria(scenario: Scenario, relays) -> tuple:
-    """Link budgets, marginal terms and equilibria at N relay positions, and
-    the failure of each position, as :func:`make_context_batch` describes."""
+    """Marginal terms and equilibria at N relay positions, and the failure of
+    each position, as :func:`make_context_batch` describes."""
     budget, failures = link_budget_batch(scenario, relays)
     terms = marginal_terms_batch(budget, scenario)
     ne = nash_equilibrium_batch(terms, scenario)
@@ -97,7 +83,7 @@ def _equilibria(scenario: Scenario, relays) -> tuple:
     if unsolved.any():
         failures = tuple(f or (ConvergenceError("no KKT pattern validated; inconsistent inputs")
                                if bad else None) for f, bad in zip(failures, unsolved.tolist()))
-    return budget, terms, ne, failures
+    return terms, ne, failures
 
 
 def nash_product(alloc: BandAllocation, ctx: NashProductContext) -> float:
@@ -542,7 +528,10 @@ def _quartic_roots(q: np.ndarray) -> np.ndarray:
 
     Rows with non-zero end coefficients share one eigenvalue call on their
     stacked 4x4 companion matrices, the matrices ``np.roots`` builds. The
-    others go through ``np.roots``, which strips zero end coefficients.
+    others go through ``np.roots``, which strips zero end coefficients,
+    after each leading coefficient whose companion row is not finite is
+    dropped: a subnormal one (a tiny price) stands for roots of magnitude
+    about 1e300 or more, far outside the band totals [0, 2] of interest.
     """
     top = -q[:, 1:] / q[:, :1]
     regular = (q[:, 0] != 0.0) & (q[:, 4] != 0.0) & np.isfinite(top).all(axis=1)
@@ -554,7 +543,10 @@ def _quartic_roots(q: np.ndarray) -> np.ndarray:
     roots = np.full((len(q), 4), np.nan, dtype=complex)
     roots[regular] = np.linalg.eigvals(companion)
     for k in np.flatnonzero(~regular).tolist():
-        found = np.roots(q[k])
+        row = q[k]
+        while len(row) > 1 and not np.isfinite(row[1:] / row[0]).all():
+            row = row[1:]
+        found = np.roots(row)
         roots[k, :len(found)] = found
     return roots
 
@@ -706,11 +698,9 @@ def convex_hull_indices(points: np.ndarray) -> list:
 
 @dataclass(frozen=True)
 class ParetoPoint:
-    """A Pareto utility point as a time-sharing mix of two pure allocations.
-
-    Hull vertices are pure: mu = 1 and both allocations coincide. A point on
-    a Pareto edge mixes alloc_a (weight mu) with alloc_b (weight 1 - mu).
-    """
+    """A Pareto utility point as a time-sharing mix of two pure allocations:
+    alloc_a for a fraction mu of the time, alloc_b for the rest. A hull
+    vertex is pure: mu = 1 and both allocations coincide."""
 
     u1: float
     u2: float
@@ -726,22 +716,15 @@ class RegionSample:
     ``allocations`` and ``utilities`` are (N, 2) arrays over the sampling
     grid; ``hull_indices`` index the CCW hull vertices within them, and
     ``pareto_indices`` the undominated hull vertices ordered by increasing u1.
-    ``pareto`` materializes the same vertices as :class:`ParetoPoint` pure
-    points.
     """
 
     allocations: np.ndarray
     utilities: np.ndarray
     hull_indices: np.ndarray
     pareto_indices: np.ndarray
-    pareto: tuple
-    resolution: int
 
     def hull_utilities(self) -> np.ndarray:
         return self.utilities[self.hull_indices]
-
-    def hull_allocations(self) -> np.ndarray:
-        return self.allocations[self.hull_indices]
 
 
 def _pareto_chain(utilities: np.ndarray, hull: list) -> list:
@@ -774,21 +757,11 @@ def sample_utility_region(ctx: NashProductContext, resolution: int = 201) -> Reg
     allocations = np.column_stack([W1.ravel(), W2.ravel()])
     utilities = np.column_stack([U1.ravel(), U2.ravel()])
     hull = convex_hull_indices(utilities)
-    pareto_idx = _pareto_chain(utilities, hull)
-    pareto = tuple(
-        ParetoPoint(
-            u1=float(utilities[i, 0]), u2=float(utilities[i, 1]), mu=1.0,
-            alloc_a=BandAllocation(float(allocations[i, 0]), float(allocations[i, 1])),
-            alloc_b=BandAllocation(float(allocations[i, 0]), float(allocations[i, 1])),
-        )
-        for i in pareto_idx)
     return RegionSample(
         allocations=allocations,
         utilities=utilities,
         hull_indices=np.asarray(hull, dtype=int),
-        pareto_indices=np.asarray(pareto_idx, dtype=int),
-        pareto=pareto,
-        resolution=resolution,
+        pareto_indices=np.asarray(_pareto_chain(utilities, hull), dtype=int),
     )
 
 
@@ -815,15 +788,17 @@ def max_nash_product_on_pareto(sample: RegionSample,
             best_val = val
             best = ParetoPoint(u1=u1, u2=u2, mu=mu, alloc_a=pa, alloc_b=pb)
 
-    verts = sample.pareto
-    for p in verts:
-        consider(p.u1, p.u2, 1.0, p.alloc_a, p.alloc_b)
-    for p, q in zip(verts, verts[1:]):
+    verts = [(u1, u2, BandAllocation(w1, w2)) for (u1, u2), (w1, w2) in zip(
+        sample.utilities[sample.pareto_indices].tolist(),
+        sample.allocations[sample.pareto_indices].tolist())]
+    for u1, u2, alloc in verts:
+        consider(u1, u2, 1.0, alloc, alloc)
+    for (pu1, pu2, pa), (qu1, qu2, qa) in zip(verts, verts[1:]):
         # point(mu) = mu*P + (1-mu)*Q; factors are linear in mu
-        a0 = q.u1 - threat.u1
-        a1 = p.u1 - q.u1
-        b0 = q.u2 - threat.u2
-        b1 = p.u2 - q.u2
+        a0 = qu1 - threat.u1
+        a1 = pu1 - qu1
+        b0 = qu2 - threat.u2
+        b1 = pu2 - qu2
         # feasible mu interval where both factors >= 0, intersected with [0,1]
         lo_mu, hi_mu = 0.0, 1.0
         for c0, c1 in ((a0, a1), (b0, b1)):
@@ -842,7 +817,5 @@ def max_nash_product_on_pareto(sample: RegionSample,
             if lo_mu < mu_star < hi_mu:
                 candidates.add(mu_star)
         for mu in candidates:
-            u1 = q.u1 + mu * a1
-            u2 = q.u2 + mu * b1
-            consider(u1, u2, mu, p.alloc_a, q.alloc_a)
+            consider(qu1 + mu * a1, qu2 + mu * b1, mu, pa, qa)
     return best

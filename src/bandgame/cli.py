@@ -8,7 +8,6 @@ reproducible byte for byte.
 """
 
 import argparse
-import math
 import os
 import sys
 from importlib.resources import files as _pkg_files
@@ -17,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bargaining import (cg_nbs, grid_oracle_nbs, make_context,
+from .bargaining import (cg_nbs, exact_nbs, make_context, nash_product,
                          sample_utility_region)
 from .experiments import SweepGrid, concavity_map, sweep
 from .game import (BandAllocation, EquilibriumReport, marginal_terms,
@@ -36,7 +35,6 @@ _SWEEP_ROW = ",".join(["%.17e"] * 16 + ["%s"] * 2)
 _CONCAVITY_ROW = "%.17e,%.17e,%.17e,%.17e,%s"
 _CSV_BLOCK_ROWS = 4096  # rows per formatting call; bounds the peak memory
 _WORDS = ("false", "true")
-_NAN8 = (math.nan,) * 8
 
 
 class ScenarioFormatError(ValueError):
@@ -162,20 +160,11 @@ def _record_blocks(records, cells):
 
 
 def _sweep_cells(r) -> tuple:
-    if r.failure is not None:
-        return (r.relay.x, r.relay.y, *_NAN8,
-                r.gain_bw_u1_pct, r.gain_bw_u2_pct, r.gain_bw_total_pct,
-                r.gain_sw_pct, r.lambda1, r.lambda2,
-                _WORDS[r.strictly_concave], "false")
-    ne, nbs = r.ne, r.nbs
-    return (r.relay.x, r.relay.y,
-            ne.allocation.w1, ne.allocation.w2,
-            nbs.allocation.w1, nbs.allocation.w2,
-            ne.utilities.u1, ne.utilities.u2,
-            nbs.utilities.u1, nbs.utilities.u2,
+    return (r.relay.x, r.relay.y, r.ne.w1, r.ne.w2, r.nbs.w1, r.nbs.w2,
+            r.ne_u.u1, r.ne_u.u2, r.nbs_u.u1, r.nbs_u.u2,
             r.gain_bw_u1_pct, r.gain_bw_u2_pct, r.gain_bw_total_pct,
             r.gain_sw_pct, r.lambda1, r.lambda2,
-            _WORDS[r.strictly_concave], _WORDS[r.converged])
+            _WORDS[r.strictly_concave], _WORDS[r.failure is None])
 
 
 def sweep_csv(records) -> str:
@@ -258,12 +247,13 @@ def _cmd_nbs(args) -> int:
     _print_report(report, "nbs")
     status = 0 if report.converged else 1
     if args.oracle:
-        oracle = grid_oracle_nbs(ctx, args.oracle_resolution)
-        _print_report(oracle, "oracle")
-        cell = scenario.omega / (args.oracle_resolution - 1)
-        matched = (abs(report.allocation.w1 - oracle.allocation.w1) <= cell * (1 + 1e-9)
-                   and abs(report.allocation.w2 - oracle.allocation.w2) <= cell * (1 + 1e-9))
-        print(f"oracle_match = {_fmt(matched)} (cell = {_fmt(cell)})")
+        exact = exact_nbs(ctx)
+        _print_report(exact, "exact")
+        best = nash_product(exact.allocation, ctx)
+        got = nash_product(report.allocation, ctx)
+        matched = got >= best - 1e-9 * abs(best)
+        gap = (best - got) / (abs(best) or 1.0)
+        print(f"oracle_match = {_fmt(matched)} (relative product gap = {_fmt(gap)})")
         if not matched:
             status = 1
     return status
@@ -338,9 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_nbs.add_argument("--epsilon", type=float, default=None, help="direction-norm stop threshold")
     p_nbs.add_argument("--max-iter", type=int, default=200)
     p_nbs.add_argument("--mode", choices=("joint", "alternating"), default="joint")
-    p_nbs.add_argument("--oracle", action="store_true", help="cross-check against the grid oracle")
-    p_nbs.add_argument("--oracle-resolution", type=int, default=401,
-                       help="grid points per axis of the --oracle cross-check")
+    p_nbs.add_argument("--oracle", action="store_true",
+                       help="cross-check the Nash product against the exact solver")
     p_nbs.set_defaults(handler=_cmd_nbs)
 
     p_region = commands.add_parser("region", help="utility region / Pareto CSV")

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bargaining import (NO_BARGAIN_NOTE, eigenvalues_batch, exact_nbs_batch,
-                         hessian, make_context_batch)
-from .game import BandAllocation, EquilibriumReport, UtilityPair, utility_pair
+from .bargaining import (eigenvalues_batch, exact_nbs_batch, hessian,
+                         make_context_batch)
+from .game import BandAllocation, UtilityPair, utility_pair
 from .system_model import Point, Scenario, as_batch
 
 
@@ -58,14 +58,19 @@ class SweepGrid:
 class SweepRecord:
     """Everything computed at one relay position.
 
-    Failed positions (degenerate geometry, solver breakdown) carry the
-    failure message, NaN allocations/utilities/eigenvalues and, by
+    ``bargain`` tells whether some allocation improves both utilities on the
+    equilibrium; without one the NBS is the equilibrium itself. Failed
+    positions (degenerate geometry, solver breakdown) carry the failure
+    message, NaN allocations, utilities and eigenvalues, False flags and, by
     convention, zero gains.
     """
 
     relay: Point
-    ne: EquilibriumReport | None
-    nbs: EquilibriumReport | None
+    ne: BandAllocation
+    ne_u: UtilityPair
+    nbs: BandAllocation
+    nbs_u: UtilityPair
+    bargain: bool
     gain_bw_u1_pct: float
     gain_bw_u2_pct: float
     gain_bw_total_pct: float
@@ -74,12 +79,6 @@ class SweepRecord:
     lambda2: float
     strictly_concave: bool
     failure: str | None = None
-
-    @property
-    def converged(self) -> bool:
-        return (self.failure is None and self.ne is not None
-                and self.nbs is not None
-                and self.ne.converged and self.nbs.converged)
 
 
 def bandwidth_gain(ne_w: float, nbs_w: float) -> float:
@@ -113,14 +112,6 @@ def social_welfare_gain_batch(ne_u: UtilityPair, nbs_u: UtilityPair) -> np.ndarr
         return np.where(ne_sum <= 0.0, math.nan, 100.0 * (nbs_u.total() - ne_sum) / ne_sum)
 
 
-def _failure_record(relay: Point, message: str) -> SweepRecord:
-    return SweepRecord(
-        relay=relay, ne=None, nbs=None,
-        gain_bw_u1_pct=0.0, gain_bw_u2_pct=0.0, gain_bw_total_pct=0.0,
-        gain_sw_pct=0.0, lambda1=math.nan, lambda2=math.nan,
-        strictly_concave=False, failure=message)
-
-
 def sweep(scenario: Scenario, grid: SweepGrid) -> list:
     """Solve NE and NBS at every relay position of the grid.
 
@@ -136,35 +127,26 @@ def sweep(scenario: Scenario, grid: SweepGrid) -> list:
     nbs, bargain = exact_nbs_batch(ctx.terms, ne, scenario)
     nbs_u = utility_pair(nbs, ctx.terms, scenario)
     eig = eigenvalues_batch(hessian(nbs, ctx))
-    columns = zip(
-        ne.w1.tolist(), ne.w2.tolist(), ne_u.u1.tolist(), ne_u.u2.tolist(),
-        nbs.w1.tolist(), nbs.w2.tolist(), nbs_u.u1.tolist(), nbs_u.u2.tolist(),
-        bargain.tolist(),
-        bandwidth_gain_batch(ne.w1, nbs.w1).tolist(),
-        bandwidth_gain_batch(ne.w2, nbs.w2).tolist(),
-        bandwidth_gain_batch(ne.w1 + ne.w2, nbs.w1 + nbs.w2).tolist(),
-        social_welfare_gain_batch(ne_u, nbs_u).tolist(),
-        eig.lambda1.tolist(), eig.lambda2.tolist())
-    records = []
-    for relay, failure in zip(relays, failures):
-        if failure is not None:
-            records.append(_failure_record(relay, str(failure)))
-            continue
-        (w1, w2, u1, u2, b1, b2, v1, v2, bargained,
-         g1, g2, gt, gs, l1, l2) = next(columns)
-        records.append(SweepRecord(
-            relay=relay,
-            ne=EquilibriumReport(
-                allocation=BandAllocation(w1, w2), utilities=UtilityPair(u1, u2),
-                kind="NE", iterations=0, residual=0.0, converged=True),
-            nbs=EquilibriumReport(
-                allocation=BandAllocation(b1, b2), utilities=UtilityPair(v1, v2),
-                kind="NBS", iterations=0, residual=0.0, converged=True,
-                diagnostics=() if bargained else (NO_BARGAIN_NOTE,)),
-            gain_bw_u1_pct=g1, gain_bw_u2_pct=g2, gain_bw_total_pct=gt,
-            gain_sw_pct=gs, lambda1=l1, lambda2=l2, strictly_concave=l2 < 0.0,
-        ))
-    return records
+    solved = (ne.w1, ne.w2, ne_u.u1, ne_u.u2, nbs.w1, nbs.w2, nbs_u.u1, nbs_u.u2, bargain,
+              bandwidth_gain_batch(ne.w1, nbs.w1), bandwidth_gain_batch(ne.w2, nbs.w2),
+              bandwidth_gain_batch(ne.w1 + ne.w2, nbs.w1 + nbs.w2),
+              social_welfare_gain_batch(ne_u, nbs_u), eig.lambda1, eig.lambda2)
+    # What a failed position holds in each column.
+    unsolved = (math.nan,) * 8 + (False,) + (0.0,) * 4 + (math.nan,) * 2
+    ok = np.array([f is None for f in failures], dtype=bool)
+    columns = []
+    for column, fill in zip(solved, unsolved):
+        full = np.full(len(relays), fill, dtype=column.dtype)
+        full[ok] = column
+        columns.append(full.tolist())
+    return [SweepRecord(
+        relay=relay, ne=BandAllocation(w1, w2), ne_u=UtilityPair(u1, u2),
+        nbs=BandAllocation(b1, b2), nbs_u=UtilityPair(v1, v2), bargain=bargained,
+        gain_bw_u1_pct=g1, gain_bw_u2_pct=g2, gain_bw_total_pct=gt, gain_sw_pct=gs,
+        lambda1=l1, lambda2=l2, strictly_concave=l2 < 0.0,
+        failure=None if failure is None else str(failure))
+        for (relay, failure, w1, w2, u1, u2, b1, b2, v1, v2, bargained, g1, g2, gt, gs, l1, l2)
+        in zip(relays, failures, *columns)]
 
 
 def concavity_map(scenario: Scenario, grid: SweepGrid) -> list:

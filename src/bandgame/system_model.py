@@ -109,9 +109,6 @@ class LinkBudget:
     user1: UserLink
     user2: UserLink
 
-    def user(self, i: int) -> UserLink:
-        return self.user1 if i == 1 else self.user2
-
 
 def select(batch, index):
     """Positions ``index`` of a batch value: the same dataclass with every

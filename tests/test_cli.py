@@ -1,12 +1,15 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from bandgame import Point, make_context, sample_utility_region
+from bandgame import (Point, SweepGrid, make_context, sample_utility_region,
+                      sweep)
 from bandgame.cli import (CONCAVITY_HEADER, REGION_HEADER, SWEEP_HEADER,
-                          ScenarioFormatError, _fmt, format_scenario, main,
-                          paper_scenario_path, parse_scenario, region_csv,
+                          ScenarioFormatError, _fmt, concavity_csv,
+                          format_scenario, main, paper_scenario_path,
+                          parse_scenario, region_csv, sweep_csv,
                           write_scenario)
 from conftest import RELAY_450, random_relay, random_scenario
 
@@ -106,12 +109,25 @@ def test_cli_ne_useless_relay(paper_path, capsys):
         assert float(out.split("w2 = ")[1].splitlines()[0]) == 0.0
 
 
-def test_cli_nbs_with_oracle(paper_path, capsys):
+def test_cli_nbs_with_oracle(paper_path, tmp_path, capsys):
     rc = main(["nbs", "--scenario", paper_path, "--relay", "450,450", "--oracle"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "kind=NBS" in out
+    assert "[exact]" in out
     assert "oracle_match = true" in out
+    # Here CG stops after 0 iterations, far short of the exact Nash product,
+    # although the whole bargain lies inside one cell of a 401 x 401 grid.
+    rc = main(["nbs", "--scenario", paper_path, "--relay", "200,125", "--oracle"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "oracle_match = false" in out
+    # At this price the exact solver's quartic has a subnormal leading coefficient.
+    path = tmp_path / "tiny.cfg"
+    write_scenario(replace(parse_scenario(paper_path), b=1e-84), path)
+    rc = main(["nbs", "--scenario", str(path), "--relay", "450,450", "--oracle"])
+    assert rc == 0
+    assert "oracle_match = true" in capsys.readouterr().out
 
 
 def test_cli_region(paper_path, tmp_path, capsys):
@@ -148,6 +164,38 @@ def test_region_csv_matches_per_cell_format(paper):
         assert len(sample.hull_indices) and len(sample.pareto_indices)
         # Compared row by row, so that a failure names the first bad row.
         assert region_csv(sample).split("\n") == _reference_region_csv(sample).split("\n")
+
+
+def _reference_map_csvs(records):
+    """Sweep and concavity CSVs with one ``_fmt`` call per cell. A failed
+    position's cells are written from the convention, not read from its
+    record: NaN allocations, utilities and eigenvalues, zero gains, false
+    flags."""
+    sweep_lines, concavity_lines = [SWEEP_HEADER], [CONCAVITY_HEADER]
+    for r in records:
+        if r.failure is None:
+            cells = [r.ne.w1, r.ne.w2, r.nbs.w1, r.nbs.w2, r.ne_u.u1, r.ne_u.u2,
+                     r.nbs_u.u1, r.nbs_u.u2, r.gain_bw_u1_pct, r.gain_bw_u2_pct,
+                     r.gain_bw_total_pct, r.gain_sw_pct, r.lambda1, r.lambda2,
+                     r.strictly_concave, True]
+        else:
+            cells = [math.nan] * 8 + [0.0] * 4 + [math.nan] * 2 + [False, False]
+        relay = [r.relay.x, r.relay.y]
+        sweep_lines.append(",".join(_fmt(c) for c in relay + cells))
+        concavity_lines.append(",".join(_fmt(c) for c in relay + cells[12:15]))
+    return "\n".join(sweep_lines) + "\n", "\n".join(concavity_lines) + "\n"
+
+
+def test_sweep_csv_matches_per_cell_format(paper):
+    # The 100 m grid holds the relay on source_1, (300, 300): a failed row.
+    for scenario in (paper, replace(paper, b=0.0)):
+        records = sweep(scenario, SweepGrid(step=100.0))
+        assert any(r.failure is not None for r in records)
+        assert any(r.bargain for r in records) == (scenario.b > 0.0)
+        want_sweep, want_concavity = _reference_map_csvs(records)
+        # Compared row by row, so that a failure names the first bad row.
+        assert sweep_csv(records).split("\n") == want_sweep.split("\n")
+        assert concavity_csv(records).split("\n") == want_concavity.split("\n")
 
 
 def test_cli_sweep_corner_grid(paper_path, tmp_path):

@@ -60,9 +60,11 @@ def test_sweep_single_position_composes(paper):
     ctx = make_context(paper, RELAY_450)
     ne = nash_equilibrium(ctx.terms, paper)
     nbs = exact_nbs(ctx)
-    assert r.ne.allocation == ne.allocation
-    assert r.ne.utilities == ne.utilities
-    assert r.nbs.allocation == nbs.allocation
+    assert r.ne == ne.allocation
+    assert r.ne_u == ne.utilities
+    assert r.nbs == nbs.allocation
+    assert r.nbs_u == nbs.utilities
+    assert r.bargain == (NO_BARGAIN_NOTE not in nbs.diagnostics)
     assert r.gain_bw_u1_pct == bandwidth_gain(ne.allocation.w1, nbs.allocation.w1)
     assert r.gain_bw_total_pct == bandwidth_gain(
         ne.allocation.w1 + ne.allocation.w2, nbs.allocation.w1 + nbs.allocation.w2)
@@ -70,7 +72,6 @@ def test_sweep_single_position_composes(paper):
     eig = eigenvalues(hessian(nbs.allocation, ctx))
     assert (r.lambda1, r.lambda2) == (eig.lambda1, eig.lambda2)
     assert r.strictly_concave == (eig.lambda2 < 0.0)
-    assert r.converged
 
 
 def test_sweep_useless_relay(paper):
@@ -81,8 +82,9 @@ def test_sweep_useless_relay(paper):
         assert len(records) == 1
         r = records[0]
         assert r.failure is None
-        assert r.ne.allocation == BandAllocation(0.0, 0.0)
-        assert r.nbs.allocation == BandAllocation(0.0, 0.0)
+        assert r.ne == BandAllocation(0.0, 0.0)
+        assert r.nbs == BandAllocation(0.0, 0.0)
+        assert not r.bargain
         assert (r.gain_bw_u1_pct, r.gain_bw_u2_pct, r.gain_bw_total_pct) == (0.0, 0.0, 0.0)
         assert r.gain_sw_pct == 0.0
 
@@ -96,8 +98,10 @@ def test_sweep_degenerate_position_recorded(paper):
         records = sweep(scenario, single_position_grid(relay))
         r = records[0]
         assert r.failure is not None
-        assert not r.converged
-        assert math.isnan(r.lambda1) and math.isnan(r.lambda2)
+        assert not r.bargain
+        for value in (r.ne.w1, r.ne.w2, r.ne_u.u1, r.ne_u.u2, r.nbs.w1, r.nbs.w2,
+                      r.nbs_u.u1, r.nbs_u.u2, r.lambda1, r.lambda2):
+            assert math.isnan(value)
         assert r.gain_bw_total_pct == 0.0 and r.gain_sw_pct == 0.0
         assert not r.strictly_concave
 
@@ -120,10 +124,9 @@ def test_sweep_invariants(paper):
     for r in records:
         if r.failure is not None:
             continue
-        if r.converged:
-            for i in (1, 2):
-                ne_u, nbs_u = r.ne.utilities.u(i), r.nbs.utilities.u(i)
-                assert nbs_u >= ne_u - 1e-12 * abs(ne_u)
+        for i in (1, 2):
+            ne_u, nbs_u = r.ne_u.u(i), r.nbs_u.u(i)
+            assert nbs_u >= ne_u - 1e-12 * abs(ne_u)
         if r.strictly_concave:
             assert r.gain_sw_pct >= -1e-9
 
@@ -203,17 +206,17 @@ def _assert_sweep_matches_loop(scenario, grid) -> tuple:
             ctx = make_context(scenario, r.relay)
             nbs = exact_nbs(ctx)
             eig = eigenvalues(hessian(nbs.allocation, ctx))
-            assert (ctx.ne_alloc, ctx.threat, nbs.allocation, nbs.utilities, nbs.diagnostics) == (
-                r.ne.allocation, r.ne.utilities, r.nbs.allocation, r.nbs.utilities,
-                r.nbs.diagnostics), r.relay
+            assert (ctx.ne_alloc, ctx.threat, nbs.allocation, nbs.utilities,
+                    NO_BARGAIN_NOTE not in nbs.diagnostics) == (
+                r.ne, r.ne_u, r.nbs, r.nbs_u, r.bargain), r.relay
             assert _bits([eig.lambda1, eig.lambda2]) == _bits([r.lambda1, r.lambda2]), r.relay
-        assert _bits([r.ne.allocation.w1, r.ne.allocation.w2]) == _bits(ref["ne"]), r.relay
-        assert _bits([r.ne.utilities.u1, r.ne.utilities.u2]) == _bits(ref["ne_u"]), r.relay
-        assert (NO_BARGAIN_NOTE not in r.nbs.diagnostics) == ref["bargain"], r.relay
+        assert _bits([r.ne.w1, r.ne.w2]) == _bits(ref["ne"]), r.relay
+        assert _bits([r.ne_u.u1, r.ne_u.u2]) == _bits(ref["ne_u"]), r.relay
+        assert r.bargain == ref["bargain"], r.relay
         bargains += ref["bargain"]
-        nbs = [r.nbs.allocation.w1, r.nbs.allocation.w2]
+        nbs = [r.nbs.w1, r.nbs.w2]
         if _bits(nbs) == _bits(ref["nbs"]):
-            got = [r.nbs.utilities.u1, r.nbs.utilities.u2, r.gain_bw_u1_pct,
+            got = [r.nbs_u.u1, r.nbs_u.u2, r.gain_bw_u1_pct,
                    r.gain_bw_u2_pct, r.gain_bw_total_pct, r.gain_sw_pct,
                    r.lambda1, r.lambda2]
             assert _bits(got) == _bits([*ref["nbs_u"], *ref["gains"], *ref["lambdas"]]), r.relay
