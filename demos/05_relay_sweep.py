@@ -7,16 +7,18 @@ strictly concave. Finer maps come from the CLI:
     bandgame sweep --scenario <file> --step 25 --out sweep.csv
 """
 
+import numpy as np
+
 from bandgame import SweepGrid, sweep
 from bandgame.cli import load_paper_scenario
 
 scenario = load_paper_scenario()
 grid = SweepGrid(step=100.0)
-records = sweep(scenario, grid)
+records = sweep(scenario, grid)  # one record whose fields are arrays over the grid
 
-xs = sorted({r.relay.x for r in records})
-ys = sorted({r.relay.y for r in records})
-by_pos = {(r.relay.x, r.relay.y): r for r in records}
+xs = sorted(set(records.xr.tolist()))
+ys = sorted(set(records.yr.tolist()))
+index = {xy: k for k, xy in enumerate(zip(records.xr.tolist(), records.yr.tolist()))}
 
 
 def print_map(title, cell):
@@ -25,20 +27,20 @@ def print_map(title, cell):
     for y in reversed(ys):
         row = []
         for x in xs:
-            r = by_pos[(x, y)]
-            row.append("  --   " if r.failure else cell(r))
+            k = index[(x, y)]
+            row.append("  --   " if records.failure[k] else cell(k))
         print(f"y={y:<4.0f}" + "".join(row))
     print()
 
 
 print_map("total bandwidth gain of bargaining over equilibrium (%):",
-          lambda r: f"{r.gain_bw_total_pct:6.1f} ")
-print_map("welfare gain (%):", lambda r: f"{r.gain_sw_pct:6.1f} ")
+          lambda k: f"{records.gain_bw_total_pct[k]:6.1f} ")
+print_map("welfare gain (%):", lambda k: f"{records.gain_sw_pct[k]:6.1f} ")
 print_map("strictly concave product at the solution:",
-          lambda r: "   *   " if r.strictly_concave else "   .   ")
+          lambda k: "   *   " if records.strictly_concave[k] else "   .   ")
 
-clean = [r for r in records if r.failure is None]
-best = max(clean, key=lambda r: r.gain_sw_pct)
-print(f"best placement of this sweep by welfare: ({best.relay.x:.0f}, {best.relay.y:.0f}) "
-      f"with {best.gain_sw_pct:.1f}% more welfare and "
-      f"{best.gain_bw_total_pct:.1f}% less band")
+clean = np.flatnonzero(np.equal(records.failure, None))
+best = clean[np.argmax(records.gain_sw_pct[clean])]
+print(f"best placement of this sweep by welfare: ({records.xr[best]:.0f}, {records.yr[best]:.0f}) "
+      f"with {records.gain_sw_pct[best]:.1f}% more welfare and "
+      f"{records.gain_bw_total_pct[best]:.1f}% less band")

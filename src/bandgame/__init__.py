@@ -10,7 +10,8 @@ the tests' reference), certifies local strict concavity of the bargaining
 objective through 2x2 eigenvalues, builds the sampled utility region with its
 Pareto boundary and time-sharing hull, and sweeps relay positions into
 bandwidth-gain, welfare-gain and concavity maps through one array pipeline
-over all positions, whose single-position calls are the scalar API.
+over all positions, whose single-position calls are the scalar API. A sweep
+is one record whose fields are arrays over the positions.
 """
 
 from .bargaining import (CgState, EigenPair, Hessian2x2, NashProductContext,
@@ -19,7 +20,7 @@ from .bargaining import (CgState, EigenPair, Hessian2x2, NashProductContext,
                          grid_oracle_nbs, hessian, is_strictly_concave_at,
                          make_context, max_nash_product_on_pareto,
                          nash_product, nash_product_gradient,
-                         sample_utility_region, utility_grids)
+                         sample_utility_region)
 from .experiments import (SweepGrid, SweepRecord, bandwidth_gain,
                           concavity_map, social_welfare_gain, sweep)
 from .game import (BandAllocation, ConvergenceError, EquilibriumReport,
@@ -43,5 +44,5 @@ __all__ = [
     "marginal_terms", "max_nash_product_on_pareto", "nash_equilibrium",
     "nash_product", "nash_product_gradient", "sample_utility_region",
     "snr_direct", "snr_relayed", "social_welfare_gain", "sweep", "utility",
-    "utility_grids", "utility_pair", "utility_partial",
+    "utility_pair", "utility_partial",
 ]

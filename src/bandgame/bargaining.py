@@ -28,8 +28,7 @@ import numpy as np
 
 from .game import (BandAllocation, ConvergenceError, EquilibriumReport,
                    MarginalTerms, UtilityPair, marginal_terms_batch,
-                   nash_equilibrium_batch, utility_pair, utility_partial,
-                   utility_value)
+                   nash_equilibrium_batch, utility_pair, utility_partial)
 from .system_model import Point, Scenario, as_batch, link_budget_batch, select
 
 
@@ -551,13 +550,6 @@ def _quartic_roots(q: np.ndarray) -> np.ndarray:
     return roots
 
 
-def utility_grids(W1, W2, terms: MarginalTerms, scenario: Scenario):
-    """Vectorized utilities of both players on allocation grids W1, W2."""
-    u1 = utility_value(terms.phi1, terms.psi1, W1, W2, scenario.omega, scenario.b)
-    u2 = utility_value(terms.phi2, terms.psi2, W2, W1, scenario.omega, scenario.b)
-    return u1, u2
-
-
 def grid_oracle_nbs(ctx: NashProductContext, resolution: int = 401,
                     utility_scale=(1.0, 1.0)) -> EquilibriumReport:
     """Brute-force Nash product argmax on a uniform allocation grid.
@@ -577,9 +569,9 @@ def grid_oracle_nbs(ctx: NashProductContext, resolution: int = 401,
     omega = ctx.scenario.omega
     axis = np.linspace(0.0, omega, resolution)
     W1, W2 = np.meshgrid(axis, axis, indexing="ij")
-    U1, U2 = utility_grids(W1, W2, ctx.terms, ctx.scenario)
-    F1 = k1 * U1 - k1 * ctx.threat.u1
-    F2 = k2 * U2 - k2 * ctx.threat.u2
+    U = utility_pair(BandAllocation(W1, W2), ctx.terms, ctx.scenario)
+    F1 = k1 * U.u1 - k1 * ctx.threat.u1
+    F2 = k2 * U.u2 - k2 * ctx.threat.u2
     qualifying = (F1 >= 0.0) & (F2 >= 0.0)
     n_points = resolution * resolution
     if not bool(qualifying.any()):
@@ -601,14 +593,14 @@ def grid_oracle_nbs(ctx: NashProductContext, resolution: int = 401,
         # (a whole edge of the region scores zero); bargaining then requires
         # the Pareto-efficient representative, so prefer the larger utility
         # sum, then the lowest index for determinism.
-        sums = U1.reshape(-1)[ties] + U2.reshape(-1)[ties]
+        sums = U.u1.reshape(-1)[ties] + U.u2.reshape(-1)[ties]
         idx = int(ties[int(np.argmax(sums))])
     else:
         idx = int(ties[0])
     alloc = BandAllocation(float(W1.flat[idx]), float(W2.flat[idx]))
     return EquilibriumReport(
         allocation=alloc,
-        utilities=UtilityPair(float(U1.flat[idx]), float(U2.flat[idx])),
+        utilities=UtilityPair(float(U.u1.flat[idx]), float(U.u2.flat[idx])),
         kind="NBS",
         iterations=n_points,
         residual=0.0,
@@ -753,9 +745,9 @@ def sample_utility_region(ctx: NashProductContext, resolution: int = 201) -> Reg
     omega = ctx.scenario.omega
     axis = np.linspace(0.0, omega, resolution)
     W1, W2 = np.meshgrid(axis, axis, indexing="ij")
-    U1, U2 = utility_grids(W1, W2, ctx.terms, ctx.scenario)
+    U = utility_pair(BandAllocation(W1, W2), ctx.terms, ctx.scenario)
     allocations = np.column_stack([W1.ravel(), W2.ravel()])
-    utilities = np.column_stack([U1.ravel(), U2.ravel()])
+    utilities = np.column_stack([U.u1.ravel(), U.u2.ravel()])
     hull = convex_hull_indices(utilities)
     return RegionSample(
         allocations=allocations,

@@ -8,10 +8,10 @@ reproducible byte for byte.
 """
 
 import argparse
+import math
 import os
 import sys
 from importlib.resources import files as _pkg_files
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -59,7 +59,10 @@ def _parse_point(key: str, text: str) -> Point:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 2:
         raise ScenarioFormatError(f"key {key!r}: expected 'x, y', got {text!r}")
-    return Point(_parse_number(key, parts[0]), _parse_number(key, parts[1]))
+    x, y = _parse_number(key, parts[0]), _parse_number(key, parts[1])
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ScenarioFormatError(f"key {key!r}: coordinates must be finite, got {text!r}")
+    return Point(x, y)
 
 
 def parse_scenario(path) -> Scenario:
@@ -91,7 +94,7 @@ def parse_scenario(path) -> Scenario:
         kwargs[key] = _parse_number(key, raw[key])
     for key in _INT_KEYS:
         value = _parse_number(key, raw[key])
-        if value != int(value):
+        if not math.isfinite(value) or value != int(value):
             raise ScenarioFormatError(f"key {key!r}: expected an integer, got {raw[key]!r}")
         kwargs[key] = int(value)
     for key in _OPTIONAL_KEYS:
@@ -140,35 +143,32 @@ def _fmt(value) -> str:
     return f"{value:.17e}"
 
 
-def _csv(header: str, row: str, blocks) -> str:
-    """``header`` and one line per row. Each block is the flat list of the
-    cells of whole rows, formatted by one ``%`` with ``row`` repeated; the
-    cells of ``%.17e`` are the text of :func:`_fmt`."""
-    width = row.count("%")
+def _csv(header: str, row: str, columns) -> str:
+    """``header`` and one line per entry of the equal-length ``columns``,
+    formatted by ``row``: one ``%`` per block of ``_CSV_BLOCK_ROWS`` rows,
+    with ``row`` repeated. The cells of ``%.17e`` are the text of
+    :func:`_fmt`."""
     parts = [header]
-    for cells in blocks:
-        parts.append("\n".join([row] * (len(cells) // width)) % tuple(cells))
+    for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+        cells = np.column_stack([c[start:start + _CSV_BLOCK_ROWS] for c in columns]).ravel()
+        parts.append("\n".join([row] * (len(cells) // len(columns))) % tuple(cells.tolist()))
     parts.append("")  # ends the last row without another copy of the text
     return "\n".join(parts)
 
 
-def _record_blocks(records, cells):
-    """Flat cell lists of blocks of ``_CSV_BLOCK_ROWS`` records."""
-    records = list(records)
-    for start in range(0, len(records), _CSV_BLOCK_ROWS):
-        yield list(chain.from_iterable(map(cells, records[start:start + _CSV_BLOCK_ROWS])))
-
-
-def _sweep_cells(r) -> tuple:
-    return (r.relay.x, r.relay.y, r.ne.w1, r.ne.w2, r.nbs.w1, r.nbs.w2,
-            r.ne_u.u1, r.ne_u.u2, r.nbs_u.u1, r.nbs_u.u2,
-            r.gain_bw_u1_pct, r.gain_bw_u2_pct, r.gain_bw_total_pct,
-            r.gain_sw_pct, r.lambda1, r.lambda2,
-            _WORDS[r.strictly_concave], _WORDS[r.failure is None])
+def _words(flags) -> np.ndarray:
+    """``true``/``false`` text of a boolean array, as an object array."""
+    return np.array(_WORDS, dtype=object)[np.asarray(flags, dtype=np.intp)]
 
 
 def sweep_csv(records) -> str:
-    return _csv(SWEEP_HEADER, _SWEEP_ROW, _record_blocks(records, _sweep_cells))
+    r = records
+    return _csv(SWEEP_HEADER, _SWEEP_ROW, [
+        r.xr, r.yr, r.ne.w1, r.ne.w2, r.nbs.w1, r.nbs.w2,
+        r.ne_u.u1, r.ne_u.u2, r.nbs_u.u1, r.nbs_u.u2,
+        r.gain_bw_u1_pct, r.gain_bw_u2_pct, r.gain_bw_total_pct,
+        r.gain_sw_pct, r.lambda1, r.lambda2,
+        _words(r.strictly_concave), _words(np.equal(r.failure, None))])
 
 
 def region_csv(sample) -> str:
@@ -181,22 +181,17 @@ def region_csv(sample) -> str:
         text = np.array([_fmt(v) for v in bits.view(np.float64).tolist()], dtype=object)
         columns.append(text[inverse])
     columns.extend(sample.utilities.T)
-    words = np.array(_WORDS, dtype=object)
     for indices in (sample.hull_indices, sample.pareto_indices):
-        flag = np.zeros(len(sample.utilities), dtype=np.intp)
-        flag[indices] = 1
-        columns.append(words[flag])
-    blocks = (np.column_stack([c[start:start + _CSV_BLOCK_ROWS] for c in columns]).ravel().tolist()
-              for start in range(0, len(sample.utilities), _CSV_BLOCK_ROWS))
-    return _csv(REGION_HEADER, _REGION_ROW, blocks)
-
-
-def _concavity_cells(r) -> tuple:
-    return (r.relay.x, r.relay.y, r.lambda1, r.lambda2, _WORDS[r.strictly_concave])
+        flag = np.zeros(len(sample.utilities), dtype=bool)
+        flag[indices] = True
+        columns.append(_words(flag))
+    return _csv(REGION_HEADER, _REGION_ROW, columns)
 
 
 def concavity_csv(records) -> str:
-    return _csv(CONCAVITY_HEADER, _CONCAVITY_ROW, _record_blocks(records, _concavity_cells))
+    r = records
+    return _csv(CONCAVITY_HEADER, _CONCAVITY_ROW,
+                [r.xr, r.yr, r.lambda1, r.lambda2, _words(r.strictly_concave)])
 
 
 def _out_path(name: str) -> Path:
@@ -284,8 +279,8 @@ def _cmd_sweep(args) -> int:
     records = sweep(scenario, grid)
     path = _out_path(args.out)
     path.write_text(sweep_csv(records))
-    failures = sum(1 for r in records if r.failure is not None)
-    print(f"wrote {path} ({len(records)} positions, {failures} failed)")
+    failures = np.count_nonzero(np.not_equal(records.failure, None))
+    print(f"wrote {path} ({len(records.xr)} positions, {failures} failed)")
     return 0
 
 
@@ -295,8 +290,8 @@ def _cmd_concavity(args) -> int:
     records = concavity_map(scenario, grid)
     path = _out_path(args.out)
     path.write_text(concavity_csv(records))
-    concave = sum(1 for r in records if r.strictly_concave)
-    print(f"wrote {path} ({len(records)} positions, {concave} strictly concave)")
+    concave = np.count_nonzero(records.strictly_concave)
+    print(f"wrote {path} ({len(records.xr)} positions, {concave} strictly concave)")
     return 0
 
 

@@ -2,8 +2,9 @@
 
 ``sweep`` is one pass of array functions over all grid positions: bargaining
 contexts (link budget, marginal terms, closed-form NE), exact bargaining
-solutions, gains, and the Nash product eigenvalues at the reported NBS. The
-single-position API (``make_context``, ``exact_nbs``, ...) is the same
+solutions, gains, and the Nash product eigenvalues at the reported NBS. It
+returns one :class:`SweepRecord` whose fields are arrays over the positions.
+The single-position API (``make_context``, ``exact_nbs``, ...) is the same
 functions called with one position. The concavity map is read from the sweep.
 """
 
@@ -15,7 +16,7 @@ import numpy as np
 from .bargaining import (eigenvalues_batch, exact_nbs_batch, hessian,
                          make_context_batch)
 from .game import BandAllocation, UtilityPair, utility_pair
-from .system_model import Point, Scenario, as_batch
+from .system_model import Point, Scenario
 
 
 @dataclass(frozen=True)
@@ -56,63 +57,61 @@ class SweepGrid:
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """Everything computed at one relay position.
+    """Everything computed at the relay positions of a sweep, as arrays over
+    the positions in the order of :meth:`SweepGrid.positions`;
+    ``system_model.select(records, k)`` gives position k's record with
+    floats.
 
-    ``bargain`` tells whether some allocation improves both utilities on the
-    equilibrium; without one the NBS is the equilibrium itself. Failed
-    positions (degenerate geometry, solver breakdown) carry the failure
-    message, NaN allocations, utilities and eigenvalues, False flags and, by
-    convention, zero gains.
+    ``xr``, ``yr`` are the relay coordinates. ``bargain`` tells whether some
+    allocation improves both utilities on the equilibrium; without one the
+    NBS is the equilibrium itself. ``failure`` holds None, or for a failed
+    position (degenerate geometry, solver breakdown) the failure message;
+    such a position has NaN allocations, utilities and eigenvalues, False
+    flags and, by convention, zero gains.
     """
 
-    relay: Point
+    xr: np.ndarray
+    yr: np.ndarray
     ne: BandAllocation
     ne_u: UtilityPair
     nbs: BandAllocation
     nbs_u: UtilityPair
-    bargain: bool
-    gain_bw_u1_pct: float
-    gain_bw_u2_pct: float
-    gain_bw_total_pct: float
-    gain_sw_pct: float
-    lambda1: float
-    lambda2: float
-    strictly_concave: bool
-    failure: str | None = None
+    bargain: np.ndarray
+    gain_bw_u1_pct: np.ndarray
+    gain_bw_u2_pct: np.ndarray
+    gain_bw_total_pct: np.ndarray
+    gain_sw_pct: np.ndarray
+    lambda1: np.ndarray
+    lambda2: np.ndarray
+    strictly_concave: np.ndarray
+    failure: np.ndarray
 
 
-def bandwidth_gain(ne_w: float, nbs_w: float) -> float:
-    """Relative band saving of bargaining over the equilibrium, in percent.
+def bandwidth_gain(ne_w, nbs_w):
+    """Relative band saving of bargaining over the equilibrium, in percent;
+    elementwise over arrays.
 
     Zero by convention when the equilibrium already rents no band (both
     solutions skip the relay there).
     """
-    return float(bandwidth_gain_batch(np.array([ne_w]), np.array([nbs_w]))[0])
-
-
-def bandwidth_gain_batch(ne_w: np.ndarray, nbs_w: np.ndarray) -> np.ndarray:
-    """:func:`bandwidth_gain` of every entry of two arrays of band widths."""
+    ne_w = np.asarray(ne_w, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(ne_w == 0.0, 0.0, 100.0 * (ne_w - nbs_w) / ne_w)
+        return np.where(ne_w == 0.0, 0.0, 100.0 * (ne_w - nbs_w) / ne_w)[()]
 
 
-def social_welfare_gain(ne_u: UtilityPair, nbs_u: UtilityPair) -> float:
-    """Relative change of the utility sum, in percent.
+def social_welfare_gain(ne_u: UtilityPair, nbs_u: UtilityPair):
+    """Relative change of the utility sum, in percent; elementwise over
+    utility pairs whose fields are arrays.
 
     Returns NaN (undefined-gain marker) when the equilibrium welfare is not
     positive, where a ratio would be meaningless.
     """
-    return float(social_welfare_gain_batch(as_batch(ne_u), as_batch(nbs_u))[0])
-
-
-def social_welfare_gain_batch(ne_u: UtilityPair, nbs_u: UtilityPair) -> np.ndarray:
-    """:func:`social_welfare_gain` of utility pairs whose fields are arrays."""
-    ne_sum = ne_u.total()
+    ne_sum = np.asarray(ne_u.total(), dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(ne_sum <= 0.0, math.nan, 100.0 * (nbs_u.total() - ne_sum) / ne_sum)
+        return np.where(ne_sum <= 0.0, math.nan, 100.0 * (nbs_u.total() - ne_sum) / ne_sum)[()]
 
 
-def sweep(scenario: Scenario, grid: SweepGrid) -> list:
+def sweep(scenario: Scenario, grid: SweepGrid) -> SweepRecord:
     """Solve NE and NBS at every relay position of the grid.
 
     Per position: bargaining context with the closed-form NE, the exact
@@ -127,32 +126,34 @@ def sweep(scenario: Scenario, grid: SweepGrid) -> list:
     nbs, bargain = exact_nbs_batch(ctx.terms, ne, scenario)
     nbs_u = utility_pair(nbs, ctx.terms, scenario)
     eig = eigenvalues_batch(hessian(nbs, ctx))
-    solved = (ne.w1, ne.w2, ne_u.u1, ne_u.u2, nbs.w1, nbs.w2, nbs_u.u1, nbs_u.u2, bargain,
-              bandwidth_gain_batch(ne.w1, nbs.w1), bandwidth_gain_batch(ne.w2, nbs.w2),
-              bandwidth_gain_batch(ne.w1 + ne.w2, nbs.w1 + nbs.w2),
-              social_welfare_gain_batch(ne_u, nbs_u), eig.lambda1, eig.lambda2)
-    # What a failed position holds in each column.
-    unsolved = (math.nan,) * 8 + (False,) + (0.0,) * 4 + (math.nan,) * 2
     ok = np.array([f is None for f in failures], dtype=bool)
-    columns = []
-    for column, fill in zip(solved, unsolved):
-        full = np.full(len(relays), fill, dtype=column.dtype)
-        full[ok] = column
-        columns.append(full.tolist())
-    return [SweepRecord(
-        relay=relay, ne=BandAllocation(w1, w2), ne_u=UtilityPair(u1, u2),
-        nbs=BandAllocation(b1, b2), nbs_u=UtilityPair(v1, v2), bargain=bargained,
-        gain_bw_u1_pct=g1, gain_bw_u2_pct=g2, gain_bw_total_pct=gt, gain_sw_pct=gs,
-        lambda1=l1, lambda2=l2, strictly_concave=l2 < 0.0,
-        failure=None if failure is None else str(failure))
-        for (relay, failure, w1, w2, u1, u2, b1, b2, v1, v2, bargained, g1, g2, gt, gs, l1, l2)
-        in zip(relays, failures, *columns)]
+
+    def full(column, fill=math.nan):
+        """``column`` at the solved positions, ``fill`` at the failed ones."""
+        out = np.full(len(relays), fill, dtype=column.dtype)
+        out[ok] = column
+        return out
+
+    lambda2 = full(eig.lambda2)
+    return SweepRecord(
+        xr=np.array([p.x for p in relays]), yr=np.array([p.y for p in relays]),
+        ne=BandAllocation(full(ne.w1), full(ne.w2)),
+        ne_u=UtilityPair(full(ne_u.u1), full(ne_u.u2)),
+        nbs=BandAllocation(full(nbs.w1), full(nbs.w2)),
+        nbs_u=UtilityPair(full(nbs_u.u1), full(nbs_u.u2)),
+        bargain=full(bargain, False),
+        gain_bw_u1_pct=full(bandwidth_gain(ne.w1, nbs.w1), 0.0),
+        gain_bw_u2_pct=full(bandwidth_gain(ne.w2, nbs.w2), 0.0),
+        gain_bw_total_pct=full(bandwidth_gain(ne.w1 + ne.w2, nbs.w1 + nbs.w2), 0.0),
+        gain_sw_pct=full(social_welfare_gain(ne_u, nbs_u), 0.0),
+        lambda1=full(eig.lambda1), lambda2=lambda2, strictly_concave=lambda2 < 0.0,
+        failure=np.array([None if f is None else str(f) for f in failures], dtype=object))
 
 
-def concavity_map(scenario: Scenario, grid: SweepGrid) -> list:
+def concavity_map(scenario: Scenario, grid: SweepGrid) -> SweepRecord:
     """Concavity certificate of the Nash product across relay positions.
 
-    Returns the sweep's records: ``lambda1``, ``lambda2`` and
+    Returns the sweep's record: ``lambda1``, ``lambda2`` and
     ``strictly_concave`` are the Hessian eigenvalues at the reported NBS of
     each position, so the map agrees with a sweep over the same grid.
     Failures carry NaN eigenvalues and a False flag.

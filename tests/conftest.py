@@ -3,6 +3,7 @@ import pytest
 
 from bandgame import Point, Scenario
 from bandgame.cli import load_paper_scenario
+from bandgame.system_model import select
 
 RELAY_450 = Point(450.0, 450.0)
 
@@ -10,6 +11,11 @@ RELAY_450 = Point(450.0, 450.0)
 @pytest.fixture(scope="session")
 def paper():
     return load_paper_scenario()
+
+
+def rows(records):
+    """The record of each position of a sweep, with floats."""
+    return [select(records, k) for k in range(len(records.xr))]
 
 
 def random_scenario(rng):

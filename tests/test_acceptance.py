@@ -17,7 +17,7 @@ from bandgame import (BandAllocation, Point, SweepGrid, cg_nbs,
                       best_response_iteration, sample_utility_region, sweep,
                       utility_pair)
 from bandgame.game import MarginalTerms, utility_value
-from conftest import RELAY_450, random_relay, random_scenario
+from conftest import RELAY_450, random_relay, random_scenario, rows
 
 WINDOW = (400.0, 550.0)
 
@@ -29,7 +29,7 @@ def _report(name: str, ok: bool, detail: str):
 
 @pytest.fixture(scope="session")
 def sweep_25m(paper):
-    return sweep(paper, SweepGrid(step=25.0))
+    return rows(sweep(paper, SweepGrid(step=25.0)))
 
 
 @pytest.fixture(scope="session")
@@ -73,8 +73,8 @@ def _criterion4_sites(n_scenarios=10, n_points=10):
 def test_criterion_1_gain_windows(sweep_25m):
     clean = [r for r in sweep_25m if r.failure is None]
     window = [r for r in clean
-              if WINDOW[0] <= r.relay.x <= WINDOW[1]
-              and WINDOW[0] <= r.relay.y <= WINDOW[1]]
+              if WINDOW[0] <= r.xr <= WINDOW[1]
+              and WINDOW[0] <= r.yr <= WINDOW[1]]
     max_bw = max(r.gain_bw_total_pct for r in window)
     max_sw = max(r.gain_sw_pct for r in window)
     detail = (f"max total-bandwidth gain {max_bw:.2f}% in [15,30], "
@@ -85,11 +85,11 @@ def test_criterion_1_gain_windows(sweep_25m):
 
 
 def test_criterion_2_concavity_region(paper):
-    records = concavity_map(paper, SweepGrid(step=50.0))
+    records = rows(concavity_map(paper, SweepGrid(step=50.0)))
     concave = [r for r in records if r.strictly_concave]
     in_window = [r for r in concave
-                 if WINDOW[0] <= r.relay.x <= WINDOW[1]
-                 and WINDOW[0] <= r.relay.y <= WINDOW[1]]
+                 if WINDOW[0] <= r.xr <= WINDOW[1]
+                 and WINDOW[0] <= r.yr <= WINDOW[1]]
     detail = (f"{len(concave)} strictly concave positions, "
               f"{len(in_window)} inside [400,550]^2")
     _report("criterion-2 concavity-region", len(concave) > 0 and len(in_window) > 0, detail)
@@ -218,7 +218,7 @@ def test_criterion_6_invariant_suite(paper, sweep_25m, ctx450):
     for r in sweep_25m:
         if r.failure is not None:
             continue
-        ctx = make_context(paper, r.relay)
+        ctx = make_context(paper, Point(r.xr, r.yr))
         eig = eigenvalues(hessian(r.nbs, ctx))
         assert eig.delta >= 0.0
         assert math.isfinite(eig.lambda1) and math.isfinite(eig.lambda2)

@@ -11,7 +11,7 @@ from bandgame import (BandAllocation, EigenPair, Hessian2x2, MarginalTerms,
                       max_nash_product_on_pareto, nash_equilibrium,
                       nash_product, nash_product_gradient,
                       sample_utility_region, sweep, utility_pair)
-from conftest import RELAY_450, random_relay, random_scenario
+from conftest import RELAY_450, random_relay, random_scenario, rows
 from test_acceptance import _criterion3_sites
 
 PI_QUARTER = 128468211184.22597  # 50-digit value at alloc (omega/4, omega/4)
@@ -351,17 +351,17 @@ def test_exact_nbs_tiny_price(paper):
 
     for b in (1e-89, 1e-86, 1e-84):
         scenario = replace(paper, b=b)
-        records = [r for r in sweep(scenario, SweepGrid(step=100.0)) if r.failure is None]
+        records = [r for r in rows(sweep(scenario, SweepGrid(step=100.0))) if r.failure is None]
         assert len(records) == 63  # all but the relay on source_1
         for r in records:
-            check(make_context(scenario, r.relay), r.nbs)
+            check(make_context(scenario, Point(r.xr, r.yr)), r.nbs)
     for exponent in np.arange(-86.0, -82.4, 0.5):
         ctx = make_context(replace(paper, b=10.0 ** exponent), RELAY_450)
         check(ctx, exact_nbs(ctx).allocation)
 
 
 def test_exact_sweep_reports_missed_bargains(paper):
-    records = {(r.relay.x, r.relay.y): r for r in sweep(paper, SweepGrid(step=25.0))}
+    records = {(r.xr, r.yr): r for r in rows(sweep(paper, SweepGrid(step=25.0)))}
     for xy in MISSED_BARGAINS:
         r = records[xy]
         for i in (1, 2):

@@ -11,7 +11,7 @@ from bandgame.cli import (CONCAVITY_HEADER, REGION_HEADER, SWEEP_HEADER,
                           format_scenario, main, paper_scenario_path,
                           parse_scenario, region_csv, sweep_csv,
                           write_scenario)
-from conftest import RELAY_450, random_relay, random_scenario
+from conftest import RELAY_450, random_relay, random_scenario, rows
 
 
 @pytest.fixture()
@@ -61,6 +61,12 @@ def test_parse_diagnostics(tmp_path, paper):
         (base + "p1 = 0.2\n", "duplicate"),
         (base.replace("source_1 = 300.0, 300.0", "source_1 = 300.0"), "source_1"),
         (base.replace("M = 80", "M = 80.5"), "M"),
+        # Non-finite values fail at parse time too, naming the key.
+        (base.replace("M = 80", "M = 1e400"), "'M'"),
+        (base.replace("M = 80", "M = inf"), "'M'"),
+        (base.replace("M = 80", "M = nan"), "'M'"),
+        (base.replace("source_1 = 300.0, 300.0", "source_1 = inf, 0"), "'source_1'"),
+        (base.replace("source_1 = 300.0, 300.0", "source_1 = 300.0, nan"), "'source_1'"),
         (base + "just some text\n", "key = value"),
         (base.replace("pathloss_const = 0.097", "pathloss_const = -0.097"), "pathloss_const"),
         (base.replace("pathloss_exp = 4.0", "pathloss_exp = -2"), "pathloss_exp"),
@@ -172,7 +178,7 @@ def _reference_map_csvs(records):
     record: NaN allocations, utilities and eigenvalues, zero gains, false
     flags."""
     sweep_lines, concavity_lines = [SWEEP_HEADER], [CONCAVITY_HEADER]
-    for r in records:
+    for r in rows(records):
         if r.failure is None:
             cells = [r.ne.w1, r.ne.w2, r.nbs.w1, r.nbs.w2, r.ne_u.u1, r.ne_u.u2,
                      r.nbs_u.u1, r.nbs_u.u2, r.gain_bw_u1_pct, r.gain_bw_u2_pct,
@@ -180,7 +186,7 @@ def _reference_map_csvs(records):
                      r.strictly_concave, True]
         else:
             cells = [math.nan] * 8 + [0.0] * 4 + [math.nan] * 2 + [False, False]
-        relay = [r.relay.x, r.relay.y]
+        relay = [r.xr, r.yr]
         sweep_lines.append(",".join(_fmt(c) for c in relay + cells))
         concavity_lines.append(",".join(_fmt(c) for c in relay + cells[12:15]))
     return "\n".join(sweep_lines) + "\n", "\n".join(concavity_lines) + "\n"
@@ -190,12 +196,28 @@ def test_sweep_csv_matches_per_cell_format(paper):
     # The 100 m grid holds the relay on source_1, (300, 300): a failed row.
     for scenario in (paper, replace(paper, b=0.0)):
         records = sweep(scenario, SweepGrid(step=100.0))
-        assert any(r.failure is not None for r in records)
-        assert any(r.bargain for r in records) == (scenario.b > 0.0)
+        assert any(r.failure is not None for r in rows(records))
+        assert any(r.bargain for r in rows(records)) == (scenario.b > 0.0)
         want_sweep, want_concavity = _reference_map_csvs(records)
         # Compared row by row, so that a failure names the first bad row.
         assert sweep_csv(records).split("\n") == want_sweep.split("\n")
         assert concavity_csv(records).split("\n") == want_concavity.split("\n")
+
+
+def test_cli_map_summary_lines(paper, paper_path, tmp_path, capsys):
+    # The 100 m grid holds the relay on source_1, (300, 300): a failed row.
+    records = rows(sweep(paper, SweepGrid(step=100.0)))
+    assert sum(r.failure is not None for r in records) == 1
+    concave = sum(r.strictly_concave for r in records)
+    out_file = tmp_path / "sweep.csv"
+    assert main(["sweep", "--scenario", paper_path, "--step", "100",
+                 "--out", str(out_file)]) == 0
+    assert capsys.readouterr().out == f"wrote {out_file} ({len(records)} positions, 1 failed)\n"
+    out_file = tmp_path / "concavity.csv"
+    assert main(["concavity-map", "--scenario", paper_path, "--step", "100",
+                 "--out", str(out_file)]) == 0
+    assert capsys.readouterr().out == (
+        f"wrote {out_file} ({len(records)} positions, {concave} strictly concave)\n")
 
 
 def test_cli_sweep_corner_grid(paper_path, tmp_path):

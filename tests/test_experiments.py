@@ -14,7 +14,7 @@ from bandgame import (BandAllocation, MarginalTerms, Point, SweepGrid,
 from bandgame.bargaining import NO_BARGAIN_NOTE
 from bandgame.cli import sweep_csv
 from bandgame.game import nash_equilibrium_batch
-from conftest import RELAY_450, random_scenario
+from conftest import RELAY_450, random_scenario, rows
 
 
 def test_bandwidth_gain_values():
@@ -52,7 +52,7 @@ def single_position_grid(p: Point) -> SweepGrid:
 
 
 def test_sweep_single_position_composes(paper):
-    records = sweep(paper, single_position_grid(RELAY_450))
+    records = rows(sweep(paper, single_position_grid(RELAY_450)))
     assert len(records) == 1
     r = records[0]
     assert r.failure is None
@@ -78,7 +78,7 @@ def test_sweep_useless_relay(paper):
     # At 1e100 m, d**4 overflows: the relay links get the limit gain of zero.
     far = SweepGrid(step=1e100, x_min=1e100, x_max=1.5e100, y_min=0.0, y_max=0.5)
     for grid in (single_position_grid(Point(1e6, 1e6)), far):
-        records = sweep(paper, grid)
+        records = rows(sweep(paper, grid))
         assert len(records) == 1
         r = records[0]
         assert r.failure is None
@@ -95,7 +95,7 @@ def test_sweep_degenerate_position_recorded(paper):
     at_origin = replace(paper, source_1=Point(0.0, 0.0))
     for scenario, relay in ((paper, paper.source_1), (at_origin, Point(1e-90, 0.0)),
                             (at_origin, Point(1e-80, 0.0))):
-        records = sweep(scenario, single_position_grid(relay))
+        records = rows(sweep(scenario, single_position_grid(relay)))
         r = records[0]
         assert r.failure is not None
         assert not r.bargain
@@ -114,13 +114,13 @@ def test_sweep_deterministic(paper):
 
 
 def test_sweep_records_sorted_and_flagged(paper):
-    records = sweep(paper, SweepGrid(step=175.0))
-    pos = [(r.relay.x, r.relay.y) for r in records]
+    records = rows(sweep(paper, SweepGrid(step=175.0)))
+    pos = [(r.xr, r.yr) for r in records]
     assert pos == sorted(pos)
 
 
 def test_sweep_invariants(paper):
-    records = sweep(paper, SweepGrid(step=100.0))
+    records = rows(sweep(paper, SweepGrid(step=100.0)))
     for r in records:
         if r.failure is not None:
             continue
@@ -132,7 +132,7 @@ def test_sweep_invariants(paper):
 
 
 def test_concavity_map_composes(paper):
-    records = concavity_map(paper, single_position_grid(RELAY_450))
+    records = rows(concavity_map(paper, single_position_grid(RELAY_450)))
     assert len(records) == 1
     r = records[0]
     ctx = make_context(paper, RELAY_450)
@@ -143,11 +143,11 @@ def test_concavity_map_composes(paper):
 
 
 def test_concavity_map_agrees_with_sweep(paper):
-    conc = concavity_map(paper, SweepGrid(step=100.0))
-    fine = {(r.relay.x, r.relay.y): r for r in sweep(paper, SweepGrid(step=50.0))}
+    conc = rows(concavity_map(paper, SweepGrid(step=100.0)))
+    fine = {(r.xr, r.yr): r for r in rows(sweep(paper, SweepGrid(step=50.0)))}
     assert len(conc) == 64
     for r in conc:
-        s = fine[(r.relay.x, r.relay.y)]
+        s = fine[(r.xr, r.yr)]
         assert r.strictly_concave == s.strictly_concave
         if r.failure is None:
             assert (r.lambda1, r.lambda2) == (s.lambda1, s.lambda2)
@@ -160,7 +160,7 @@ def test_concavity_map_zero_pricing():
     rng = np.random.default_rng(31)
     scenario = replace(random_scenario(rng), b=0.0)
     grid = SweepGrid(step=350.0)
-    records = concavity_map(scenario, grid)
+    records = rows(concavity_map(scenario, grid))
     assert len(records) == 9
     clean = [r for r in records if r.failure is None]
     assert clean, "every position failed, nothing was actually checked"
@@ -169,7 +169,7 @@ def test_concavity_map_zero_pricing():
 
 
 def test_concavity_map_degenerate_position(paper):
-    records = concavity_map(paper, single_position_grid(paper.source_1))
+    records = rows(concavity_map(paper, single_position_grid(paper.source_1)))
     assert records[0].failure is not None
     assert math.isnan(records[0].lambda1)
     assert not records[0].strictly_concave
@@ -190,40 +190,40 @@ def _assert_sweep_matches_loop(scenario, grid) -> tuple:
     another order than ``np.convolve``; where it is bit-equal, so is every
     other value of the row. The concavity flag is always the same.
     """
-    records = sweep(scenario, grid)
-    assert [(r.relay.x, r.relay.y) for r in records] == [
-        (p.x, p.y) for p in grid.positions()]
+    records = rows(sweep(scenario, grid))
+    assert [(r.xr, r.yr) for r in records] == [(p.x, p.y) for p in grid.positions()]
     bargains = moved = 0
     for k, r in enumerate(records):
-        ref = loop_reference.position(scenario, r.relay)
+        relay = Point(r.xr, r.yr)
+        ref = loop_reference.position(scenario, relay)
         if isinstance(ref, str):
-            assert r.failure == ref, r.relay
+            assert r.failure == ref, relay
             with pytest.raises((ValueError, RuntimeError), match="^" + re.escape(ref) + "$"):
-                make_context(scenario, r.relay)
+                make_context(scenario, relay)
             continue
-        assert r.failure is None, r.relay
+        assert r.failure is None, relay
         if k % 5 == 0:  # the single-position API: the same functions with N = 1
-            ctx = make_context(scenario, r.relay)
+            ctx = make_context(scenario, relay)
             nbs = exact_nbs(ctx)
             eig = eigenvalues(hessian(nbs.allocation, ctx))
             assert (ctx.ne_alloc, ctx.threat, nbs.allocation, nbs.utilities,
                     NO_BARGAIN_NOTE not in nbs.diagnostics) == (
-                r.ne, r.ne_u, r.nbs, r.nbs_u, r.bargain), r.relay
-            assert _bits([eig.lambda1, eig.lambda2]) == _bits([r.lambda1, r.lambda2]), r.relay
-        assert _bits([r.ne.w1, r.ne.w2]) == _bits(ref["ne"]), r.relay
-        assert _bits([r.ne_u.u1, r.ne_u.u2]) == _bits(ref["ne_u"]), r.relay
-        assert r.bargain == ref["bargain"], r.relay
+                r.ne, r.ne_u, r.nbs, r.nbs_u, r.bargain), relay
+            assert _bits([eig.lambda1, eig.lambda2]) == _bits([r.lambda1, r.lambda2]), relay
+        assert _bits([r.ne.w1, r.ne.w2]) == _bits(ref["ne"]), relay
+        assert _bits([r.ne_u.u1, r.ne_u.u2]) == _bits(ref["ne_u"]), relay
+        assert r.bargain == ref["bargain"], relay
         bargains += ref["bargain"]
         nbs = [r.nbs.w1, r.nbs.w2]
         if _bits(nbs) == _bits(ref["nbs"]):
             got = [r.nbs_u.u1, r.nbs_u.u2, r.gain_bw_u1_pct,
                    r.gain_bw_u2_pct, r.gain_bw_total_pct, r.gain_sw_pct,
                    r.lambda1, r.lambda2]
-            assert _bits(got) == _bits([*ref["nbs_u"], *ref["gains"], *ref["lambdas"]]), r.relay
+            assert _bits(got) == _bits([*ref["nbs_u"], *ref["gains"], *ref["lambdas"]]), relay
         else:
             moved += 1
-            assert np.abs(np.subtract(nbs, ref["nbs"])).max() <= 1e-13 * scenario.omega, r.relay
-        assert r.strictly_concave == (ref["lambdas"][1] < 0.0), r.relay
+            assert np.abs(np.subtract(nbs, ref["nbs"])).max() <= 1e-13 * scenario.omega, relay
+        assert r.strictly_concave == (ref["lambdas"][1] < 0.0), relay
     return bargains, moved
 
 
