@@ -10,8 +10,10 @@ the tests' reference), certifies local strict concavity of the bargaining
 objective through 2x2 eigenvalues, builds the sampled utility region with its
 Pareto boundary and time-sharing hull, and sweeps relay positions into
 bandwidth-gain, welfare-gain and concavity maps through one array pipeline
-over all positions, whose single-position calls are the scalar API. A sweep
-is one record whose fields are arrays over the positions.
+over all positions, whose single-position calls are the scalar API. The
+positions enter as two coordinate arrays, and a sweep is one record whose
+fields are arrays over them; a failed position keeps its slot, with NaN
+values.
 """
 
 from .bargaining import (CgState, EigenPair, Hessian2x2, NashProductContext,

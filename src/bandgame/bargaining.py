@@ -15,10 +15,11 @@ boundary and time-sharing mixtures.
 
 Contexts, allocations, Hessians and eigenvalue pairs hold floats for one
 relay position, or equal-length arrays for a batch of positions (see
-:func:`make_context_batch`). The Nash product, its gradient and its Hessian
-are plain arithmetic and serve both; the bargaining solution and the
-eigenvalues are computed for a batch at once, and their scalar forms are the
-batch call with N = 1.
+:func:`make_context_batch`). The Nash product, its gradient, its Hessian and
+the eigenvalues take either; the bargaining solution is computed for a batch
+at once (:func:`exact_nbs_batch`), and :func:`exact_nbs` is its call with
+N = 1. A batch context keeps a failed position in its slot with a NaN
+equilibrium, and everything computed from it is NaN, or False for a flag.
 """
 
 import math
@@ -27,9 +28,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .game import (BandAllocation, ConvergenceError, EquilibriumReport,
-                   MarginalTerms, UtilityPair, marginal_terms_batch,
+                   MarginalTerms, UtilityPair, marginal_terms,
                    nash_equilibrium_batch, utility_pair, utility_partial)
-from .system_model import Point, Scenario, as_batch, link_budget_batch, select
+from .system_model import Point, Scenario, link_budget_batch, select
 
 
 @dataclass(frozen=True)
@@ -49,40 +50,38 @@ class NashProductContext:
 
 
 def make_context(scenario: Scenario, relay: Point) -> NashProductContext:
-    """Build the bargaining context for one relay position (computes the NE)."""
-    terms, ne, failures = _equilibria(scenario, [relay])
+    """Build the bargaining context for one relay position (computes the NE);
+    raises the error that leaves the position unsolvable."""
+    ctx, failures = make_context_batch(scenario, [relay.x], [relay.y])
     if failures[0] is not None:
         raise failures[0]
-    return NashProductContext(scenario=scenario, terms=select(terms, 0), ne_alloc=select(ne, 0))
+    return NashProductContext(scenario=scenario, terms=select(ctx.terms, 0),
+                              ne_alloc=select(ctx.ne_alloc, 0))
 
 
-def make_context_batch(scenario: Scenario, relays) -> tuple:
-    """Bargaining contexts at N relay positions: link budgets, marginal terms
-    and closed-form equilibria, each computed for all positions at once.
+def make_context_batch(scenario: Scenario, xr, yr) -> tuple:
+    """Bargaining contexts at the N relay positions with coordinates ``xr``,
+    ``yr``: link budgets, marginal terms and closed-form equilibria, each
+    computed for all positions at once.
 
-    Returns the context of the solvable positions, whose value fields are
-    arrays over them in the order of ``relays``, and a tuple with, for each
-    position, None or the error that leaves it unsolvable (a
-    DegenerateGeometryError from the link budget, or a ConvergenceError).
+    Returns the context, whose value fields are arrays over the positions,
+    and a tuple with, for each position, None or the error that leaves it
+    unsolvable (a DegenerateGeometryError from the link budget, or a
+    ConvergenceError). A failed position keeps its slot with a NaN
+    equilibrium, so everything computed from it is NaN as well.
     """
-    terms, ne, failures = _equilibria(scenario, relays)
-    if failures.count(None) < len(failures):
-        ok = np.array([f is None for f in failures], dtype=bool)
-        terms, ne = select(terms, ok), select(ne, ok)
-    return NashProductContext(scenario=scenario, terms=terms, ne_alloc=ne), failures
-
-
-def _equilibria(scenario: Scenario, relays) -> tuple:
-    """Marginal terms and equilibria at N relay positions, and the failure of
-    each position, as :func:`make_context_batch` describes."""
-    budget, failures = link_budget_batch(scenario, relays)
-    terms = marginal_terms_batch(budget, scenario)
+    budget, failures = link_budget_batch(scenario, xr, yr)
+    terms = marginal_terms(budget, scenario)
     ne = nash_equilibrium_batch(terms, scenario)
     unsolved = np.isnan(ne.w1)
     if unsolved.any():
         failures = tuple(f or (ConvergenceError("no KKT pattern validated; inconsistent inputs")
                                if bad else None) for f, bad in zip(failures, unsolved.tolist()))
-    return terms, ne, failures
+    if failures.count(None) < len(failures):
+        failed = np.not_equal(failures, None)
+        ne = BandAllocation(w1=np.where(failed, math.nan, ne.w1),
+                            w2=np.where(failed, math.nan, ne.w2))
+    return NashProductContext(scenario=scenario, terms=terms, ne_alloc=ne), failures
 
 
 def nash_product(alloc: BandAllocation, ctx: NashProductContext) -> float:
@@ -116,9 +115,6 @@ class Hessian2x2:
     a22: float
     a12: float
 
-    def trace(self) -> float:
-        return self.a11 + self.a22
-
 
 def hessian(alloc: BandAllocation, ctx: NashProductContext) -> Hessian2x2:
     """Analytic Hessian of the Nash product at ``alloc``; elementwise for a
@@ -151,28 +147,31 @@ class EigenPair:
 
 
 def eigenvalues(h: Hessian2x2) -> EigenPair:
-    """Closed-form eigenvalues via trace and discriminant.
+    """Closed-form eigenvalues via trace and discriminant, of one Hessian or
+    of a batch (fields are arrays).
 
     delta = (a11 - a22)**2 + 4*a12**2 is a sum of squares, hence the
-    eigenvalues are always real.
+    eigenvalues are always real. Each Hessian is first scaled by the power of
+    two that brings its largest entry into [0.5, 1): that is exact, and no
+    square overflows or underflows on the way.
     """
-    return select(eigenvalues_batch(as_batch(h)), 0)
-
-
-def eigenvalues_batch(h: Hessian2x2) -> EigenPair:
-    """:func:`eigenvalues` of a batch of Hessians (fields are arrays)."""
+    _, e = np.frexp(np.maximum(np.maximum(abs(h.a11), abs(h.a22)), abs(h.a12)))
+    a11, a22, a12 = np.ldexp(h.a11, -e), np.ldexp(h.a22, -e), np.ldexp(h.a12, -e)
     # Python's ``x ** 2`` (libm pow) and numpy's (a product) differ in the last
     # bit for about 1 input in 1,400; the square is taken with the former.
-    square = np.array([d ** 2 for d in (h.a11 - h.a22).tolist()])
-    delta = square + 4.0 * h.a12 * h.a12
+    d = a11 - a22
+    square = np.reshape([x ** 2 for x in np.ravel(d).tolist()], np.shape(d))
+    delta = square + 4.0 * a12 * a12
     root = np.sqrt(delta)
-    tr = h.trace()
-    return EigenPair(lambda1=(tr - root) / 2.0, lambda2=(tr + root) / 2.0, delta=delta)
+    tr = a11 + a22
+    with np.errstate(over="ignore"):  # a delta beyond the float range is inf
+        return EigenPair(lambda1=np.ldexp((tr - root) / 2.0, e),
+                         lambda2=np.ldexp((tr + root) / 2.0, e), delta=np.ldexp(delta, 2 * e))
 
 
 def is_strictly_concave_at(alloc: BandAllocation, ctx: NashProductContext) -> bool:
     """True iff the Nash product Hessian at ``alloc`` is negative definite."""
-    return eigenvalues(hessian(alloc, ctx)).lambda2 < 0.0
+    return bool(eigenvalues(hessian(alloc, ctx)).lambda2 < 0.0)
 
 
 @dataclass(frozen=True)
@@ -523,14 +522,16 @@ def exact_nbs_batch(terms: MarginalTerms, ne_alloc: BandAllocation,
 def _quartic_roots(q: np.ndarray) -> np.ndarray:
     """The four complex roots of each row of quartic coefficients ``q``
     (highest degree first), as ``np.roots`` finds them; NaN fills the slots
-    of a row of lower degree.
+    of a row of lower degree, and every slot of a row with a non-finite
+    coefficient (a failed position).
 
     Rows with non-zero end coefficients share one eigenvalue call on their
     stacked 4x4 companion matrices, the matrices ``np.roots`` builds. The
-    others go through ``np.roots``, which strips zero end coefficients,
-    after each leading coefficient whose companion row is not finite is
-    dropped: a subnormal one (a tiny price) stands for roots of magnitude
-    about 1e300 or more, far outside the band totals [0, 2] of interest.
+    other finite rows go through ``np.roots``, which strips zero end
+    coefficients, after each leading coefficient whose companion row is not
+    finite is dropped: a subnormal one (a tiny price) stands for roots of
+    magnitude about 1e300 or more, far outside the band totals [0, 2] of
+    interest.
     """
     top = -q[:, 1:] / q[:, :1]
     regular = (q[:, 0] != 0.0) & (q[:, 4] != 0.0) & np.isfinite(top).all(axis=1)
@@ -541,7 +542,7 @@ def _quartic_roots(q: np.ndarray) -> np.ndarray:
         return np.linalg.eigvals(companion)
     roots = np.full((len(q), 4), np.nan, dtype=complex)
     roots[regular] = np.linalg.eigvals(companion)
-    for k in np.flatnonzero(~regular).tolist():
+    for k in np.flatnonzero(~regular & np.isfinite(q).all(axis=1)).tolist():
         row = q[k]
         while len(row) > 1 and not np.isfinite(row[1:] / row[0]).all():
             row = row[1:]

@@ -1,9 +1,10 @@
 """Relay-position sweeps: NE-vs-NBS gain maps, welfare comparison, concavity maps.
 
-``sweep`` is one pass of array functions over all grid positions: bargaining
-contexts (link budget, marginal terms, closed-form NE), exact bargaining
-solutions, gains, and the Nash product eigenvalues at the reported NBS. It
-returns one :class:`SweepRecord` whose fields are arrays over the positions.
+``sweep`` is one pass of array functions over the grid's coordinate arrays:
+bargaining contexts (link budget, marginal terms, closed-form NE), exact
+bargaining solutions, gains, and the Nash product eigenvalues at the reported
+NBS. It returns one :class:`SweepRecord` whose fields are arrays over the
+positions; a failed position keeps its slot, NaN from its equilibrium on.
 The single-position API (``make_context``, ``exact_nbs``, ...) is the same
 functions called with one position. The concavity map is read from the sweep.
 """
@@ -13,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bargaining import (eigenvalues_batch, exact_nbs_batch, hessian,
+from .bargaining import (eigenvalues, exact_nbs_batch, hessian,
                          make_context_batch)
 from .game import BandAllocation, UtilityPair, utility_pair
-from .system_model import Point, Scenario
+from .system_model import Scenario
 
 
 @dataclass(frozen=True)
@@ -49,10 +50,11 @@ class SweepGrid:
             k += 1
         return vals
 
-    def positions(self) -> list:
-        """Grid points sorted by (x, y)."""
-        ys = self.axis(self.y_min, self.y_max)
-        return [Point(x, y) for x in self.axis(self.x_min, self.x_max) for y in ys]
+    def positions(self) -> tuple:
+        """Coordinates ``(xr, yr)`` of the grid points, as float arrays sorted
+        by (x, y)."""
+        xs, ys = self.axis(self.x_min, self.x_max), self.axis(self.y_min, self.y_max)
+        return np.repeat(xs, len(ys)), np.tile(ys, len(xs))
 
 
 @dataclass(frozen=True)
@@ -118,35 +120,24 @@ def sweep(scenario: Scenario, grid: SweepGrid) -> SweepRecord:
     bargaining solution (:func:`exact_nbs_batch`), bandwidth and welfare
     gains, and the Nash product eigenvalues at the reported NBS allocation,
     each stage computed for all positions at once. Individual position
-    failures are recorded, never raised.
+    failures are recorded, never raised: a failed position's equilibrium is
+    NaN, so every later stage gives it NaN or False on its own, and only its
+    gains are set to zero.
     """
-    relays = grid.positions()
-    ctx, failures = make_context_batch(scenario, relays)
+    xr, yr = grid.positions()
+    ctx, failures = make_context_batch(scenario, xr, yr)
     ne, ne_u = ctx.ne_alloc, ctx.threat
     nbs, bargain = exact_nbs_batch(ctx.terms, ne, scenario)
     nbs_u = utility_pair(nbs, ctx.terms, scenario)
-    eig = eigenvalues_batch(hessian(nbs, ctx))
-    ok = np.array([f is None for f in failures], dtype=bool)
-
-    def full(column, fill=math.nan):
-        """``column`` at the solved positions, ``fill`` at the failed ones."""
-        out = np.full(len(relays), fill, dtype=column.dtype)
-        out[ok] = column
-        return out
-
-    lambda2 = full(eig.lambda2)
+    eig = eigenvalues(hessian(nbs, ctx))
+    ok = np.equal(failures, None)
     return SweepRecord(
-        xr=np.array([p.x for p in relays]), yr=np.array([p.y for p in relays]),
-        ne=BandAllocation(full(ne.w1), full(ne.w2)),
-        ne_u=UtilityPair(full(ne_u.u1), full(ne_u.u2)),
-        nbs=BandAllocation(full(nbs.w1), full(nbs.w2)),
-        nbs_u=UtilityPair(full(nbs_u.u1), full(nbs_u.u2)),
-        bargain=full(bargain, False),
-        gain_bw_u1_pct=full(bandwidth_gain(ne.w1, nbs.w1), 0.0),
-        gain_bw_u2_pct=full(bandwidth_gain(ne.w2, nbs.w2), 0.0),
-        gain_bw_total_pct=full(bandwidth_gain(ne.w1 + ne.w2, nbs.w1 + nbs.w2), 0.0),
-        gain_sw_pct=full(social_welfare_gain(ne_u, nbs_u), 0.0),
-        lambda1=full(eig.lambda1), lambda2=lambda2, strictly_concave=lambda2 < 0.0,
+        xr=xr, yr=yr, ne=ne, ne_u=ne_u, nbs=nbs, nbs_u=nbs_u, bargain=bargain,
+        gain_bw_u1_pct=np.where(ok, bandwidth_gain(ne.w1, nbs.w1), 0.0),
+        gain_bw_u2_pct=np.where(ok, bandwidth_gain(ne.w2, nbs.w2), 0.0),
+        gain_bw_total_pct=np.where(ok, bandwidth_gain(ne.w1 + ne.w2, nbs.w1 + nbs.w2), 0.0),
+        gain_sw_pct=np.where(ok, social_welfare_gain(ne_u, nbs_u), 0.0),
+        lambda1=eig.lambda1, lambda2=eig.lambda2, strictly_concave=eig.lambda2 < 0.0,
         failure=np.array([None if f is None else str(f) for f in failures], dtype=object))
 
 

@@ -13,10 +13,10 @@ analysis. Damped best-response iteration is kept as an independent reference
 for that closed form.
 
 The value types hold floats for one relay position, or equal-length arrays
-for a batch of positions. The marginal terms and the equilibrium are computed
-for a batch at once (the ``*_batch`` functions); their scalar forms are the
-batch call with N = 1. The utility functions are plain arithmetic and serve
-both.
+for a batch of positions. The marginal terms and the utility functions take
+either. The equilibrium is computed for a batch at once
+(:func:`nash_equilibrium_batch`); :func:`nash_equilibrium` is its call with
+N = 1.
 """
 
 import math
@@ -25,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .system_model import (LinkBudget, Scenario, as_batch, efficiency_batch,
-                           select)
+from .system_model import LinkBudget, Scenario, efficiency_batch, select
 
 
 class ConvergenceError(RuntimeError):
@@ -90,12 +89,8 @@ class EquilibriumReport:
 
 
 def marginal_terms(budget: LinkBudget, scenario: Scenario) -> MarginalTerms:
-    """phi_i and psi_i of both users from a link budget."""
-    return select(marginal_terms_batch(as_batch(budget), scenario), 0)
-
-
-def marginal_terms_batch(budget: LinkBudget, scenario: Scenario) -> MarginalTerms:
-    """:func:`marginal_terms` of a batch link budget (fields are arrays)."""
+    """phi_i and psi_i of both users from a link budget of one position, or of
+    a batch (fields are arrays)."""
     u1, u2 = budget.user1, budget.user2
     f = efficiency_batch(np.array([u1.gamma_direct, u1.gamma_af, u2.gamma_direct, u2.gamma_af]),
                          scenario.M)
@@ -220,21 +215,23 @@ def nash_equilibrium_batch(terms: MarginalTerms, scenario: Scenario) -> BandAllo
     Every position tries the nine clamp patterns of the KKT conditions in a
     fixed order and takes the first feasible one. In a pattern, interior
     coordinates solve the stationarity equations given the clamped ones; with
-    b == 0 an interior coordinate exists only at an exact tie (within a slack).
-    A pattern is feasible when its interior coordinates lie in the box (within
-    ``tol_w``) and the partial derivative at each clamped coordinate does not
-    point into the box (within the slack). Positions where no pattern is
-    feasible get NaN.
+    b == 0 an interior coordinate exists only at an exact tie (within the
+    slack). A pattern is feasible when its interior coordinates lie in the box
+    (within ``tol_w = 1e-12*omega``) and the partial derivative at each clamped
+    coordinate does not point into the box (within the slack, 1e-12 of the
+    largest of |c1|, |c2| and 3*b*omega, where c_i = psi_i - phi_i). Both
+    tolerances are relative, so rescaling the utilities or the band does not
+    move the equilibrium. Positions where no pattern is feasible get NaN.
     """
     b, omega = scenario.b, scenario.omega
     # Arrays are indexed (user, position, pattern); [::-1] swaps the users.
     c = np.reshape(np.array([terms.psi1, terms.psi2]) - np.array([terms.phi1, terms.phi2]),
                    (2, -1, 1))
     size = abs(c)
-    slack = 1e-12 * np.maximum(np.maximum(size[0], size[1]), max(1.0, 3.0 * b * omega))
+    slack = 1e-12 * np.maximum(np.maximum(size[0], size[1]), 3.0 * b * omega)
     fixed = _HIGH * omega
 
-    tol_w = 1e-12 * max(1.0, omega)
+    tol_w = 1e-12 * omega
     with np.errstate(invalid="ignore"):
         if b == 0:
             # An interior coordinate exists only at a tie: it is 0, and |c| <= slack.

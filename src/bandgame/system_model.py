@@ -7,8 +7,9 @@ combined two-phase link behaves like a single channel whose SNR is the sum of
 the two (``gamma_af``). Channel power gains follow a deterministic path-loss
 law ``pathloss_const / d**pathloss_exp``.
 
-The link budget is computed for N relay positions at once
-(:func:`link_budget_batch`); :func:`link_budget` is its call with N = 1.
+The link budget is computed for N relay positions at once, given as two
+coordinate arrays (:func:`link_budget_batch`); :func:`link_budget` is its
+call with N = 1.
 Steps with a transcendental function (``hypot``, ``**`` and, in the game
 layer, ``expm1``) run element by element through :mod:`math`, because numpy's
 versions can differ from it in the last bit; the rest is numpy arithmetic,
@@ -126,21 +127,6 @@ def select(batch, index):
     return cls(*values)
 
 
-def as_batch(value):
-    """A value of one position as a batch of one: every number field becomes a
-    one-element float array, nested value dataclasses included."""
-    cls = type(value)
-    values = []
-    for name in cls.__dataclass_fields__:
-        v = getattr(value, name)
-        if isinstance(v, (int, float)) and not isinstance(v, bool):
-            v = np.array([v], dtype=float)
-        elif hasattr(v, "__dataclass_fields__") and type(v) is not Scenario:
-            v = as_batch(v)
-        values.append(v)
-    return cls(*values)
-
-
 def distance(a: Point, b: Point) -> float:
     """Euclidean distance between two nodes in meters."""
     return math.hypot(a.x - b.x, a.y - b.y)
@@ -243,18 +229,19 @@ def efficiency_batch(x: np.ndarray, M: int) -> np.ndarray:
     return np.array(values).reshape(x.shape)
 
 
-def link_budget_batch(scenario: Scenario, relays) -> tuple:
-    """Channel gains and the three SNRs of both users at N relay positions.
+def link_budget_batch(scenario: Scenario, xr, yr) -> tuple:
+    """Channel gains and the three SNRs of both users at N relay positions,
+    given by their finite coordinates ``xr``, ``yr`` (sequences of length N).
 
-    Returns a LinkBudget whose fields are arrays over ``relays``, and a tuple
-    with, for each position, None or the DegenerateGeometryError that leaves
-    it without a budget: a zero-length link, a ``d**pathloss_exp`` underflow
-    (the first such link of user 1, then of user 2, in the order direct,
-    source-relay, relay-destination), or a relay so close to a node that an
-    SNR overflows. The entries of failed positions are NaN.
+    Returns a LinkBudget whose fields are arrays over the positions, and a
+    tuple with, for each position, None or the DegenerateGeometryError that
+    leaves it without a budget: a zero-length link, a ``d**pathloss_exp``
+    underflow (the first such link of user 1, then of user 2, in the order
+    direct, source-relay, relay-destination), or a relay so close to a node
+    that an SNR overflows. The entries of failed positions are NaN.
     """
-    n = len(relays)
-    xs, ys = [r.x for r in relays], [r.y for r in relays]
+    xs, ys = np.asarray(xr, dtype=float).tolist(), np.asarray(yr, dtype=float).tolist()
+    n = len(xs)
     lengths = []
     for src, dst in ((scenario.source_1, scenario.dest_1),
                      (scenario.source_2, scenario.dest_2)):
@@ -286,7 +273,7 @@ def link_budget_batch(scenario: Scenario, relays) -> tuple:
 
 def link_budget(scenario: Scenario, relay: Point) -> LinkBudget:
     """Channel gains and the three SNRs of both users for one relay position."""
-    budget, failures = link_budget_batch(scenario, [relay])
+    budget, failures = link_budget_batch(scenario, [relay.x], [relay.y])
     if failures[0] is not None:
         raise failures[0]
     return select(budget, 0)

@@ -56,7 +56,7 @@ _LO, _IN, _HI = 0, 1, 2
 
 def _kkt_candidate(pattern, c1, c2, b, omega):
     s1, s2 = pattern
-    slack = 1e-12 * max(1.0, abs(c1), abs(c2), 3.0 * b * omega)
+    slack = 1e-12 * max(abs(c1), abs(c2), 3.0 * b * omega)
     fixed = {_LO: 0.0, _HI: omega}
     if s1 == _IN and s2 == _IN:
         if b == 0:
@@ -84,7 +84,7 @@ def _kkt_candidate(pattern, c1, c2, b, omega):
             w2 = (c2 - b * w1) / (2.0 * b)
     else:
         w1, w2 = fixed[s1], fixed[s2]
-    tol_w = 1e-12 * max(1.0, omega)
+    tol_w = 1e-12 * omega
     for s, w in ((s1, w1), (s2, w2)):
         if s == _IN and not (-tol_w <= w <= omega + tol_w):
             return None

@@ -167,6 +167,11 @@ def test_eigenvalues_match_lapack():
         assert eig.delta >= 0.0
         assert eig.lambda1 == pytest.approx(ref[0], rel=1e-10, abs=1e-10)
         assert eig.lambda2 == pytest.approx(ref[1], rel=1e-10, abs=1e-10)
+    for scale in (1e-300, 1e300):  # squares beyond the float range
+        a11, a22, a12 = scale * rng.uniform(-50, 50, 3)
+        eig = eigenvalues(Hessian2x2(a11=a11, a22=a22, a12=a12))
+        ref = np.linalg.eigvalsh(np.array([[a11, a12], [a12, a22]]))
+        assert [eig.lambda1, eig.lambda2] == pytest.approx(ref, rel=1e-10, abs=1e-10 * scale)
 
 
 def test_eigenpair_rejects_negative_delta():

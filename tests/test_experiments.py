@@ -39,11 +39,11 @@ def test_sweep_grid_validation():
                 {"y_min": -math.inf}, {"y_max": math.nan}):
         with pytest.raises(ValueError):
             SweepGrid(**{"step": 10.0, **bad})
-    grid = SweepGrid(step=50.0)
-    assert len(grid.positions()) == 225  # 15 x 15 over [0, 700]^2
-    corner = SweepGrid(step=700.0)
-    assert [(p.x, p.y) for p in corner.positions()] == [
-        (0.0, 0.0), (0.0, 700.0), (700.0, 0.0), (700.0, 700.0)]
+    xr, yr = SweepGrid(step=50.0).positions()
+    assert len(xr) == len(yr) == 225  # 15 x 15 over [0, 700]^2
+    xr, yr = SweepGrid(step=700.0).positions()
+    assert _bits(xr) == _bits([0.0, 0.0, 700.0, 700.0])
+    assert _bits(yr) == _bits([0.0, 700.0, 0.0, 700.0])
 
 
 def single_position_grid(p: Point) -> SweepGrid:
@@ -190,8 +190,10 @@ def _assert_sweep_matches_loop(scenario, grid) -> tuple:
     another order than ``np.convolve``; where it is bit-equal, so is every
     other value of the row. The concavity flag is always the same.
     """
-    records = rows(sweep(scenario, grid))
-    assert [(r.xr, r.yr) for r in records] == [(p.x, p.y) for p in grid.positions()]
+    records = sweep(scenario, grid)
+    xr, yr = grid.positions()
+    assert _bits([records.xr, records.yr]) == _bits([xr, yr])
+    records = rows(records)
     bargains = moved = 0
     for k, r in enumerate(records):
         relay = Point(r.xr, r.yr)
@@ -280,3 +282,27 @@ def test_equilibrium_batch_matches_loop_at_pattern_ties(paper):
                      for s1 in range(3) for s2 in range(3)} - {None}
             ambiguous += len(found) > 1
     assert ambiguous >= 20, "the cases must make the pattern order matter"
+
+
+def test_sweep_unit_invariance(paper):
+    # Rescaling the utilities (alpha*k, b*k) or the band (omega*k, b/k) is a
+    # change of units: the equilibrium and the bargaining solution, in the
+    # rescaled band's units, and the concavity flags must not move.
+    rng = np.random.default_rng(83)
+    grid = SweepGrid(step=100.0)
+    for scenario in [paper] + [random_scenario(rng) for _ in range(3)]:
+        base = sweep(scenario, grid)
+        ok = np.equal(base.failure, None)
+        cases = [(replace(scenario, alpha=scenario.alpha * k, b=scenario.b * k), 1.0)
+                 for k in (1e-100, 1e-12, 1e-9, 1e100, 1e140)]
+        cases += [(replace(scenario, omega=scenario.omega * k, b=scenario.b / k), k)
+                  for k in (1e-100, 1e-12, 1e100)]
+        for rescaled, k in cases:
+            got = sweep(rescaled, grid)
+            assert np.array_equal(np.equal(got.failure, None), ok)
+            for want, alloc in ((base.ne, got.ne), (base.nbs, got.nbs)):
+                for w, a in ((want.w1, alloc.w1), (want.w2, alloc.w2)):
+                    assert np.isnan(a[~ok]).all()
+                    error = np.abs(a[ok] - k * w[ok]).max()
+                    assert error <= 1e-12 * rescaled.omega, (rescaled, error / rescaled.omega)
+            assert np.array_equal(got.strictly_concave, base.strictly_concave), rescaled
