@@ -109,28 +109,45 @@ def nash_product_gradient(alloc: BandAllocation, ctx: NashProductContext):
 
 @dataclass(frozen=True)
 class Hessian2x2:
-    """Second partials of the Nash product; ``a12`` is both off-diagonal entries."""
+    """Second partials of the Nash product: 2**exponent times the matrix
+    [[a11, a12], [a12, a22]]; ``a12`` is both off-diagonal entries."""
 
     a11: float
     a22: float
     a12: float
+    exponent: int = 0
+
+    def matrix(self) -> np.ndarray:
+        """The Hessian of one position as a 2x2 array; an entry beyond the
+        float range is infinite."""
+        return np.ldexp(np.array([[self.a11, self.a12], [self.a12, self.a22]]),
+                        self.exponent)
+
+
+# The Hessian is quadratic in the utility unit, which alpha and b carry. Its
+# factors are divided by 2**m, m the multiple of this step nearest log2(alpha):
+# that is exact, m is 0 for every alpha between about 1e-38 and 1e38, and no
+# entry overflows at any unit.
+_UNIT_STEP = 256
 
 
 def hessian(alloc: BandAllocation, ctx: NashProductContext) -> Hessian2x2:
     """Analytic Hessian of the Nash product at ``alloc``; elementwise for a
     batch context and allocation."""
     s, t = ctx.scenario, ctx.terms
-    b = s.b
+    m = _UNIT_STEP * round(math.frexp(s.alpha)[1] / _UNIT_STEP)
+    unit = math.ldexp(1.0, -m)
+    b = s.b * unit
     u = utility_pair(alloc, t, s)
-    d1 = u.u1 - ctx.threat.u1
-    d2 = u.u2 - ctx.threat.u2
+    d1 = (u.u1 - ctx.threat.u1) * unit
+    d2 = (u.u2 - ctx.threat.u2) * unit
     w1, w2 = alloc.w1, alloc.w2
-    du1 = utility_partial(1, alloc, t, s)
-    du2 = utility_partial(2, alloc, t, s)
+    du1 = utility_partial(1, alloc, t, s) * unit
+    du2 = utility_partial(2, alloc, t, s) * unit
     a11 = -2.0 * b * d2 - 2.0 * b * w2 * du1
     a22 = -2.0 * b * d1 - 2.0 * b * w1 * du2
     a12 = -b * d2 - b * d1 + b * b * w1 * w2 + du1 * du2
-    return Hessian2x2(a11=a11, a22=a22, a12=a12)
+    return Hessian2x2(a11=a11, a22=a22, a12=a12, exponent=2 * m)
 
 
 @dataclass(frozen=True)
@@ -153,7 +170,8 @@ def eigenvalues(h: Hessian2x2) -> EigenPair:
     delta = (a11 - a22)**2 + 4*a12**2 is a sum of squares, hence the
     eigenvalues are always real. Each Hessian is first scaled by the power of
     two that brings its largest entry into [0.5, 1): that is exact, and no
-    square overflows or underflows on the way.
+    square overflows or underflows on the way. An eigenvalue beyond the float
+    range is infinite, with its sign.
     """
     _, e = np.frexp(np.maximum(np.maximum(abs(h.a11), abs(h.a22)), abs(h.a12)))
     a11, a22, a12 = np.ldexp(h.a11, -e), np.ldexp(h.a22, -e), np.ldexp(h.a12, -e)
@@ -164,6 +182,7 @@ def eigenvalues(h: Hessian2x2) -> EigenPair:
     delta = square + 4.0 * a12 * a12
     root = np.sqrt(delta)
     tr = a11 + a22
+    e = e + h.exponent
     with np.errstate(over="ignore"):  # a delta beyond the float range is inf
         return EigenPair(lambda1=np.ldexp((tr - root) / 2.0, e),
                          lambda2=np.ldexp((tr + root) / 2.0, e), delta=np.ldexp(delta, 2 * e))
@@ -323,8 +342,7 @@ def cg_nbs(ctx: NashProductContext, w0: BandAllocation | None = None,
         return (-g1, -g2)
 
     def hess_m(w):
-        h = hessian(BandAllocation(w[0], w[1]), ctx)
-        return ((-h.a11, -h.a12), (-h.a12, -h.a22))
+        return -hessian(BandAllocation(w[0], w[1]), ctx).matrix()
 
     def fun_m(w):
         return -nash_product(BandAllocation(w[0], w[1]), ctx)
@@ -522,8 +540,9 @@ def exact_nbs_batch(terms: MarginalTerms, ne_alloc: BandAllocation,
 def _quartic_roots(q: np.ndarray) -> np.ndarray:
     """The four complex roots of each row of quartic coefficients ``q``
     (highest degree first), as ``np.roots`` finds them; NaN fills the slots
-    of a row of lower degree, and every slot of a row with a non-finite
-    coefficient (a failed position).
+    of a row of lower degree, every slot of a row whose coefficients are zero
+    but the constant (it has no roots; every row of a zero price), and every
+    slot of a row with a non-finite coefficient (a failed position).
 
     Rows with non-zero end coefficients share one eigenvalue call on their
     stacked 4x4 companion matrices, the matrices ``np.roots`` builds. The
@@ -542,7 +561,8 @@ def _quartic_roots(q: np.ndarray) -> np.ndarray:
         return np.linalg.eigvals(companion)
     roots = np.full((len(q), 4), np.nan, dtype=complex)
     roots[regular] = np.linalg.eigvals(companion)
-    for k in np.flatnonzero(~regular & np.isfinite(q).all(axis=1)).tolist():
+    rooted = ~regular & np.isfinite(q).all(axis=1) & (q[:, :4] != 0.0).any(axis=1)
+    for k in np.flatnonzero(rooted).tolist():
         row = q[k]
         while len(row) > 1 and not np.isfinite(row[1:] / row[0]).all():
             row = row[1:]
@@ -614,62 +634,16 @@ def _cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-# Directions whose extreme points span the Akl-Toussaint polygon, listed CCW
-# by angle: +x, +(x+y), +y, -(x-y), -x, -(x+y), -y, +(x-y).
-_OCTANT_DIRECTIONS = ((1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (-1.0, 1.0),
-                      (-1.0, 0.0), (-1.0, -1.0), (0.0, -1.0), (1.0, -1.0))
-_PREFILTER_MARGIN = 1e-9  # relative to the normalized cloud's unit box
-
-
-def _outside_extreme_polygon(pts: np.ndarray) -> np.ndarray:
-    """Mask of the points not strictly inside the 8-direction extreme polygon.
-
-    The polygon's vertices are input points, so a point strictly inside it is
-    no hull vertex. Coordinates are normalized to the unit box first, and a
-    point counts as inside only by a margin far above rounding error, so
-    every borderline point is kept.
-    """
-    lo = pts.min(axis=0)
-    span = pts.max(axis=0) - lo
-    keep = np.ones(len(pts), dtype=bool)
-    if not np.all(span > 0.0):
-        return keep
-    x = (pts[:, 0] - lo[0]) / span[0]
-    y = (pts[:, 1] - lo[1]) / span[1]
-    poly = []
-    for dx, dy in _OCTANT_DIRECTIONS:
-        k = int(np.argmax(dx * x + dy * y))
-        v = (float(x[k]), float(y[k]))
-        if not poly or v != poly[-1]:
-            poly.append(v)
-    if poly[0] == poly[-1]:
-        poly.pop()
-    if len(poly) < 3:
-        return keep
-    inside = np.ones(len(pts), dtype=bool)
-    for (ax, ay), (bx, by) in zip(poly, poly[1:] + poly[:1]):
-        ex, ey = bx - ax, by - ay
-        margin = _PREFILTER_MARGIN * math.hypot(ex, ey)
-        inside &= ex * (y - ay) - ey * (x - ax) > margin
-    return ~inside
-
-
 def convex_hull_indices(points: np.ndarray) -> list:
-    """Monotone-chain convex hull with an extreme-point prefilter.
+    """Monotone-chain convex hull.
 
-    Returns CCW indices into ``points``. An Akl-Toussaint prefilter first
-    drops the points strictly inside the polygon of the cloud's extreme
-    points in eight directions; the chain then runs on the survivors.
-    Collinear boundary points are left off the hull. Duplicate points are
-    collapsed to their first occurrence; degenerate clouds yield hulls of one
-    or two vertices.
+    Returns CCW indices into ``points``. Collinear boundary points are left
+    off the hull. Duplicate points are collapsed to their first occurrence;
+    degenerate clouds yield hulls of one or two vertices.
     """
-    pts = np.asarray(points, dtype=float)
-    candidates = np.flatnonzero(_outside_extreme_polygon(pts))
-    # Duplicates share a prefilter verdict, so the first occurrence among the
-    # candidates is the first occurrence in ``points``.
-    uniq, first = np.unique(pts[candidates], axis=0, return_index=True)  # sorted by (x, y)
-    first = candidates[first].tolist()
+    uniq, first = np.unique(np.asarray(points, dtype=float), axis=0,
+                            return_index=True)  # sorted by (x, y)
+    first = first.tolist()
     if len(uniq) <= 2:
         return first
     rows = uniq.tolist()
@@ -740,7 +714,14 @@ def _pareto_chain(utilities: np.ndarray, hull: list) -> list:
 
 
 def sample_utility_region(ctx: NashProductContext, resolution: int = 201) -> RegionSample:
-    """Grid-sample the utility region and extract hull and Pareto boundary."""
+    """Grid-sample the utility region and extract hull and Pareto boundary.
+
+    The hull is taken over the 4*(resolution - 1) samples on the boundary of
+    the grid, and it is the hull of every sample: along an anti-diagonal
+    w1 + w2 = s both utilities are affine in w1 (u_i = phi_i*omega +
+    (c_i - b*s)*w_i), so each interior sample lies on the segment between the
+    two ends of its anti-diagonal, which are boundary samples.
+    """
     if resolution < 2:
         raise ValueError("resolution must be at least 2 per axis")
     omega = ctx.scenario.omega
@@ -749,7 +730,10 @@ def sample_utility_region(ctx: NashProductContext, resolution: int = 201) -> Reg
     U = utility_pair(BandAllocation(W1, W2), ctx.terms, ctx.scenario)
     allocations = np.column_stack([W1.ravel(), W2.ravel()])
     utilities = np.column_stack([U.u1.ravel(), U.u2.ravel()])
-    hull = convex_hull_indices(utilities)
+    edge = np.zeros((resolution, resolution), dtype=bool)
+    edge[[0, -1], :] = edge[:, [0, -1]] = True
+    boundary = np.flatnonzero(edge)
+    hull = boundary[convex_hull_indices(utilities[boundary])].tolist()
     return RegionSample(
         allocations=allocations,
         utilities=utilities,

@@ -5,6 +5,13 @@ Scenario files are flat ``key = value`` text; point-valued keys take an
 and ``pathloss_exp`` may be omitted (defaults 0.097 and 4). All CSV and
 report numbers are emitted in full-precision scientific notation so runs are
 reproducible byte for byte.
+
+The CSV writers build the text of a block of rows at once in numpy: each
+float cell gets exactly the text of ``'%.17e' % x``, from its 18 significant
+digits computed in double-double arithmetic (Python's ``%`` formats the rare
+cell that is within reach of a rounding tie or of the float range's ends).
+Given an open text file, a writer streams the blocks into it; the
+subcommands write their CSVs that way.
 """
 
 import argparse
@@ -30,11 +37,6 @@ SWEEP_HEADER = ("xr,yr,w1_ne,w2_ne,w1_nbs,w2_nbs,u1_ne,u2_ne,u1_nbs,u2_nbs,"
                 "lambda1,lambda2,strictly_concave,converged")
 REGION_HEADER = "w1,w2,u1,u2,on_hull,on_pareto"
 CONCAVITY_HEADER = "xr,yr,lambda1,lambda2,strictly_concave"
-_REGION_ROW = "%s,%s,%.17e,%.17e,%s,%s"
-_SWEEP_ROW = ",".join(["%.17e"] * 16 + ["%s"] * 2)
-_CONCAVITY_ROW = "%.17e,%.17e,%.17e,%.17e,%s"
-_CSV_BLOCK_ROWS = 4096  # rows per formatting call; bounds the peak memory
-_WORDS = ("false", "true")
 
 
 class ScenarioFormatError(ValueError):
@@ -143,55 +145,237 @@ def _fmt(value) -> str:
     return f"{value:.17e}"
 
 
-def _csv(header: str, row: str, columns) -> str:
-    """``header`` and one line per entry of the equal-length ``columns``,
-    formatted by ``row``: one ``%`` per block of ``_CSV_BLOCK_ROWS`` rows,
-    with ``row`` repeated. The cells of ``%.17e`` are the text of
-    :func:`_fmt`."""
-    parts = [header]
-    for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-        cells = np.column_stack([c[start:start + _CSV_BLOCK_ROWS] for c in columns]).ravel()
-        parts.append("\n".join([row] * (len(cells) // len(columns))) % tuple(cells.tolist()))
-    parts.append("")  # ends the last row without another copy of the text
-    return "\n".join(parts)
+# CSV cells are written into fixed-width byte slots, one row of slots per CSV
+# row, with a mask of the bytes that belong to the text; ``buf[mask]`` is then
+# the text of a block of rows. A float slot holds the widest ``%.17e`` text,
+# "-d.ddddddddddddddddde+ddd", then its separator: the sign byte and the
+# exponent's hundreds digit are the optional bytes. A flag slot holds "false"
+# and its separator; "true" leaves out the "e".
+_FLOAT_SLOT = 26
+_FLAG_SLOT = 6
+_FLOAT_FIELDS = {"names": ["d0", "d1_8", "d9_16", "d17", "exp"],
+                 "formats": ["u1", "<u8", "<u8", "u1", "<u4"],
+                 "offsets": [1, 3, 11, 19, 21]}
+_FLOAT_TEMPLATE = np.frombuffer(b"-0.00000000000000000e+000", dtype=np.uint8)
+_FLAG_TEMPLATE = np.frombuffer(b"false", dtype=np.uint8)
+_WORDS = np.frombuffer(b"falstrue", dtype="<u4")  # the four bytes before "e"
+_NAN_INF = np.frombuffer(b"naninf", dtype=np.uint8).reshape(2, 3)
+_EXP_MIN = -400
+# "+ddd" / "-ddd" of every decimal exponent a double can have.
+_EXP_TEXT = np.frombuffer(b"".join(b"%+04d" % e for e in range(_EXP_MIN, 401)), dtype="<u4")
+_CSV_BLOCK_ROWS = 8192  # rows per block; bounds the peak memory
 
 
-def _words(flags) -> np.ndarray:
-    """``true``/``false`` text of a boolean array, as an object array."""
-    return np.array(_WORDS, dtype=object)[np.asarray(flags, dtype=np.intp)]
+def _powers_of_ten(lo: int, hi: int):
+    """10**p = hi + lo as two doubles, for p from ``lo`` to ``hi``, computed
+    from Python integers: ``int / int`` and ``float(int)`` round correctly."""
+    heads, tails = [], []
+    for p in range(lo, hi + 1):
+        if p >= 0:
+            exact = 10 ** p
+            head = float(exact)
+            tail = float(exact - int(head))
+        else:
+            denominator = 10 ** -p
+            head = 1 / denominator
+            num, den = head.as_integer_ratio()
+            tail = (den - num * denominator) / (den * denominator)
+        heads.append(head)
+        tails.append(tail)
+    return np.array(heads), np.array(tails)
 
 
-def sweep_csv(records) -> str:
+# Magnitudes of [1e-250, 1e250] are scaled by 10**p for p in [-234, 269].
+_P_MIN = -240
+_POW10_HI, _POW10_LO = _powers_of_ten(_P_MIN, 275)
+_SPLIT = 134217729.0  # 2**27 + 1: Dekker's split of a double into two halves
+
+
+def _split(v):
+    c = _SPLIT * v
+    high = c - (c - v)
+    return high, v - high
+
+
+def _scaled_floor(a, e10):
+    """floor(a * 10**(17 - e10)) as int64 and the fraction it drops.
+
+    The product is taken in double-double arithmetic: 10**p as hi + lo and
+    a * hi as an exact two-product. Its error is about 1e-13 on a result of
+    about 1e17, whose double part is an integer.
+    """
+    k = 17 - e10 - _P_MIN
+    hi, lo = _POW10_HI[k], _POW10_LO[k]
+    head = a * hi
+    ah, al = _split(a)
+    hh, hl = _split(hi)
+    tail = ((ah * hh - head) + ah * hl + al * hh) + al * hl + a * lo
+    whole = np.floor(tail)
+    return head.astype(np.int64) + whole.astype(np.int64), tail - whole
+
+
+def _decimal(x):
+    """The 18 significant digits ``n`` and the decimal exponent ``e10`` of
+    ``'%.17e' % x`` for each finite x; 0 and 0 for zeros, NaN and infinities.
+
+    Python's ``%`` formats a value whose dropped fraction is within 1e-6 of a
+    tie, or whose magnitude is outside [1e-250, 1e250].
+    """
+    a = np.abs(x)
+    fast = (a >= 1e-250) & (a <= 1e250)
+    a = np.where(fast, a, 1.0)
+    e10 = np.floor(np.log10(a)).astype(np.int64)
+    n, frac = _scaled_floor(a, e10)
+    # log10 can land on the wrong side of a power of ten: move one decade.
+    off = np.flatnonzero((n < 10 ** 17) | (n >= 10 ** 18))
+    if len(off):
+        e10[off] += np.where(n[off] >= 10 ** 18, 1, -1)
+        n[off], frac[off] = _scaled_floor(a[off], e10[off])
+    n += frac > 0.5
+    carry = n == 10 ** 18  # rounded up to the next decade
+    n[carry] = 10 ** 17
+    e10[carry] += 1
+    n[~fast] = 0
+    e10[~fast] = 0
+    slow = fast & (np.abs(frac - 0.5) < 1e-6)
+    slow |= ~fast & (x != 0.0) & np.isfinite(x)
+    if slow.any():
+        text = ["%.17e" % v for v in np.abs(x[slow]).tolist()]  # "d.<17 digits>e<exponent>"
+        n[slow] = [int(t[0] + t[2:19]) for t in text]
+        e10[slow] = [int(t[20:]) for t in text]
+    return n, e10
+
+
+def _ascii8(v):
+    """ASCII digits of each ``v`` < 10**8, zero-padded to eight and packed in a
+    uint64 whose least significant byte is the first digit."""
+    x = v // 10000 | (v % 10000) << 32       # two 4-digit lanes of 32 bits
+    y = (x * 10486 >> 20) & 0x7F0000007F     # each lane // 100
+    x = y | (x - y * 100) << 16              # four 2-digit lanes of 16 bits
+    y = (x * 103 >> 10) & 0x000F000F000F000F  # each lane // 10
+    x = y | (x - y * 10) << 8                # eight digits, one per byte
+    return x | 0x3030303030303030
+
+
+def _put_floats(buf, mask, off, x) -> None:
+    """Write the ``%.17e`` text of each of ``x`` into the float slots at byte
+    ``off`` of the rows of ``buf``, whose template is already in place."""
+    x = np.asarray(x, dtype=float)
+    n, e10 = _decimal(x)
+    lead = n // 10 ** 17
+    rest = n - lead * 10 ** 17
+    first = rest // 10 ** 9
+    rest -= first * 10 ** 9
+    second = rest // 10
+    fields = dict(_FLOAT_FIELDS, offsets=[o + off for o in _FLOAT_FIELDS["offsets"]],
+                  itemsize=buf.shape[1])
+    cells = buf.view(np.dtype(fields))[:, 0]
+    cells["d0"] = lead + 48
+    cells["d1_8"] = _ascii8(first.astype(np.uint64))
+    cells["d9_16"] = _ascii8(second.astype(np.uint64))
+    cells["d17"] = rest - second * 10 + 48
+    cells["exp"] = _EXP_TEXT[e10 - _EXP_MIN]
+    nan = np.isnan(x)
+    mask[:, off] = np.signbit(x) & ~nan  # Python prints "nan" for every NaN
+    mask[:, off + 22] = np.abs(e10) >= 100
+    special = np.flatnonzero(nan | np.isinf(x))
+    if len(special):
+        buf[special, off + 1:off + 4] = _NAN_INF[np.isinf(x[special]).astype(np.intp)]
+        mask[special, off + 4:off + _FLOAT_SLOT - 1] = False
+
+
+def _put_flags(buf, mask, off, flags) -> None:
+    """Write ``true``/``false`` for each of ``flags`` into the flag slots at
+    byte ``off``."""
+    flags = np.asarray(flags, dtype=bool)
+    words = buf.view(np.dtype({"names": ["w"], "formats": ["<u4"], "offsets": [off],
+                               "itemsize": buf.shape[1]}))[:, 0]
+    words["w"] = _WORDS[flags.astype(np.intp)]
+    mask[:, off + 4] = ~flags
+
+
+class _Distinct:
+    """A float column that repeats few values: each distinct value is
+    formatted once, told apart by bit pattern so that -0.0 keeps its own
+    text, and the rows take their slot from ``index``."""
+
+    def __init__(self, values):
+        bits, self.index = np.unique(np.asarray(values, dtype=float).view(np.uint64),
+                                     return_inverse=True)
+        buf = np.empty((len(bits), _FLOAT_SLOT), dtype=np.uint8)
+        buf[:, :-1] = _FLOAT_TEMPLATE
+        mask = np.ones(buf.shape, dtype=bool)
+        _put_floats(buf, mask, 0, bits.view(np.float64))
+        self.text, self.mask = buf[:, :-1], mask[:, :-1]  # without the separator
+
+    def __len__(self):
+        return len(self.index)
+
+
+def _csv(header: str, columns, out=None):
+    """``header`` and one line per row of the equal-length ``columns``.
+
+    A column is a float array (``%.17e`` cells, the text of :func:`_fmt`), a
+    boolean array (``true``/``false``) or a :class:`_Distinct`. Rows are built
+    in blocks of ``_CSV_BLOCK_ROWS``. Each block is written to the open text
+    file ``out`` as soon as it is built, and None returned; without ``out``
+    the text is returned.
+    """
+    columns = [c if isinstance(c, _Distinct) else np.asarray(c) for c in columns]
+    flags = [not isinstance(c, _Distinct) and c.dtype == bool for c in columns]
+    template = np.concatenate([np.append(_FLAG_TEMPLATE if f else _FLOAT_TEMPLATE, ord(","))
+                               for f in flags])
+    template[-1] = ord("\n")
+    offsets = np.cumsum([0] + [_FLAG_SLOT if f else _FLOAT_SLOT for f in flags]).tolist()
+    parts = []
+    write = parts.append if out is None else out.write
+    write(header + "\n")
+    n_rows = len(columns[0])
+    for start in range(0, n_rows, _CSV_BLOCK_ROWS):
+        rows = slice(start, min(start + _CSV_BLOCK_ROWS, n_rows))
+        buf = np.empty((rows.stop - start, len(template)), dtype=np.uint8)
+        buf[:] = template
+        mask = np.ones(buf.shape, dtype=bool)
+        for off, flag, column in zip(offsets, flags, columns):
+            if isinstance(column, _Distinct):
+                index = column.index[rows]
+                buf[:, off:off + _FLOAT_SLOT - 1] = column.text[index]
+                mask[:, off:off + _FLOAT_SLOT - 1] = column.mask[index]
+            elif flag:
+                _put_flags(buf, mask, off, column[rows])
+            else:
+                _put_floats(buf, mask, off, column[rows])
+        write(buf[mask].tobytes().decode("ascii"))
+    return None if out is not None else "".join(parts)
+
+
+def sweep_csv(records, out=None):
+    """The sweep CSV of ``records``; see :func:`_csv` for ``out``."""
     r = records
-    return _csv(SWEEP_HEADER, _SWEEP_ROW, [
+    return _csv(SWEEP_HEADER, [
         r.xr, r.yr, r.ne.w1, r.ne.w2, r.nbs.w1, r.nbs.w2,
         r.ne_u.u1, r.ne_u.u2, r.nbs_u.u1, r.nbs_u.u2,
         r.gain_bw_u1_pct, r.gain_bw_u2_pct, r.gain_bw_total_pct,
         r.gain_sw_pct, r.lambda1, r.lambda2,
-        _words(r.strictly_concave), _words(np.equal(r.failure, None))])
+        r.strictly_concave, np.equal(r.failure, None)], out)
 
 
-def region_csv(sample) -> str:
-    columns = []
-    for j in (0, 1):
-        # Grid columns repeat few values: format each distinct value once,
-        # told apart by bit pattern so that -0.0 keeps its own text.
-        bits, inverse = np.unique(sample.allocations[:, j].view(np.uint64),
-                                  return_inverse=True)
-        text = np.array([_fmt(v) for v in bits.view(np.float64).tolist()], dtype=object)
-        columns.append(text[inverse])
-    columns.extend(sample.utilities.T)
-    for indices in (sample.hull_indices, sample.pareto_indices):
-        flag = np.zeros(len(sample.utilities), dtype=bool)
-        flag[indices] = True
-        columns.append(_words(flag))
-    return _csv(REGION_HEADER, _REGION_ROW, columns)
+def region_csv(sample, out=None):
+    """The region CSV of ``sample``; see :func:`_csv` for ``out``."""
+    n = len(sample.utilities)
+    on_hull, on_pareto = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    on_hull[sample.hull_indices] = True
+    on_pareto[sample.pareto_indices] = True
+    return _csv(REGION_HEADER, [_Distinct(sample.allocations[:, 0]),
+                                _Distinct(sample.allocations[:, 1]),
+                                sample.utilities[:, 0], sample.utilities[:, 1],
+                                on_hull, on_pareto], out)
 
 
-def concavity_csv(records) -> str:
+def concavity_csv(records, out=None):
+    """The concavity CSV of ``records``; see :func:`_csv` for ``out``."""
     r = records
-    return _csv(CONCAVITY_HEADER, _CONCAVITY_ROW,
-                [r.xr, r.yr, r.lambda1, r.lambda2, _words(r.strictly_concave)])
+    return _csv(CONCAVITY_HEADER, [r.xr, r.yr, r.lambda1, r.lambda2, r.strictly_concave], out)
 
 
 def _out_path(name: str) -> Path:
@@ -260,7 +444,8 @@ def _cmd_region(args) -> int:
     ctx = make_context(scenario, relay)
     sample = sample_utility_region(ctx, resolution=args.resolution)
     path = _out_path(args.out)
-    path.write_text(region_csv(sample))
+    with open(path, "w") as out:
+        region_csv(sample, out)
     print(f"wrote {path} ({len(sample.allocations)} samples, "
           f"{len(sample.hull_indices)} hull vertices, "
           f"{len(sample.pareto_indices)} Pareto vertices)")
@@ -278,7 +463,8 @@ def _cmd_sweep(args) -> int:
     grid = _grid_from_args(args)
     records = sweep(scenario, grid)
     path = _out_path(args.out)
-    path.write_text(sweep_csv(records))
+    with open(path, "w") as out:
+        sweep_csv(records, out)
     failures = np.count_nonzero(np.not_equal(records.failure, None))
     print(f"wrote {path} ({len(records.xr)} positions, {failures} failed)")
     return 0
@@ -289,7 +475,8 @@ def _cmd_concavity(args) -> int:
     grid = _grid_from_args(args)
     records = concavity_map(scenario, grid)
     path = _out_path(args.out)
-    path.write_text(concavity_csv(records))
+    with open(path, "w") as out:
+        concavity_csv(records, out)
     concave = np.count_nonzero(records.strictly_concave)
     print(f"wrote {path} ({len(records.xr)} positions, {concave} strictly concave)")
     return 0

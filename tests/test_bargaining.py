@@ -482,6 +482,28 @@ def test_convex_hull_matches_plain_chain(ctx450):
     assert convex_hull_indices(utilities) == _reference_hull(utilities)
 
 
+def test_region_hull_on_grid_boundary(ctx450, paper):
+    # Each interior sample lies on the chord between the two boundary ends of
+    # its anti-diagonal, so only boundary samples can be hull vertices.
+    rng = np.random.default_rng(17)
+    contexts = [ctx450] + [make_context(paper, random_relay(rng, paper, min_sep=20.0))
+                           for _ in range(4)]
+    for ctx in contexts:
+        for n in (41, 401):
+            sample = sample_utility_region(ctx, resolution=n)
+            i, j = np.divmod(sample.hull_indices, n)
+            assert ((i == 0) | (i == n - 1) | (j == 0) | (j == n - 1)).all()
+            assert set(sample.pareto_indices.tolist()) <= set(sample.hull_indices.tolist())
+            if n == 41:  # the hull of every sample, by the plain chain
+                assert sample.hull_indices.tolist() == _reference_hull(sample.utilities)
+    # At (450, 450) the welfare anti-diagonal is straight to within rounding:
+    # its interior samples are not vertices, and the Pareto boundary is the
+    # chord between its two ends.
+    sample = sample_utility_region(ctx450, resolution=401)
+    pareto = [tuple(divmod(k, 401)) for k in sample.pareto_indices.tolist()]
+    assert pareto == [(0, 89), (89, 0)]
+
+
 def test_region_rejects_resolution(ctx450):
     with pytest.raises(ValueError):
         sample_utility_region(ctx450, resolution=1)

@@ -6,8 +6,9 @@ import pytest
 
 from bandgame import (Point, SweepGrid, make_context, sample_utility_region,
                       sweep)
+from bandgame import cli
 from bandgame.cli import (CONCAVITY_HEADER, REGION_HEADER, SWEEP_HEADER,
-                          ScenarioFormatError, _fmt, concavity_csv,
+                          ScenarioFormatError, _csv, _fmt, concavity_csv,
                           format_scenario, main, paper_scenario_path,
                           parse_scenario, region_csv, sweep_csv,
                           write_scenario)
@@ -202,6 +203,75 @@ def test_sweep_csv_matches_per_cell_format(paper):
         # Compared row by row, so that a failure names the first bad row.
         assert sweep_csv(records).split("\n") == want_sweep.split("\n")
         assert concavity_csv(records).split("\n") == want_concavity.split("\n")
+
+
+def _float_cases(rng):
+    """Seeded doubles for the cell formatter: random mantissas over the whole
+    exponent range and, more densely, over the magnitudes CSVs hold (1e-30 to
+    1e30), and the values its fast path must get right or hand on."""
+    n = 1_000_000
+    mantissa = rng.integers(0, 2 ** 52, n, dtype=np.uint64)
+    power = np.where(rng.random(n) < 0.4, rng.integers(-1063, 1024, n),  # 1e-320 to 1e308
+                     rng.integers(-100, 100, n))
+    sign = rng.choice([-1.0, 1.0], n)
+    with np.errstate(under="ignore"):
+        spread = sign * np.ldexp(1.0 + mantissa / 2.0 ** 52, power)
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)] + [10.0 ** k for k in range(-300, 301)])
+    edges = np.array([0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+                      1.7976931348623157e308, 1e250, 1e-250, 9.999999999999999e17,
+                      999999999999999999.0, 2.0 ** 54, 2.0 ** 54 + 2.0, 2.0 ** 60, 2.0 ** 63,
+                      1000000000000000.125, 0.5, 1.0])
+    edges = np.concatenate([edges, tens])
+    with np.errstate(over="ignore"):  # above the largest double is inf
+        near = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+    big_integers = rng.integers(2 ** 54, 2 ** 63, 2000).astype(float)
+    # Odd multiples of 1/8 between 1e15 and 2**50: the 19th digit is an exact tie.
+    ties = (2 * rng.integers(4 * 10 ** 15, 2 ** 52, 2000) + 1) / 8.0
+    special = np.array([np.inf, np.nan, np.copysign(np.nan, -1.0)])
+    finite = np.concatenate([near, big_integers, ties])
+    return np.concatenate([spread, finite, -finite, special, -special])
+
+
+def test_float_cells_match_percent_format():
+    values = _float_cases(np.random.default_rng(41))
+    assert len(values) >= 1_000_000
+    assert np.signbit(values[np.isnan(values)]).any() and not np.signbit(values[np.isnan(values)]).all()
+    want = "x\n" + "\n".join(["%.17e" % v for v in values.tolist()]) + "\n"
+    got = _csv("x", [values])
+    if got != want:
+        bad = [(v, g, w) for v, g, w in zip(values.tolist(), got.split("\n")[1:], want.split("\n")[1:])
+               if g != w]
+        pytest.fail(f"{len(bad)} cells differ, first {bad[:5]}")
+
+
+def test_map_csvs_match_per_cell_format_50m(paper, tmp_path):
+    # The 50 m grid holds the failure row (300, 300), zero gains and negative
+    # eigenvalues; the text is compared both as returned and as written.
+    records = sweep(paper, SweepGrid(step=50.0))
+    assert any(r.failure is not None for r in rows(records))
+    assert (records.gain_bw_total_pct == 0.0).any() and (records.lambda1 < 0.0).any()
+    want_sweep, want_concavity = _reference_map_csvs(records)
+    for write, want in ((sweep_csv, want_sweep), (concavity_csv, want_concavity)):
+        assert write(records).split("\n") == want.split("\n")
+        path = tmp_path / f"{write.__name__}.csv"
+        with open(path, "w") as out:
+            assert write(records, out) is None
+        assert path.read_text() == want
+
+
+def test_csv_written_in_blocks_matches_returned_text(paper, tmp_path, monkeypatch):
+    # Small blocks, so that every output spans several of them.
+    monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 100)
+    sample = sample_utility_region(make_context(paper, RELAY_450), resolution=41)
+    records = sweep(paper, SweepGrid(step=50.0))
+    for write, data in ((region_csv, sample), (sweep_csv, records), (concavity_csv, records)):
+        text = write(data)
+        assert text.count("\n") > 2 * cli._CSV_BLOCK_ROWS + 1
+        path = tmp_path / f"{write.__name__}.csv"
+        with open(path, "w") as out:
+            write(data, out)
+        assert path.read_text() == text
+    assert region_csv(sample).split("\n") == _reference_region_csv(sample).split("\n")
 
 
 def test_cli_map_summary_lines(paper, paper_path, tmp_path, capsys):

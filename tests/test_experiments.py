@@ -294,7 +294,7 @@ def test_sweep_unit_invariance(paper):
         base = sweep(scenario, grid)
         ok = np.equal(base.failure, None)
         cases = [(replace(scenario, alpha=scenario.alpha * k, b=scenario.b * k), 1.0)
-                 for k in (1e-100, 1e-12, 1e-9, 1e100, 1e140)]
+                 for k in (1e-100, 1e-12, 1e-9, 1e100, 1e140, 1e160, 1e200)]
         cases += [(replace(scenario, omega=scenario.omega * k, b=scenario.b / k), k)
                   for k in (1e-100, 1e-12, 1e100)]
         for rescaled, k in cases:
