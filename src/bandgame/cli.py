@@ -10,8 +10,7 @@ The CSV writers build the text of a block of rows at once in numpy: each
 float cell gets exactly the text of ``'%.17e' % x``, from its 18 significant
 digits computed in double-double arithmetic (Python's ``%`` formats the rare
 cell that is within reach of a rounding tie or of the float range's ends).
-Given an open text file, a writer streams the blocks into it; the
-subcommands write their CSVs that way.
+A writer streams the blocks into the open text file it is given.
 """
 
 import argparse
@@ -312,14 +311,14 @@ class _Distinct:
         return len(self.index)
 
 
-def _csv(header: str, columns, out=None):
-    """``header`` and one line per row of the equal-length ``columns``.
+def _csv(header: str, columns, out) -> None:
+    """Write ``header`` and one line per row of the equal-length ``columns``
+    to the open text file ``out``.
 
     A column is a float array (``%.17e`` cells, the text of :func:`_fmt`), a
     boolean array (``true``/``false``) or a :class:`_Distinct`. Rows are built
-    in blocks of ``_CSV_BLOCK_ROWS``. Each block is written to the open text
-    file ``out`` as soon as it is built, and None returned; without ``out``
-    the text is returned.
+    in blocks of ``_CSV_BLOCK_ROWS``, and each block is written as soon as it
+    is built.
     """
     columns = [c if isinstance(c, _Distinct) else np.asarray(c) for c in columns]
     flags = [not isinstance(c, _Distinct) and c.dtype == bool for c in columns]
@@ -327,9 +326,7 @@ def _csv(header: str, columns, out=None):
                                for f in flags])
     template[-1] = ord("\n")
     offsets = np.cumsum([0] + [_FLAG_SLOT if f else _FLOAT_SLOT for f in flags]).tolist()
-    parts = []
-    write = parts.append if out is None else out.write
-    write(header + "\n")
+    out.write(header + "\n")
     n_rows = len(columns[0])
     for start in range(0, n_rows, _CSV_BLOCK_ROWS):
         rows = slice(start, min(start + _CSV_BLOCK_ROWS, n_rows))
@@ -345,14 +342,13 @@ def _csv(header: str, columns, out=None):
                 _put_flags(buf, mask, off, column[rows])
             else:
                 _put_floats(buf, mask, off, column[rows])
-        write(buf[mask].tobytes().decode("ascii"))
-    return None if out is not None else "".join(parts)
+        out.write(buf[mask].tobytes().decode("ascii"))
 
 
-def sweep_csv(records, out=None):
-    """The sweep CSV of ``records``; see :func:`_csv` for ``out``."""
+def sweep_csv(records, out) -> None:
+    """Write the sweep CSV of ``records`` to the open text file ``out``."""
     r = records
-    return _csv(SWEEP_HEADER, [
+    _csv(SWEEP_HEADER, [
         r.xr, r.yr, r.ne.w1, r.ne.w2, r.nbs.w1, r.nbs.w2,
         r.ne_u.u1, r.ne_u.u2, r.nbs_u.u1, r.nbs_u.u2,
         r.gain_bw_u1_pct, r.gain_bw_u2_pct, r.gain_bw_total_pct,
@@ -360,22 +356,22 @@ def sweep_csv(records, out=None):
         r.strictly_concave, np.equal(r.failure, None)], out)
 
 
-def region_csv(sample, out=None):
-    """The region CSV of ``sample``; see :func:`_csv` for ``out``."""
+def region_csv(sample, out) -> None:
+    """Write the region CSV of ``sample`` to the open text file ``out``."""
     n = len(sample.utilities)
     on_hull, on_pareto = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
     on_hull[sample.hull_indices] = True
     on_pareto[sample.pareto_indices] = True
-    return _csv(REGION_HEADER, [_Distinct(sample.allocations[:, 0]),
-                                _Distinct(sample.allocations[:, 1]),
-                                sample.utilities[:, 0], sample.utilities[:, 1],
-                                on_hull, on_pareto], out)
+    _csv(REGION_HEADER, [_Distinct(sample.allocations[:, 0]),
+                         _Distinct(sample.allocations[:, 1]),
+                         sample.utilities[:, 0], sample.utilities[:, 1],
+                         on_hull, on_pareto], out)
 
 
-def concavity_csv(records, out=None):
-    """The concavity CSV of ``records``; see :func:`_csv` for ``out``."""
+def concavity_csv(records, out) -> None:
+    """Write the concavity CSV of ``records`` to the open text file ``out``."""
     r = records
-    return _csv(CONCAVITY_HEADER, [r.xr, r.yr, r.lambda1, r.lambda2, r.strictly_concave], out)
+    _csv(CONCAVITY_HEADER, [r.xr, r.yr, r.lambda1, r.lambda2, r.strictly_concave], out)
 
 
 def _out_path(name: str) -> Path:

@@ -489,19 +489,23 @@ def test_region_hull_on_grid_boundary(ctx450, paper):
     contexts = [ctx450] + [make_context(paper, random_relay(rng, paper, min_sep=20.0))
                            for _ in range(4)]
     for ctx in contexts:
-        for n in (41, 401):
-            sample = sample_utility_region(ctx, resolution=n)
-            i, j = np.divmod(sample.hull_indices, n)
-            assert ((i == 0) | (i == n - 1) | (j == 0) | (j == n - 1)).all()
-            assert set(sample.pareto_indices.tolist()) <= set(sample.hull_indices.tolist())
-            if n == 41:  # the hull of every sample, by the plain chain
-                assert sample.hull_indices.tolist() == _reference_hull(sample.utilities)
+        sample = sample_utility_region(ctx, resolution=41)
+        _assert_hull_on_boundary(sample, 41)
+        # The hull of every sample, by the plain chain.
+        assert sample.hull_indices.tolist() == _reference_hull(sample.utilities)
     # At (450, 450) the welfare anti-diagonal is straight to within rounding:
     # its interior samples are not vertices, and the Pareto boundary is the
     # chord between its two ends.
     sample = sample_utility_region(ctx450, resolution=401)
+    _assert_hull_on_boundary(sample, 401)
     pareto = [tuple(divmod(k, 401)) for k in sample.pareto_indices.tolist()]
     assert pareto == [(0, 89), (89, 0)]
+
+
+def _assert_hull_on_boundary(sample, n):
+    i, j = np.divmod(sample.hull_indices, n)
+    assert ((i == 0) | (i == n - 1) | (j == 0) | (j == n - 1)).all()
+    assert set(sample.pareto_indices.tolist()) <= set(sample.hull_indices.tolist())
 
 
 def test_region_rejects_resolution(ctx450):

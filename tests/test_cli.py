@@ -1,3 +1,4 @@
+import io
 import math
 from dataclasses import replace
 
@@ -151,6 +152,13 @@ def test_cli_region(paper_path, tmp_path, capsys):
     assert len(pareto_rows) <= len(hull_rows)
 
 
+def _text(write, *args):
+    """What the CSV writer ``write`` writes to a file, as a string."""
+    out = io.StringIO()
+    write(*args, out)
+    return out.getvalue()
+
+
 def _reference_region_csv(sample):
     """One ``_fmt`` call per cell and set membership for the flags."""
     on_hull = set(sample.hull_indices.tolist())
@@ -170,7 +178,7 @@ def test_region_csv_matches_per_cell_format(paper):
         sample = sample_utility_region(ctx, resolution=41)
         assert len(sample.hull_indices) and len(sample.pareto_indices)
         # Compared row by row, so that a failure names the first bad row.
-        assert region_csv(sample).split("\n") == _reference_region_csv(sample).split("\n")
+        assert _text(region_csv, sample).split("\n") == _reference_region_csv(sample).split("\n")
 
 
 def _reference_map_csvs(records):
@@ -201,8 +209,8 @@ def test_sweep_csv_matches_per_cell_format(paper):
         assert any(r.bargain for r in rows(records)) == (scenario.b > 0.0)
         want_sweep, want_concavity = _reference_map_csvs(records)
         # Compared row by row, so that a failure names the first bad row.
-        assert sweep_csv(records).split("\n") == want_sweep.split("\n")
-        assert concavity_csv(records).split("\n") == want_concavity.split("\n")
+        assert _text(sweep_csv, records).split("\n") == want_sweep.split("\n")
+        assert _text(concavity_csv, records).split("\n") == want_concavity.split("\n")
 
 
 def _float_cases(rng):
@@ -237,7 +245,7 @@ def test_float_cells_match_percent_format():
     assert len(values) >= 1_000_000
     assert np.signbit(values[np.isnan(values)]).any() and not np.signbit(values[np.isnan(values)]).all()
     want = "x\n" + "\n".join(["%.17e" % v for v in values.tolist()]) + "\n"
-    got = _csv("x", [values])
+    got = _text(_csv, "x", [values])
     if got != want:
         bad = [(v, g, w) for v, g, w in zip(values.tolist(), got.split("\n")[1:], want.split("\n")[1:])
                if g != w]
@@ -246,32 +254,29 @@ def test_float_cells_match_percent_format():
 
 def test_map_csvs_match_per_cell_format_50m(paper, tmp_path):
     # The 50 m grid holds the failure row (300, 300), zero gains and negative
-    # eigenvalues; the text is compared both as returned and as written.
+    # eigenvalues; the text is written to a file, as the subcommands do.
     records = sweep(paper, SweepGrid(step=50.0))
     assert any(r.failure is not None for r in rows(records))
     assert (records.gain_bw_total_pct == 0.0).any() and (records.lambda1 < 0.0).any()
     want_sweep, want_concavity = _reference_map_csvs(records)
     for write, want in ((sweep_csv, want_sweep), (concavity_csv, want_concavity)):
-        assert write(records).split("\n") == want.split("\n")
         path = tmp_path / f"{write.__name__}.csv"
         with open(path, "w") as out:
-            assert write(records, out) is None
-        assert path.read_text() == want
+            write(records, out)
+        assert path.read_text().split("\n") == want.split("\n")
 
 
-def test_csv_written_in_blocks_matches_returned_text(paper, tmp_path, monkeypatch):
+def test_csv_written_in_blocks_matches_per_cell_format(paper, monkeypatch):
     # Small blocks, so that every output spans several of them.
     monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 100)
     sample = sample_utility_region(make_context(paper, RELAY_450), resolution=41)
     records = sweep(paper, SweepGrid(step=50.0))
-    for write, data in ((region_csv, sample), (sweep_csv, records), (concavity_csv, records)):
-        text = write(data)
-        assert text.count("\n") > 2 * cli._CSV_BLOCK_ROWS + 1
-        path = tmp_path / f"{write.__name__}.csv"
-        with open(path, "w") as out:
-            write(data, out)
-        assert path.read_text() == text
-    assert region_csv(sample).split("\n") == _reference_region_csv(sample).split("\n")
+    want_sweep, want_concavity = _reference_map_csvs(records)
+    for write, data, want in ((region_csv, sample, _reference_region_csv(sample)),
+                              (sweep_csv, records, want_sweep),
+                              (concavity_csv, records, want_concavity)):
+        assert want.count("\n") > 2 * cli._CSV_BLOCK_ROWS + 1
+        assert _text(write, data).split("\n") == want.split("\n")
 
 
 def test_cli_map_summary_lines(paper, paper_path, tmp_path, capsys):

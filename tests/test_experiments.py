@@ -1,3 +1,4 @@
+import io
 import math
 import re
 from dataclasses import replace
@@ -108,9 +109,10 @@ def test_sweep_degenerate_position_recorded(paper):
 
 def test_sweep_deterministic(paper):
     grid = SweepGrid(step=175.0)
-    a = sweep_csv(sweep(paper, grid))
-    b = sweep_csv(sweep(paper, grid))
-    assert a == b
+    a, b = io.StringIO(), io.StringIO()
+    sweep_csv(sweep(paper, grid), a)
+    sweep_csv(sweep(paper, grid), b)
+    assert a.getvalue() == b.getvalue()
 
 
 def test_sweep_records_sorted_and_flagged(paper):
