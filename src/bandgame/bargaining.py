@@ -458,20 +458,21 @@ def exact_nbs_batch(terms: MarginalTerms, ne_alloc: BandAllocation,
     and the product is a quadratic in w1. Where AB > 0 its peak
     w1*(s) = (A*(alpha2 + B*s) - B*alpha1) / (2AB) has the value
     N(s)**2 / (4AB) with N = A*alpha2 + B*alpha1 + AB*s, which is stationary
-    in s at the roots of the quartic 2N'AB - N(AB)'. On each box edge the
-    product is a cubic in the free coordinate. Every position has 16
-    candidate slots: the four corners, the four quartic roots and two
-    stationary points on each edge. Each candidate is scored with gains
-    written without subtracting two nearly equal utilities; a slot without a
-    candidate (a complex or unpeaked root, a non-finite value) or one that
-    does not dominate the threat point scores -inf. The largest product wins,
-    ties going to the larger utility sum, then to the first slot. There is a
-    bargain where the winning product is positive.
+    in s at the roots of the quartic 2N'AB - N(AB)', found in closed form
+    (:func:`_quartic_roots`). On each box edge the product is a cubic in the
+    free coordinate. Every position has 16 candidate slots: the four
+    corners, four candidates for the quartic's real roots and two stationary
+    points on each edge. Each candidate is scored with gains written without
+    subtracting two nearly equal utilities; a slot without a candidate (an
+    unpeaked root, a non-finite value) or one that does not dominate the
+    threat point scores -inf. The largest product wins, ties going to the
+    larger utility sum, then to the first slot. There is a bargain where the
+    winning product is positive.
     """
     omega = scenario.omega
     n = np.size(ne_alloc.w1)
-    # Up to the quartic's coefficients every step is arithmetic, which runs
-    # on floats as well as on arrays.
+    # Up to the quartic's roots every step is elementwise, which runs on
+    # floats as well as on arrays.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         c1, c2 = terms.relay_advantage(1), terms.relay_advantage(2)
         unit = np.maximum(np.maximum(abs(c1), abs(c2)), scenario.b * omega)
@@ -481,25 +482,13 @@ def exact_nbs_batch(terms: MarginalTerms, ne_alloc: BandAllocation,
         alpha1 = -a1 * (c1 - b * (a1 + a2))
         alpha2 = -a2 * (c2 - b * (a1 + a2))
 
-        # Interior: stationary points in s of the slice maximum N**2/(4AB),
-        # with AB = p2*s**2 + p1*s + p0 and N = n3*s**3 + ... + n0 (n0 = p2).
-        # The quartic is 2*(3*n0, 2*n1, n2)*(p2, p1, p0) - (n0, n1, n2, n3)*(2*p2, p1),
-        # with * the product of coefficient lists.
-        p2, p1, p0 = b * b, -b * (c1 + c2), c1 * c2
-        n1, n2, n3 = p1, p0 - b * (alpha1 + alpha2), c1 * alpha2 + c2 * alpha1
-        m0, m1, v0 = p2 * 3.0, p1 * 2.0, 2.0 * p2
-        quartic = np.empty((n, 5))
-        quartic[:, 0] = 2.0 * (m0 * p2) - p2 * v0
-        quartic[:, 1] = 2.0 * (m0 * p1 + m1 * p2) - (p2 * p1 + n1 * v0)
-        quartic[:, 2] = 2.0 * (m0 * p0 + m1 * p1 + n2 * p2) - (n1 * p1 + n2 * v0)
-        quartic[:, 3] = 2.0 * (m1 * p0 + n2 * p1) - (n2 * p1 + n3 * v0)
-        quartic[:, 4] = 2.0 * (n2 * p0) - n3 * p1
-        roots = _quartic_roots(quartic)
+        # Interior: stationary points in s of the slice maximum N**2/(4AB).
+        roots = _quartic_roots(*_interior_quartic(c1, c2, b, alpha1, alpha2))
         b, c1, c2, a1, a2, alpha1, alpha2 = (
             np.reshape(x, (-1, 1)) for x in (b, c1, c2, a1, a2, alpha1, alpha2))
-        # A double root can leave the companion matrix as a close complex pair.
-        real = np.abs(roots.imag) <= 1e-6 * (1.0 + np.abs(roots.real))
-        total = np.clip(np.where(real, roots.real, 0.0), 0.0, 2.0)
+        total = roots / b
+        real = np.isfinite(total)
+        total = np.clip(np.where(real, total, 0.0), 0.0, 2.0)
         av, bv = c1 - b * total, c2 - b * total
         peaked = real & (av * bv > 0.0)
         inner1 = (av * (alpha2 + bv * total) - bv * alpha1) / (2.0 * av * bv)
@@ -537,38 +526,105 @@ def exact_nbs_batch(terms: MarginalTerms, ne_alloc: BandAllocation,
     return alloc, bargain
 
 
-def _quartic_roots(q: np.ndarray) -> np.ndarray:
-    """The four complex roots of each row of quartic coefficients ``q``
-    (highest degree first), as ``np.roots`` finds them; NaN fills the slots
-    of a row of lower degree, every slot of a row whose coefficients are zero
-    but the constant (it has no roots; every row of a zero price), and every
-    slot of a row with a non-finite coefficient (a failed position).
+def _interior_quartic(c1, c2, b, alpha1, alpha2) -> tuple:
+    """Coefficients (e3, e2, e1, e0) of the monic quartic in t = b*s whose
+    roots are the stationary points of :func:`exact_nbs_batch`'s slice
+    maximum N(s)**2/(4AB), in its normalized units; elementwise.
 
-    Rows with non-zero end coefficients share one eigenvalue call on their
-    stacked 4x4 companion matrices, the matrices ``np.roots`` builds. The
-    other finite rows go through ``np.roots``, which strips zero end
-    coefficients, after each leading coefficient whose companion row is not
-    finite is dropped: a subnormal one (a tiny price) stands for roots of
-    magnitude about 1e300 or more, far outside the band totals [0, 2] of
-    interest.
+    With AB = b**2*s**2 - b*(c1 + c2)*s + c1*c2 and
+    N = AB*s + A*alpha2 + B*alpha1 = b**2*s**3 - b*(c1 + c2)*s**2 + n2*s + n3,
+    the quartic 2*N'*AB - N*(AB)' has the leading coefficient 4*b**4. In t,
+    divided by it, it reads
+
+        t**4 - 7*sum*t**3/4 + (6*prod + 3*sum**2)*t**2/4
+            - (sum*(4*prod + n2) + 2*b*n3)*t/4 + (2*n2*prod + b*sum*n3)/4,
+
+    with sum = c1 + c2 and prod = c1*c2. Every coefficient is O(1), and at a
+    zero price s = t/b has no finite value.
     """
-    top = -q[:, 1:] / q[:, :1]
-    regular = (q[:, 0] != 0.0) & (q[:, 4] != 0.0) & np.isfinite(top).all(axis=1)
-    companion = np.zeros((int(regular.sum()), 4, 4))
-    companion[:, 0, :] = top[regular]
-    companion[:, [1, 2, 3], [0, 1, 2]] = 1.0
-    if regular.all():
-        return np.linalg.eigvals(companion)
-    roots = np.full((len(q), 4), np.nan, dtype=complex)
-    roots[regular] = np.linalg.eigvals(companion)
-    rooted = ~regular & np.isfinite(q).all(axis=1) & (q[:, :4] != 0.0).any(axis=1)
-    for k in np.flatnonzero(rooted).tolist():
-        row = q[k]
-        while len(row) > 1 and not np.isfinite(row[1:] / row[0]).all():
-            row = row[1:]
-        found = np.roots(row)
-        roots[k, :len(found)] = found
-    return roots
+    csum, cprod = c1 + c2, c1 * c2
+    n2, n3 = cprod - b * (alpha1 + alpha2), c1 * alpha2 + c2 * alpha1
+    return (-1.75 * csum, 1.5 * cprod + 0.75 * csum * csum,
+            -0.25 * (csum * (4.0 * cprod + n2) + 2.0 * b * n3),
+            0.25 * (2.0 * n2 * cprod + b * csum * n3))
+
+
+def _quartic_roots(e3, e2, e1, e0) -> np.ndarray:
+    """Four candidates for the real roots of t**4 + e3*t**3 + e2*t**2 + e1*t + e0,
+    elementwise over N coefficients (arrays, or floats for N = 1); returns
+    an (N, 4) array.
+
+    Ferrari's method in real arithmetic. With t = x + u and x = -e3/4 the
+    quartic is u**4 + p*u**2 + q*u + r. Its resolvent cubic
+    y**3 + 2p*y**2 + (p*p - 4r)*y - q*q is -q*q <= 0 at y = 0, so its largest
+    real root y is >= 0, and with a = sqrt(y) the quartic splits into the
+    real quadratics (u**2 + a*u + beta)*(u**2 - a*u + gamma), where
+    beta + gamma = p + y and gamma - beta = q/a. Each quadratic gives two
+    real roots, or the vertex of its complex pair and one more point, so a
+    double root has a candidate too; extra candidates cost nothing, because
+    every candidate is scored exactly afterwards. Two Newton steps on the
+    quartic polish each candidate, each step kept only where it does not
+    raise |Q|. A row with a non-finite coefficient gets non-finite candidates.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # The Taylor coefficients r, q, p at x, by synthetic division.
+        x = -0.25 * e3
+        h1 = e3 + x
+        h2 = e2 + x * h1
+        h3 = e1 + x * h2
+        r = e0 + x * h3
+        h1 = h1 + x
+        h2 = h2 + x * h1
+        q = h3 + x * h2
+        p = h2 + x * (h1 + x)
+
+        # The resolvent cubic y**3 + A*y**2 + B*y - qq, depressed at
+        # y = z - A/3 to z**3 + P*z + R, has one real root where D > 0
+        # (Cardano, without cancellation) and three otherwise (Viete; fmax and
+        # fmin map the 0/0 of a triple root to z = 0).
+        pp, qq = p * p, q * q
+        A, B = 2.0 * p, pp - 4.0 * r
+        P = B - pp * (4.0 / 3.0)
+        R = p * (r * (8.0 / 3.0) - pp * (2.0 / 27.0)) - qq
+        P3 = P / 3.0
+        D = 0.25 * R * R + P3 * P3 * P3
+        w = np.cbrt(-0.5 * R - np.copysign(np.sqrt(D), R))
+        rho = np.sqrt(-P3)
+        cosine = np.fmin(np.fmax(-0.5 * R / (rho * rho * rho), -1.0), 1.0)
+        y = np.where(D > 0.0, w - P / (3.0 * w), 2.0 * rho * np.cos(np.arccos(cosine) / 3.0))
+        y = y - A / 3.0
+        # Two Newton steps, each kept where it does not raise |f|, give a small
+        # root the relative accuracy that q/a below needs.
+        y = np.maximum(y, 0.0)
+        f = ((y + A) * y + B) * y - qq
+        for _ in range(2):
+            step = np.maximum(y - f / ((3.0 * y + 2.0 * A) * y + B), 0.0)
+            at_step = ((step + A) * step + B) * step - qq
+            keep = np.abs(at_step) <= np.abs(f)
+            y, f = np.where(keep, step, y), np.where(keep, at_step, f)
+
+        # Where y = 0 (then q = 0), (gamma - beta)/2 = sqrt(half**2 - r).
+        a = np.sqrt(y)
+        half = 0.5 * (p + y)
+        skew = np.where(a > 0.0, 0.5 * q / a, np.sqrt(np.maximum(half * half - r, 0.0)))
+        beta, gamma = half - skew, half + skew
+        # Without cancellation: u**2 + a*u + beta has the roots m1 and beta/m1,
+        # u**2 - a*u + gamma the roots m2 and gamma/m2; a negative
+        # discriminant is taken as zero, which gives the vertex.
+        ha = 0.5 * a
+        hh = ha * ha
+        m1 = -ha - np.sqrt(np.maximum(hh - beta, 0.0))
+        m2 = ha + np.sqrt(np.maximum(hh - gamma, 0.0))
+        e3, e2, e1, e0, x = (np.reshape(v, (-1, 1)) for v in (e3, e2, e1, e0, x))
+        t = x + np.reshape(np.stack([m1, beta / m1, m2, gamma / m2], axis=-1), (-1, 4))
+        e3x3, e2x2 = 3.0 * e3, 2.0 * e2
+        value = (((t + e3) * t + e2) * t + e1) * t + e0
+        for _ in range(2):
+            step = t - value / (((4.0 * t + e3x3) * t + e2x2) * t + e1)
+            at_step = (((step + e3) * step + e2) * step + e1) * step + e0
+            keep = np.abs(at_step) <= np.abs(value)
+            t, value = np.where(keep, step, t), np.where(keep, at_step, value)
+    return t
 
 
 def grid_oracle_nbs(ctx: NashProductContext, resolution: int = 401,

@@ -14,6 +14,7 @@ A writer streams the blocks into the open text file it is given.
 """
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -532,9 +533,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except (ScenarioFormatError, ValueError, OSError) as exc:

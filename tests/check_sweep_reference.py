@@ -1,0 +1,59 @@
+"""Check a sweep of the bundled scenario row by row against the bench's
+independent reference.
+
+    python3 tests/check_sweep_reference.py [--step 10]
+
+Writes the sweep CSV with ``bandgame sweep`` (default step 10 m: 71 x 71 =
+5,041 relay positions over [0, 700]^2), then checks every row with the row
+check of the ``maps-paper`` bench workload (``bench/workloads.py``), which
+tests the equilibrium, the bargaining solution, the gains and the Hessian
+eigenvalues against ``bench/reference.py`` (numpy and scipy only, nothing
+from ``bandgame``). Prints the failing rows with their reasons and exits 1
+if there is one. The 10 m grid takes about 25 s on a 2-CPU machine.
+"""
+
+import argparse
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+import reference  # noqa: E402
+from workloads import MapsPaper, _csv_rows, _num, grid_axis  # noqa: E402
+
+from bandgame.cli import main, paper_scenario_path  # noqa: E402
+
+
+def check(step: float) -> int:
+    paper = paper_scenario_path()
+    params = reference.parse_params(paper.read_text())
+    relays = [(x, y) for x in grid_axis(step) for y in grid_axis(step)]
+    with tempfile.TemporaryDirectory() as work:
+        out = Path(work) / "sweep.csv"
+        if main(["sweep", "--scenario", str(paper), "--step", repr(step),
+                 "--out", str(out)]) != 0:
+            print("sweep failed")
+            return 1
+        rows = _csv_rows(out)
+    if len(rows) != len(relays):
+        print(f"{len(rows)} rows for {len(relays)} relay positions")
+        return 1
+    failed = 0
+    for relay, cells in zip(relays, rows):
+        if (_num(cells[0]), _num(cells[1])) != relay:
+            reasons = ["position"]
+        else:
+            reasons = MapsPaper._sweep_row(reference, params, relay, cells)
+        if reasons:
+            failed += 1
+            print(f"relay {relay}: {', '.join(reasons)}")
+    print(f"{len(relays) - failed} of {len(relays)} rows agree with the reference")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--step", type=float, default=10.0, help="grid step in m")
+    sys.exit(check(parser.parse_args().step))

@@ -3,9 +3,14 @@ reference it is checked against.
 
 One relay at a time in Python floats: link budget, marginal terms, the
 equilibrium as the first feasible of the nine KKT clamp patterns, the exact
-bargaining solution (quartic coefficients from ``np.convolve``, roots from
-``np.roots``), the Hessian eigenvalues at the bargaining solution, and the
-gains. It imports nothing from ``bandgame``.
+bargaining solution (quartic coefficients in the total band from
+``np.convolve``, roots from ``np.roots``), the Hessian eigenvalues at the
+bargaining solution, and the gains. It imports nothing from ``bandgame``.
+
+Its ``np.roots`` is an independent reference for the package's quartic
+solver, which finds the roots in closed form from other coefficients (those
+of the same quartic in t = b*s, divided by 4*b**4), without an eigenvalue
+routine. So the two agree to rounding, not bit for bit.
 """
 
 import math
@@ -116,18 +121,31 @@ def _quadratic_roots(q2, q1, q0):
         return np.stack([q / q2, q0 / q])
 
 
-def exact_nbs(c1, c2, b, omega, ne):
-    """(w1, w2) of the bargaining solution, or None where there is no bargain."""
+def normalized(c1, c2, b, omega, ne):
+    """(c1, c2, b, a1, a2, alpha1, alpha2) in units where the band is 1 and
+    the largest of |c1|, |c2| and b*omega is 1, with the threat allocation a
+    and alpha_i = -a_i*(c_i - b*(a1 + a2))."""
     unit = max(abs(c1), abs(c2), b * omega) or 1.0
     c1, c2, b = c1 / unit, c2 / unit, b * omega / unit
     a1, a2 = ne[0] / omega, ne[1] / omega
     alpha1 = -a1 * (c1 - b * (a1 + a2))
     alpha2 = -a2 * (c2 - b * (a1 + a2))
+    return c1, c2, b, a1, a2, alpha1, alpha2
+
+
+def interior_quartic(c1, c2, b, alpha1, alpha2):
+    """Coefficients, highest degree first, of the quartic in the total band s
+    whose roots are the interior candidates (normalized units)."""
     p2, p1, p0 = b * b, -b * (c1 + c2), c1 * c2
     n = np.array([p2, p1, p0 - b * (alpha1 + alpha2), c1 * alpha2 + c2 * alpha1])
-    quartic = (2.0 * np.convolve(n[:3] * [3.0, 2.0, 1.0], [p2, p1, p0])
-               - np.convolve(n, [2.0 * p2, p1]))
-    roots = np.roots(quartic)
+    return (2.0 * np.convolve(n[:3] * [3.0, 2.0, 1.0], [p2, p1, p0])
+            - np.convolve(n, [2.0 * p2, p1]))
+
+
+def exact_nbs(c1, c2, b, omega, ne):
+    """(w1, w2) of the bargaining solution, or None where there is no bargain."""
+    c1, c2, b, a1, a2, alpha1, alpha2 = normalized(c1, c2, b, omega, ne)
+    roots = np.roots(interior_quartic(c1, c2, b, alpha1, alpha2))
     total = roots.real[np.abs(roots.imag) <= 1e-6 * (1.0 + np.abs(roots.real))]
     total = np.clip(total, 0.0, 2.0)
     av, bv = c1 - b * total, c2 - b * total

@@ -1,8 +1,10 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import loop_reference
 from bandgame import (BandAllocation, EigenPair, Hessian2x2, MarginalTerms,
                       NashProductContext, Point, SweepGrid, bandwidth_gain,
                       cg_minimize, cg_nbs, convex_hull_indices, eigenvalues,
@@ -11,6 +13,8 @@ from bandgame import (BandAllocation, EigenPair, Hessian2x2, MarginalTerms,
                       max_nash_product_on_pareto, nash_equilibrium,
                       nash_product, nash_product_gradient,
                       sample_utility_region, sweep, utility_pair)
+from bandgame.bargaining import _interior_quartic, _quartic_roots, make_context_batch
+from bandgame.cli import main, paper_scenario_path
 from conftest import RELAY_450, random_relay, random_scenario, rows
 from test_acceptance import _criterion3_sites
 
@@ -345,9 +349,130 @@ def test_exact_dominates_and_beats_oracle(paper):
     assert bargains > 0, "no context had a bargain; the comparison checked nothing"
 
 
+def _candidates(e3, e2, e1, e0):
+    """The closed-form solver's candidates, with RuntimeWarnings as errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return _quartic_roots(e3, e2, e1, e0)
+
+
+def _near_real_roots(coefficients):
+    """Roots by np.roots (highest degree first) with |imag| <= 1e-6 and a real
+    part in [0, 2]. Leading coefficients whose companion row is not finite
+    are dropped first (a tiny price): they stand for roots far beyond 2."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while len(coefficients) > 1 and not np.isfinite(coefficients[1:] / coefficients[0]).all():
+            coefficients = coefficients[1:]
+    roots = np.roots(coefficients)
+    return roots[(np.abs(roots.imag) <= 1e-6) & (roots.real >= 0.0) & (roots.real <= 2.0)]
+
+
+def test_quartic_roots_match_np_roots():
+    # Every root np.roots finds in [0, 2] has a candidate within
+    # tol*(1 + |root|), plus its imaginary part (a close complex pair has its
+    # vertex as a candidate). Rows: random monic quartics; quartics with
+    # roots c +- d and c +- i*f, whose depressed form has q = 0 up to
+    # rounding (the resolvent's largest root is then about 0); and
+    # biquadratics (t**2 - a)*(t**2 + b), where q = 0 exactly.
+    rng = np.random.default_rng(11)
+    random = rng.normal(size=(4, 2000)) * 10.0 ** rng.uniform(-1.0, 1.0, size=(4, 2000))
+    c, d, f = rng.uniform(0.2, 1.0, 300), rng.uniform(0.0, 1.0, 300), rng.uniform(0.01, 1.0, 300)
+    symmetric = np.array([np.poly([x - y * x, x + y * x, x + 1j * z, x - 1j * z]).real[1:]
+                          for x, y, z in zip(c, d, f)]).T
+    a, b = rng.uniform(0.01, 4.0, 100), rng.uniform(-4.0, 4.0, 100)
+    biquadratic = np.array([np.zeros(100), b - a, np.zeros(100), -a * b])
+    for e, tol, least in ((random, 1e-13, 500), (symmetric, 1e-11, 300), (biquadratic, 1e-13, 100)):
+        found = _candidates(*e)
+        assert found.shape == (e.shape[1], 4)
+        matched = 0
+        for row, cands in zip(e.T, found):
+            for r in _near_real_roots(np.concatenate([[1.0], row])):
+                assert np.abs(cands - r.real).min() <= tol * (1.0 + abs(r)) + abs(r.imag), (row, r)
+                matched += 1
+        assert matched >= least
+
+
+def test_quartic_roots_of_close_pairs():
+    # Quartics built from known roots, with a pair of real roots 1e-9 to 1e-3
+    # apart in [0, 2] and either two more real roots or a complex pair.
+    # Rounding the coefficients moves a root whose nearest neighbour is g
+    # away by about 1e-16/g, or by about sqrt(1e-16) once that is larger, so
+    # each known real root in [0, 2] must have a candidate within
+    # min(2e-6, 1e-11/g). np.roots misses by as much.
+    rng = np.random.default_rng(12)
+    for gap in 10.0 ** np.arange(-9.0, -2.5, 0.5):
+        for k in range(40):
+            x = rng.uniform(0.0, 2.0 - gap)
+            if k % 2:
+                m, im = rng.uniform(-1.0, 3.0), rng.uniform(0.01, 1.0)
+                roots = [x, x + gap, complex(m, im), complex(m, -im)]
+            else:
+                roots = [x, x + gap, *rng.uniform(-1.0, 3.0, size=2)]
+            cands = _candidates(*np.poly(roots).real[1:, None])[0]
+            for i, r in enumerate(roots):
+                if np.imag(r) == 0.0 and 0.0 <= r.real <= 2.0:
+                    g = min(abs(r - o) for j, o in enumerate(roots) if j != i)
+                    assert np.abs(cands - r.real).min() <= min(2e-6, 1e-11 / g), (roots, r)
+
+
+def test_quartic_roots_of_sweep_quartics(paper):
+    # The interior quartics of the bundled 25 m sweep, and of its 100 m sweep
+    # at a zero price and at tiny prices: in the total band s = t/b, every root
+    # that np.roots finds in [0, 2] for the same quartic in s (from
+    # np.convolve, as the loop reference builds it) has a candidate within
+    # 1e-8 plus its imaginary part. A zero price leaves no finite candidate;
+    # a NaN row has no candidate.
+    matched = 0
+    for b, step in ((paper.b, 25.0), (0.0, 100.0), (1e-89, 100.0), (1e-86, 100.0),
+                    (1e-84, 100.0)):
+        scenario = replace(paper, b=b)
+        xr, yr = SweepGrid(step=step).positions()
+        ctx, failures = make_context_batch(scenario, xr, yr)
+        for k, failure in enumerate(failures):
+            if failure is not None:
+                continue
+            t = ctx.terms
+            c1, c2, bn, _, _, alpha1, alpha2 = loop_reference.normalized(
+                float(t.psi1[k] - t.phi1[k]), float(t.psi2[k] - t.phi2[k]), b,
+                scenario.omega, (float(ctx.ne_alloc.w1[k]), float(ctx.ne_alloc.w2[k])))
+            coefficients = _interior_quartic(c1, c2, bn, alpha1, alpha2)
+            assert np.isfinite(coefficients).all()
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cands = _candidates(*coefficients)[0] / bn
+            if b == 0.0:
+                assert not np.isfinite(cands).any()
+            for r in _near_real_roots(loop_reference.interior_quartic(c1, c2, bn, alpha1, alpha2)):
+                assert np.abs(cands - r.real).min() <= 1e-8 + abs(r.imag), (b, xr[k], yr[k], r)
+                matched += 1
+    assert matched > 2000
+    nan = _candidates(*np.array([[np.nan, 1.0, np.nan], [1.0, np.nan, 2.0],
+                                 [0.5, 0.5, np.inf], [0.1, 0.2, np.nan]]))
+    assert not np.isfinite(nan).any()
+
+
+def test_sweeps_call_no_eigenvalue_routine(paper, monkeypatch, tmp_path):
+    # The quartic's roots come in closed form: no LAPACK eigenvalue call and
+    # no np.roots, at the bundled price, a zero price or a tiny price, for a
+    # sweep, a single position or a CLI map.
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigenvalue routine called")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    monkeypatch.setattr(np.linalg, "eig", refuse)
+    monkeypatch.setattr(np, "roots", refuse)
+    for b in (paper.b, 0.0, 1e-86):
+        records = sweep(replace(paper, b=b), SweepGrid(step=25.0))
+        assert np.equal(records.failure, None).sum() == 840
+    assert exact_nbs(make_context(paper, RELAY_450)).allocation.w1 > 0.0
+    assert main(["concavity-map", "--scenario", str(paper_scenario_path()), "--step", "50",
+                 "--out", str(tmp_path / "concavity.csv")]) == 0
+
+
 def test_exact_nbs_tiny_price(paper):
-    # At these prices the normalized quartic's leading coefficient,
-    # 4*(b*omega/unit)**4, is subnormal and its companion row overflows.
+    # At these prices b*omega/unit is between about 1e-84 and 1e-76, so the
+    # interior quartic in the total band s has a leading coefficient
+    # 4*(b*omega/unit)**4 that is subnormal or zero; the solver takes the
+    # quartic in t = (b*omega/unit)*s, whose coefficients are O(1).
     def check(ctx, alloc):
         u = utility_pair(alloc, ctx.terms, ctx.scenario)
         assert u.u1 >= ctx.threat.u1 and u.u2 >= ctx.threat.u2

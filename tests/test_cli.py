@@ -130,7 +130,8 @@ def test_cli_nbs_with_oracle(paper_path, tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 1
     assert "oracle_match = false" in out
-    # At this price the exact solver's quartic has a subnormal leading coefficient.
+    # At this price the interior quartic in the total band has a subnormal
+    # leading coefficient; the exact solver takes it in t = (b*omega/unit)*s.
     path = tmp_path / "tiny.cfg"
     write_scenario(replace(parse_scenario(paper_path), b=1e-84), path)
     rc = main(["nbs", "--scenario", str(path), "--relay", "450,450", "--oracle"])
@@ -343,6 +344,17 @@ def test_cli_error_exits(paper_path, tmp_path, capsys):
     # a non-finite grid step would never end the grid's axis
     assert main(["sweep", "--scenario", paper_path, "--step", "inf",
                  "--out", str(tmp_path / "never.csv")]) == 2
+
+
+def test_main_builds_its_parser_once(paper_path, monkeypatch, capsys):
+    assert main(["ne", "--scenario", paper_path, "--relay", "450,450"]) == 0
+
+    def rebuild():
+        raise AssertionError("main built its parser again")
+
+    monkeypatch.setattr(cli, "build_parser", rebuild)
+    assert main(["ne", "--scenario", paper_path, "--relay", "450,450"]) == 0
+    assert "kind=NE" in capsys.readouterr().out
 
 
 def test_cli_full_precision_output(paper_path, capsys):
