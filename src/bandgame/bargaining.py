@@ -175,11 +175,8 @@ def eigenvalues(h: Hessian2x2) -> EigenPair:
     """
     _, e = np.frexp(np.maximum(np.maximum(abs(h.a11), abs(h.a22)), abs(h.a12)))
     a11, a22, a12 = np.ldexp(h.a11, -e), np.ldexp(h.a22, -e), np.ldexp(h.a12, -e)
-    # Python's ``x ** 2`` (libm pow) and numpy's (a product) differ in the last
-    # bit for about 1 input in 1,400; the square is taken with the former.
     d = a11 - a22
-    square = np.reshape([x ** 2 for x in np.ravel(d).tolist()], np.shape(d))
-    delta = square + 4.0 * a12 * a12
+    delta = d * d + 4.0 * a12 * a12
     root = np.sqrt(delta)
     tr = a11 + a22
     e = e + h.exponent

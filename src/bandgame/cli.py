@@ -153,9 +153,9 @@ def _fmt(value) -> str:
 # and its separator; "true" leaves out the "e".
 _FLOAT_SLOT = 26
 _FLAG_SLOT = 6
-_FLOAT_FIELDS = {"names": ["d0", "d1_8", "d9_16", "d17", "exp"],
-                 "formats": ["u1", "<u8", "<u8", "u1", "<u4"],
-                 "offsets": [1, 3, 11, 19, 21]}
+_FLOAT_CELL = np.dtype({"names": ["d0", "d1_8", "d9_16", "d17", "exp"],
+                        "formats": ["u1", "<u8", "<u8", "u1", "<u4"],
+                        "offsets": [1, 3, 11, 19, 21], "itemsize": _FLOAT_SLOT})
 _FLOAT_TEMPLATE = np.frombuffer(b"-0.00000000000000000e+000", dtype=np.uint8)
 _FLAG_TEMPLATE = np.frombuffer(b"false", dtype=np.uint8)
 _WORDS = np.frombuffer(b"falstrue", dtype="<u4")  # the four bytes before "e"
@@ -257,31 +257,36 @@ def _ascii8(v):
     return x | 0x3030303030303030
 
 
-def _put_floats(buf, mask, off, x) -> None:
-    """Write the ``%.17e`` text of each of ``x`` into the float slots at byte
-    ``off`` of the rows of ``buf``, whose template is already in place."""
-    x = np.asarray(x, dtype=float)
-    n, e10 = _decimal(x)
+def _put_floats(buf, mask, x, offsets) -> None:
+    """Write the ``%.17e`` text of each cell of ``x`` (rows, k) into the rows
+    of ``buf``, column j into the float slot at byte ``offsets[j]``; the
+    template is already in place.
+
+    The digits of all k columns are computed in one pass, and each run of
+    adjacent slots is written through one strided view.
+    """
+    n, e10 = (v.reshape(x.shape) for v in _decimal(x.ravel()))
     lead = n // 10 ** 17
     rest = n - lead * 10 ** 17
-    first = rest // 10 ** 9
-    rest -= first * 10 ** 9
-    second = rest // 10
-    fields = dict(_FLOAT_FIELDS, offsets=[o + off for o in _FLOAT_FIELDS["offsets"]],
-                  itemsize=buf.shape[1])
-    cells = buf.view(np.dtype(fields))[:, 0]
-    cells["d0"] = lead + 48
-    cells["d1_8"] = _ascii8(first.astype(np.uint64))
-    cells["d9_16"] = _ascii8(second.astype(np.uint64))
-    cells["d17"] = rest - second * 10 + 48
-    cells["exp"] = _EXP_TEXT[e10 - _EXP_MIN]
+    eights = _ascii8(np.stack([rest // 10 ** 9, rest % 10 ** 9 // 10]).astype(np.uint64))
+    fields = {"d0": lead + 48, "d1_8": eights[0], "d9_16": eights[1],
+              "d17": rest % 10 + 48, "exp": _EXP_TEXT[e10 - _EXP_MIN]}
     nan = np.isnan(x)
-    mask[:, off] = np.signbit(x) & ~nan  # Python prints "nan" for every NaN
-    mask[:, off + 22] = np.abs(e10) >= 100
-    special = np.flatnonzero(nan | np.isinf(x))
-    if len(special):
-        buf[special, off + 1:off + 4] = _NAN_INF[np.isinf(x[special]).astype(np.intp)]
-        mask[special, off + 4:off + _FLOAT_SLOT - 1] = False
+    sign = np.signbit(x) & ~nan  # Python prints "nan" for every NaN
+    wide = np.abs(e10) >= 100
+    breaks = [j for j in range(1, len(offsets)) if offsets[j] != offsets[j - 1] + _FLOAT_SLOT]
+    for start, stop in zip([0] + breaks, breaks + [len(offsets)]):
+        off, end = offsets[start], offsets[stop - 1] + _FLOAT_SLOT
+        cells = buf[:, off:end].view(_FLOAT_CELL)  # (rows, stop - start)
+        for name, value in fields.items():
+            cells[name] = value[:, start:stop]
+        mask[:, off:end:_FLOAT_SLOT] = sign[:, start:stop]
+        mask[:, off + 22:end:_FLOAT_SLOT] = wide[:, start:stop]
+    row, col = np.nonzero(nan | np.isinf(x))
+    if len(row):
+        slot = np.asarray(offsets)[col][:, None]
+        buf[row[:, None], slot + np.arange(1, 4)] = _NAN_INF[np.isinf(x[row, col]).astype(np.intp)]
+        mask[row[:, None], slot + np.arange(4, _FLOAT_SLOT - 1)] = False
 
 
 def _put_flags(buf, mask, off, flags) -> None:
@@ -305,7 +310,7 @@ class _Distinct:
         buf = np.empty((len(bits), _FLOAT_SLOT), dtype=np.uint8)
         buf[:, :-1] = _FLOAT_TEMPLATE
         mask = np.ones(buf.shape, dtype=bool)
-        _put_floats(buf, mask, 0, bits.view(np.float64))
+        _put_floats(buf, mask, bits.view(np.float64)[:, None], [0])
         self.text, self.mask = buf[:, :-1], mask[:, :-1]  # without the separator
 
     def __len__(self):
@@ -319,7 +324,8 @@ def _csv(header: str, columns, out) -> None:
     A column is a float array (``%.17e`` cells, the text of :func:`_fmt`), a
     boolean array (``true``/``false``) or a :class:`_Distinct`. Rows are built
     in blocks of ``_CSV_BLOCK_ROWS``, and each block is written as soon as it
-    is built.
+    is built. The float arrays of a block are stacked into one (rows, k)
+    array and formatted in one pass.
     """
     columns = [c if isinstance(c, _Distinct) else np.asarray(c) for c in columns]
     flags = [not isinstance(c, _Distinct) and c.dtype == bool for c in columns]
@@ -327,6 +333,8 @@ def _csv(header: str, columns, out) -> None:
                                for f in flags])
     template[-1] = ord("\n")
     offsets = np.cumsum([0] + [_FLAG_SLOT if f else _FLOAT_SLOT for f in flags]).tolist()
+    floats = [(off, c) for off, f, c in zip(offsets, flags, columns)
+              if not f and not isinstance(c, _Distinct)]
     out.write(header + "\n")
     n_rows = len(columns[0])
     for start in range(0, n_rows, _CSV_BLOCK_ROWS):
@@ -334,6 +342,9 @@ def _csv(header: str, columns, out) -> None:
         buf = np.empty((rows.stop - start, len(template)), dtype=np.uint8)
         buf[:] = template
         mask = np.ones(buf.shape, dtype=bool)
+        if floats:
+            _put_floats(buf, mask, np.stack([c[rows] for _, c in floats], axis=1, dtype=float),
+                        [off for off, _ in floats])
         for off, flag, column in zip(offsets, flags, columns):
             if isinstance(column, _Distinct):
                 index = column.index[rows]
@@ -341,8 +352,6 @@ def _csv(header: str, columns, out) -> None:
                 mask[:, off:off + _FLOAT_SLOT - 1] = column.mask[index]
             elif flag:
                 _put_flags(buf, mask, off, column[rows])
-            else:
-                _put_floats(buf, mask, off, column[rows])
         out.write(buf[mask].tobytes().decode("ascii"))
 
 

@@ -130,7 +130,9 @@ def sweep(scenario: Scenario, grid: SweepGrid) -> SweepRecord:
     nbs, bargain = exact_nbs_batch(ctx.terms, ne, scenario)
     nbs_u = utility_pair(nbs, ctx.terms, scenario)
     eig = eigenvalues(hessian(nbs, ctx))
-    ok = np.equal(failures, None)
+    failure = np.array(failures, dtype=object)
+    ok = np.equal(failure, None)
+    failure[~ok] = [str(f) for f in failure[~ok]]  # the failed positions only
     return SweepRecord(
         xr=xr, yr=yr, ne=ne, ne_u=ne_u, nbs=nbs, nbs_u=nbs_u, bargain=bargain,
         gain_bw_u1_pct=np.where(ok, bandwidth_gain(ne.w1, nbs.w1), 0.0),
@@ -138,7 +140,7 @@ def sweep(scenario: Scenario, grid: SweepGrid) -> SweepRecord:
         gain_bw_total_pct=np.where(ok, bandwidth_gain(ne.w1 + ne.w2, nbs.w1 + nbs.w2), 0.0),
         gain_sw_pct=np.where(ok, social_welfare_gain(ne_u, nbs_u), 0.0),
         lambda1=eig.lambda1, lambda2=eig.lambda2, strictly_concave=eig.lambda2 < 0.0,
-        failure=np.array([None if f is None else str(f) for f in failures], dtype=object))
+        failure=failure)
 
 
 def concavity_map(scenario: Scenario, grid: SweepGrid) -> SweepRecord:

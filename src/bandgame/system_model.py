@@ -9,11 +9,9 @@ law ``pathloss_const / d**pathloss_exp``.
 
 The link budget is computed for N relay positions at once, given as two
 coordinate arrays (:func:`link_budget_batch`); :func:`link_budget` is its
-call with N = 1.
-Steps with a transcendental function (``hypot``, ``**`` and, in the game
-layer, ``expm1``) run element by element through :mod:`math`, because numpy's
-versions can differ from it in the last bit; the rest is numpy arithmetic,
-which rounds exactly as Python floats do.
+call with N = 1. Every step is a numpy ufunc over whole arrays, the
+transcendental ones (``hypot``, ``**`` and, in the game layer, ``expm1``)
+included, so one position and a batch get the same bits.
 """
 
 import math
@@ -143,44 +141,36 @@ def channel_gain(d: float, scenario: Scenario) -> float:
     """
     if d < 0:
         raise ValueError("distance must be non-negative")
-    gains, failures = _channel_gains([d], scenario)
-    if failures:
-        raise failures[0][1]
+    with np.errstate(over="ignore", divide="ignore"):
+        gains, bad = _channel_gains(np.array([d], dtype=float), scenario)
+    if bad is not None:
+        raise _degenerate(d)
     return gains.item()
 
 
-def _channel_gains(d: list, scenario: Scenario):
-    """Gains of links of lengths ``d`` (floats >= 0) as an array, and the
-    list of ``(index, DegenerateGeometryError)`` of the links that have none,
-    by index; those links get a NaN gain."""
+def _channel_gains(d: np.ndarray, scenario: Scenario):
+    """Gains of links of lengths ``d`` (an array of floats >= 0), and None or
+    the mask of the links that have none (a zero length, or a
+    ``d**pathloss_exp`` that underflows to zero); those links get a NaN gain.
+    An overflowing ``d**pathloss_exp`` gives a zero gain. Call it with
+    overflow and division by zero ignored."""
     e = scenario.pathloss_exp
-    try:
-        attenuation = [x ** e for x in d]
-    except OverflowError:
-        attenuation = [_power_or_inf(x, e) for x in d]
-    attenuation = np.array(attenuation)
-    with np.errstate(divide="ignore", over="ignore"):
-        gains = scenario.pathloss_const / attenuation
-    failures = []
-    if attenuation.all() and 0.0 not in d:
-        return gains, failures
-    for k in np.flatnonzero((attenuation == 0.0) | (np.array(d) == 0.0)).tolist():
-        if d[k] == 0.0:
-            exc = DegenerateGeometryError(
-                "co-located nodes: channel gain undefined at zero distance")
-        else:
-            exc = DegenerateGeometryError(
-                f"nodes {d[k]!r} m apart: d**pathloss_exp underflows to zero")
-        failures.append((k, exc))
-        gains[k] = math.nan
-    return gains, failures
+    attenuation = d ** e
+    gains = scenario.pathloss_const / attenuation
+    if attenuation.all() and (e > 0 or d.all()):  # at e > 0, d == 0 gives 0
+        return gains, None
+    bad = (attenuation == 0.0) | (d == 0.0)
+    gains[bad] = math.nan
+    return gains, bad
 
 
-def _power_or_inf(x: float, e: float) -> float:
-    try:
-        return x ** e
-    except OverflowError:
-        return math.inf
+def _degenerate(d: float) -> DegenerateGeometryError:
+    """The error of a link of length ``d`` that has no gain."""
+    if d == 0.0:
+        return DegenerateGeometryError(
+            "co-located nodes: channel gain undefined at zero distance")
+    return DegenerateGeometryError(
+        f"nodes {d!r} m apart: d**pathloss_exp underflows to zero")
 
 
 def snr_direct(p, h_sq, sigma2: float):
@@ -222,11 +212,17 @@ def efficiency(x: float, M: int) -> float:
 
 
 def efficiency_batch(x: np.ndarray, M: int) -> np.ndarray:
-    """:func:`efficiency` of every entry of an array of SNRs (NaN stays NaN)."""
+    """:func:`efficiency` of every entry of an array of SNRs (NaN stays NaN),
+    in one pass of numpy ufuncs."""
     # -expm1 keeps full relative accuracy for small x, where 1 - exp(-x/2)
     # would cancel.
-    values = [(-math.expm1(-0.5 * v)) ** M for v in x.ravel().tolist()]
-    return np.array(values).reshape(x.shape)
+    return (-np.expm1(-0.5 * x)) ** M
+
+
+# The three links of a user, in the order direct, source-relay and
+# relay-destination, by their two ends: which end is the relay (the others
+# are the user's source, then its destination).
+_AT_RELAY = np.array([[False, False], [False, True], [True, False]])[:, :, None]
 
 
 def link_budget_batch(scenario: Scenario, xr, yr) -> tuple:
@@ -239,26 +235,30 @@ def link_budget_batch(scenario: Scenario, xr, yr) -> tuple:
     underflow (the first such link of user 1, then of user 2, in the order
     direct, source-relay, relay-destination), or a relay so close to a node
     that an SNR overflows. The entries of failed positions are NaN.
+
+    The six link lengths of every position come from one ``np.hypot`` over
+    the (user, link, position) array of coordinate differences.
     """
-    xs, ys = np.asarray(xr, dtype=float).tolist(), np.asarray(yr, dtype=float).tolist()
-    n = len(xs)
-    lengths = []
-    for src, dst in ((scenario.source_1, scenario.dest_1),
-                     (scenario.source_2, scenario.dest_2)):
-        lengths += [distance(src, dst)] * n
-        # distance(src, relay) and distance(relay, dst), inlined
-        lengths += [math.hypot(src.x - x, src.y - y) for x, y in zip(xs, ys)]
-        lengths += [math.hypot(x - dst.x, y - dst.y) for x, y in zip(xs, ys)]
-    gains, bad = _channel_gains(lengths, scenario)
-    h_ii, h_ir, h_ri = gains.reshape(2, 3, n).transpose(1, 0, 2)  # each (user, position)
+    s = scenario
+    relay = np.array([xr, yr], dtype=float)[:, None, None, None, :]  # (axis, 1, 1, 1, N)
+    nodes = np.array([[[s.source_1.x, s.dest_1.x], [s.source_2.x, s.dest_2.x]],
+                      [[s.source_1.y, s.dest_1.y], [s.source_2.y, s.dest_2.y]]])
+    # (axis, user, link, end, N): the coordinates of both ends of every link
+    ends = np.where(_AT_RELAY, relay, nodes[:, :, None, :, None])
+    lengths = np.hypot(*(ends[:, :, :, 0] - ends[:, :, :, 1]))  # (user, link, N)
+    n = lengths.shape[-1]
     failures = [None] * n
-    for k, exc in bad:  # link by link in the order above: the first one names it
-        if failures[k % n] is None:
-            failures[k % n] = exc
-    p = np.array([[scenario.p1], [scenario.p2]])
-    with np.errstate(over="ignore", invalid="ignore"):
-        g_direct = snr_direct(p, h_ii, scenario.sigma2)
-        g_relayed = snr_relayed(p, scenario.p_r, h_ir, h_ri, scenario.sigma2)
+    p = np.array([[s.p1], [s.p2]])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        gains, bad = _channel_gains(lengths, s)
+        if bad is not None:
+            bad = bad.reshape(6, n)  # links in the order above, by position
+            first = np.argmax(bad, axis=0)
+            for k in np.flatnonzero(bad.any(axis=0)).tolist():
+                failures[k] = _degenerate(lengths.reshape(6, n)[first[k], k].item())
+        h_ii, h_ir, h_ri = gains[:, 0], gains[:, 1], gains[:, 2]  # each (user, position)
+        g_direct = snr_direct(p, h_ii, s.sigma2)
+        g_relayed = snr_relayed(p, s.p_r, h_ir, h_ri, s.sigma2)
         g_af = g_direct + g_relayed
     if not np.isfinite(g_af).all():
         for k in np.flatnonzero(~np.isfinite(g_af).all(axis=0)).tolist():

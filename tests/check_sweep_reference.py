@@ -1,7 +1,7 @@
-"""Check a sweep of the bundled scenario row by row against the bench's
-independent reference.
+"""Check a sweep of the bundled scenario, or of a seeded random one, row by
+row against the bench's independent reference.
 
-    python3 tests/check_sweep_reference.py [--step 10]
+    python3 tests/check_sweep_reference.py [--step 10] [--random-seed N]
 
 Writes the sweep CSV with ``bandgame sweep`` (default step 10 m: 71 x 71 =
 5,041 relay positions over [0, 700]^2), then checks every row with the row
@@ -10,6 +10,10 @@ tests the equilibrium, the bargaining solution, the gains and the Hessian
 eigenvalues against ``bench/reference.py`` (numpy and scipy only, nothing
 from ``bandgame``). Prints the failing rows with their reasons and exits 1
 if there is one. The 10 m grid takes about 25 s on a 2-CPU machine.
+
+With ``--random-seed N`` the scenario is the draw of the bench's
+``_random_scenario_text`` (the tests' ``random_scenario`` distribution)
+from ``numpy.random.default_rng(N)``, instead of the bundled one.
 """
 
 import argparse
@@ -20,19 +24,24 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
+import numpy as np  # noqa: E402
 import reference  # noqa: E402
-from workloads import MapsPaper, _csv_rows, _num, grid_axis  # noqa: E402
+from workloads import (MapsPaper, _csv_rows, _num, _random_scenario_text,  # noqa: E402
+                       grid_axis)
 
 from bandgame.cli import main, paper_scenario_path  # noqa: E402
 
 
-def check(step: float) -> int:
-    paper = paper_scenario_path()
-    params = reference.parse_params(paper.read_text())
+def check(step: float, seed=None) -> int:
     relays = [(x, y) for x in grid_axis(step) for y in grid_axis(step)]
     with tempfile.TemporaryDirectory() as work:
+        scenario = paper_scenario_path()
+        if seed is not None:
+            scenario = Path(work) / f"random-{seed}.cfg"
+            scenario.write_text(_random_scenario_text(np.random.default_rng(seed)))
+        params = reference.parse_params(scenario.read_text())
         out = Path(work) / "sweep.csv"
-        if main(["sweep", "--scenario", str(paper), "--step", repr(step),
+        if main(["sweep", "--scenario", str(scenario), "--step", repr(step),
                  "--out", str(out)]) != 0:
             print("sweep failed")
             return 1
@@ -56,4 +65,7 @@ def check(step: float) -> int:
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--step", type=float, default=10.0, help="grid step in m")
-    sys.exit(check(parser.parse_args().step))
+    parser.add_argument("--random-seed", type=int, default=None,
+                        help="sweep the seeded random scenario draw instead of the bundled one")
+    args = parser.parse_args()
+    sys.exit(check(args.step, args.random_seed))

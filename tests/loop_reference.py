@@ -11,6 +11,16 @@ Its ``np.roots`` is an independent reference for the package's quartic
 solver, which finds the roots in closed form from other coefficients (those
 of the same quartic in t = b*s, divided by 4*b**4), without an eigenvalue
 routine. So the two agree to rounding, not bit for bit.
+
+It shares with the package the primitives that are not exactly rounded:
+``np.hypot``, ``d**pathloss_exp``, ``np.expm1`` and ``**M``, each applied to
+1-element arrays (:func:`_one`), as the package applies them to arrays of
+positions. Python's ``math`` and numpy's scalar ``**`` can round these
+differently in the last bit from numpy's array loops, so sharing them is what
+lets the comparison demand bit equality everywhere else. The eigenvalue square is a
+product, exactly rounded in either. What the shared primitives compute is
+checked independently by ``bench/reference.py`` (numpy and scipy only,
+nothing from ``bandgame``), row by row in ``tests/check_sweep_reference.py``.
 """
 
 import math
@@ -22,13 +32,21 @@ class Failure(Exception):
     """A position without a solution; the message is the sweep's failure text."""
 
 
+def _one(x):
+    """``x`` as a 1-element array, so that a ufunc on it runs numpy's array
+    loop, as the package's batch does, and not numpy's scalar path."""
+    return np.array([x], dtype=float)
+
+
+def _hypot(x, y):
+    return np.hypot(_one(x), _one(y)).item()
+
+
 def _gain(d, s):
     if d == 0:
         raise Failure("co-located nodes: channel gain undefined at zero distance")
-    try:
-        attenuation = d ** s.pathloss_exp
-    except OverflowError:
-        return 0.0
+    with np.errstate(over="ignore"):  # inf where it overflows
+        attenuation = (_one(d) ** s.pathloss_exp).item()
     if attenuation == 0.0:
         raise Failure(f"nodes {d!r} m apart: d**pathloss_exp underflows to zero")
     return s.pathloss_const / attenuation
@@ -37,16 +55,16 @@ def _gain(d, s):
 def _efficiency(x, M):
     if x == 0.0:
         return 0.0
-    return (-math.expm1(-0.5 * x)) ** M
+    return ((-np.expm1(_one(-0.5 * x))) ** M).item()
 
 
 def terms(s, relay):
     """((phi1, psi1), (phi2, psi2)) at one relay position."""
     out = []
     for src, dst, p in ((s.source_1, s.dest_1, s.p1), (s.source_2, s.dest_2, s.p2)):
-        h_ii = _gain(math.hypot(src.x - dst.x, src.y - dst.y), s)
-        h_ir = _gain(math.hypot(src.x - relay.x, src.y - relay.y), s)
-        h_ri = _gain(math.hypot(relay.x - dst.x, relay.y - dst.y), s)
+        h_ii = _gain(_hypot(src.x - dst.x, src.y - dst.y), s)
+        h_ir = _gain(_hypot(src.x - relay.x, src.y - relay.y), s)
+        h_ri = _gain(_hypot(relay.x - dst.x, relay.y - dst.y), s)
         g_direct = p * h_ii / s.sigma2
         num = p * s.p_r * h_ir * h_ri
         den = s.sigma2 * (p * h_ir + s.p_r * h_ri + s.sigma2)
@@ -210,7 +228,7 @@ def position(s, relay):
     a11 = -2.0 * b * d2 - 2.0 * b * w2 * du1
     a22 = -2.0 * b * d1 - 2.0 * b * w1 * du2
     a12 = -b * d2 - b * d1 + b * b * w1 * w2 + du1 * du2
-    root = math.sqrt((a11 - a22) ** 2 + 4.0 * a12 * a12)
+    root = math.sqrt((a11 - a22) * (a11 - a22) + 4.0 * a12 * a12)
     ne_sum = threat[0] + threat[1]
     return {
         "ne": ne, "ne_u": threat, "nbs": nbs, "nbs_u": nbs_u,

@@ -253,6 +253,24 @@ def test_float_cells_match_percent_format():
         pytest.fail(f"{len(bad)} cells differ, first {bad[:5]}")
 
 
+def test_float_columns_formatted_together(monkeypatch):
+    # Float columns in two runs of adjacent slots, split by a flag and a
+    # _Distinct column, with zeros, NaN and inf in each, across blocks.
+    monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 1000)
+    rng = np.random.default_rng(43)
+    values = _float_cases(rng)
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan]
+    floats = [rng.permutation(np.concatenate([rng.choice(values, 2500), special]))
+              for _ in range(4)]
+    flags = rng.random(len(floats[0])) < 0.5
+    repeated = rng.choice(np.array(special + [1.5, -2.5e-300]), len(flags))
+    got = _text(_csv, "h", [floats[0], flags, floats[1], floats[2],
+                            cli._Distinct(repeated), floats[3]])
+    cells = zip(*(c.tolist() for c in (floats[0], flags, floats[1], floats[2], repeated, floats[3])))
+    want = "h\n" + "".join(",".join(_fmt(c) for c in row) + "\n" for row in cells)
+    assert got.split("\n") == want.split("\n")
+
+
 def test_map_csvs_match_per_cell_format_50m(paper, tmp_path):
     # The 50 m grid holds the failure row (300, 300), zero gains and negative
     # eigenvalues; the text is written to a file, as the subcommands do.

@@ -1,6 +1,7 @@
 import io
 import math
 import re
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from bandgame import (BandAllocation, MarginalTerms, Point, SweepGrid,
                       exact_nbs, hessian, is_strictly_concave_at,
                       make_context, nash_equilibrium, social_welfare_gain,
                       sweep)
+from bandgame import cli
 from bandgame.bargaining import NO_BARGAIN_NOTE
 from bandgame.cli import sweep_csv
 from bandgame.game import nash_equilibrium_batch
@@ -190,7 +192,9 @@ def _assert_sweep_matches_loop(scenario, grid) -> tuple:
     bargain/no-bargain status are bit-equal. The bargaining allocation is
     within 1e-13*omega, because the batch sums the quartic's coefficients in
     another order than ``np.convolve``; where it is bit-equal, so is every
-    other value of the row. The concavity flag is always the same.
+    other value of the row, and where it is not, every other value is within
+    the bounds of :func:`_assert_moved_cells`. The concavity flag is always
+    the same.
     """
     records = sweep(scenario, grid)
     xr, yr = grid.positions()
@@ -227,8 +231,60 @@ def _assert_sweep_matches_loop(scenario, grid) -> tuple:
         else:
             moved += 1
             assert np.abs(np.subtract(nbs, ref["nbs"])).max() <= 1e-13 * scenario.omega, relay
+            _assert_moved_cells(r, ref, scenario, relay)
         assert r.strictly_concave == (ref["lambdas"][1] < 0.0), relay
     return bargains, moved
+
+
+def _assert_moved_cells(r, ref, scenario, relay) -> None:
+    """Check ``nbs_u``, the four gains and the two eigenvalues of a row whose
+    bargaining allocation is within step = 1e-13*omega of the loop
+    reference's per user, but not bit-equal to it.
+
+    Each value is a function of the allocation, so it may move by its
+    largest first-order change under that move, counted twice, plus the
+    rounding of its evaluation. With c_i = psi_i - phi_i, C = max |c_i|,
+    P = C + 4*b*omega and U = omega*max(|phi_i|, |psi_i|, b*omega):
+
+    - a utility u_i, whose partials are c_i - b*(2*w_i + w_j) and -b*w_i,
+      moves by at most step*P: bound du = 2*step*P + 1e-14*U;
+    - a band gain 100*(ne - nbs)/ne moves by 100*step/ne, and the total
+      band's by 100*2*step/(ne1 + ne2): bound twice that plus
+      1e-13*(100 + |gain|), and 0 where ne is 0 (the gain is then 0);
+    - the welfare gain 100*(sum nbs_u - sum ne_u)/sum ne_u moves by
+      100*2*du/|sum ne_u|: bound that plus 1e-13*(100 + |gain|), and a NaN
+      gain stays NaN;
+    - an eigenvalue moves by at most the spectral norm of the Hessian's
+      change, and with d_i = u_i - threat_i each Hessian entry moves by at
+      most 4*b*step*P (diagonal) or 8*b*step*P (off-diagonal), so by at
+      most 12*b*step*P: bound twice that plus 1e-14*(P**2 + b*U).
+    """
+    (phi1, psi1), (phi2, psi2) = loop_reference.terms(scenario, relay)
+    b, omega = scenario.b, scenario.omega
+    step = 1e-13 * omega
+    big_p = max(abs(psi1 - phi1), abs(psi2 - phi2)) + 4.0 * b * omega
+    big_u = omega * max(abs(phi1), abs(psi1), abs(phi2), abs(psi2), b * omega)
+    du = 2.0 * step * big_p + 1e-14 * big_u
+    dlam = 2.0 * 12.0 * b * step * big_p + 1e-14 * (big_p ** 2 + b * big_u)
+    ne1, ne2 = ref["ne"]
+    ne_sum = sum(ref["ne_u"])  # the welfare gain is NaN where it is not positive
+    gains = ref["gains"]
+
+    def share(move, whole, gain):
+        return 0.0 if whole == 0.0 else 2.0 * 100.0 * move / whole + 1e-13 * (100.0 + abs(gain))
+
+    bounds = [du, du, share(step, ne1, gains[0]), share(step, ne2, gains[1]),
+              share(2.0 * step, ne1 + ne2, gains[2]),
+              100.0 * 2.0 * du / ne_sum + 1e-13 * (100.0 + abs(gains[3])) if ne_sum > 0.0 else 0.0,
+              dlam, dlam]
+    got = [r.nbs_u.u1, r.nbs_u.u2, r.gain_bw_u1_pct, r.gain_bw_u2_pct,
+           r.gain_bw_total_pct, r.gain_sw_pct, r.lambda1, r.lambda2]
+    want = [*ref["nbs_u"], *gains, *ref["lambdas"]]
+    for g, w, bound in zip(got, want, bounds):
+        if math.isnan(w):
+            assert math.isnan(g), relay
+        else:
+            assert abs(g - w) <= bound, (relay, g, w, bound)
 
 
 def test_sweep_matches_loop_reference(paper):
@@ -308,3 +364,63 @@ def test_sweep_unit_invariance(paper):
                     error = np.abs(a[ok] - k * w[ok]).max()
                     assert error <= 1e-12 * rescaled.omega, (rescaled, error / rescaled.omega)
             assert np.array_equal(got.strictly_concave, base.strictly_concave), rescaled
+
+
+def _forbidden(*args):
+    raise AssertionError("a per-element math call in the sweep path")
+
+
+def _line_events(scenario, grid) -> int:
+    """Lines of ``bandgame`` run by ``sweep(scenario, grid)``, leaving out
+    ``SweepGrid.axis``, which builds one axis of the grid."""
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return local
+
+    def calls(frame, event, arg):
+        code = frame.f_code
+        if "bandgame" in code.co_filename and code.co_name != "axis":
+            return local
+        return None
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        sweep(scenario, grid)
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def test_sweep_has_no_per_element_python(paper, monkeypatch, tmp_path):
+    # The link budget, the efficiency curve, the eigenvalue square and the
+    # CSV cells are array passes: no math call per link or SNR, no Python
+    # line run once per position, one formatting pass per CSV block.
+    monkeypatch.setattr(math, "hypot", _forbidden)
+    monkeypatch.setattr(math, "expm1", _forbidden)
+    at_origin = replace(paper, source_1=Point(0.0, 0.0))
+    for scenario, grid in (
+            (paper, SweepGrid(step=25.0)),
+            (replace(paper, b=0.0), SweepGrid(step=25.0)),
+            (paper, SweepGrid(step=1e100, x_min=300.0, x_max=1e100, y_min=300.0, y_max=301.0)),
+            (at_origin, SweepGrid(step=1e100, x_min=1e-90, x_max=1e100, y_min=0.0, y_max=1.0))):
+        # Each grid holds one failed position: on source_1, or 1e-90 m from it.
+        failed = np.not_equal(sweep(scenario, grid).failure, None)
+        assert np.count_nonzero(failed) == 1 and len(failed) > 1
+    assert _line_events(paper, SweepGrid(step=25.0)) == _line_events(paper, SweepGrid(step=50.0))
+
+    calls, decimal = [], cli._decimal
+
+    def counted(x):
+        calls.append(len(x))
+        return decimal(x)
+
+    monkeypatch.setattr(cli, "_decimal", counted)
+    monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 300)
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--scenario", str(cli.paper_scenario_path()),
+                     "--step", "25", "--out", str(out)]) == 0
+    assert calls == [300 * 16, 300 * 16, 241 * 16]  # 841 rows of 16 float cells
