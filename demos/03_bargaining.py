@@ -1,9 +1,10 @@
 """Bargaining on top of the equilibrium threat point.
 
 Maximizes the product of utility gains with the projected Polak-Ribiere
-conjugate-gradient solver, shows the iteration trace, certifies local strict
-concavity through the Hessian eigenvalues, and cross-checks the result
-against the exact closed-form solver and the brute-force grid oracle.
+conjugate-gradient solver, reports its iterations, residual and notes,
+certifies local strict concavity through the Hessian eigenvalues, and
+cross-checks the result against the exact closed-form solver and the
+brute-force grid oracle.
 """
 
 from bandgame import (Point, cg_nbs, eigenvalues, exact_nbs, grid_oracle_nbs,
@@ -16,12 +17,9 @@ print(f"threat point (equilibrium utilities): ({ctx.threat.u1:.2f}, {ctx.threat.
 print(f"equilibrium bands: ({ctx.ne_alloc.w1:.1f}, {ctx.ne_alloc.w2:.1f}) Hz")
 print()
 
-trace = []
-report = cg_nbs(ctx, trace=trace)
-print("conjugate-gradient iterations:")
-for s in trace:
-    print(f"  k={s.k:2d} w=({s.iterate.w1:10.2f}, {s.iterate.w2:10.2f}) "
-          f"|v|={s.direction_norm:9.3e} beta={s.beta:7.3f} t={s.step:+9.3e}")
+report = cg_nbs(ctx)
+print(f"conjugate gradient: {report.iterations} iterations, residual {report.residual:.3e}")
+print(f"notes: {'; '.join(report.diagnostics) or 'none'}")
 print(f"solution: w = ({report.allocation.w1:.2f}, {report.allocation.w2:.2f}) Hz, "
       f"converged={report.converged}")
 print(f"utility gains over the threat point: "

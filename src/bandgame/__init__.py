@@ -16,7 +16,7 @@ fields are arrays over them; a failed position keeps its slot, with NaN
 values.
 """
 
-from .bargaining import (CgState, EigenPair, Hessian2x2, NashProductContext,
+from .bargaining import (EigenPair, Hessian2x2, NashProductContext,
                          ParetoPoint, RegionSample, cg_minimize, cg_nbs,
                          convex_hull_indices, eigenvalues, exact_nbs,
                          grid_oracle_nbs, hessian, is_strictly_concave_at,
@@ -34,7 +34,7 @@ from .system_model import (DegenerateGeometryError, LinkBudget, Point,
                            efficiency, link_budget, snr_direct, snr_relayed)
 
 __all__ = [
-    "BandAllocation", "CgState", "ConvergenceError",
+    "BandAllocation", "ConvergenceError",
     "DegenerateGeometryError", "EigenPair", "EquilibriumReport", "Hessian2x2",
     "LinkBudget", "MarginalTerms", "NashProductContext", "ParetoPoint",
     "Point", "RegionSample", "Scenario", "SweepGrid",

@@ -8,10 +8,11 @@ whose maximizer over the utilities weakly dominating the equilibrium pair is
 the Nash bargaining solution. This module provides the analytic gradient and
 Hessian of pi, its eigenvalue-based concavity certificate, the exact
 closed-form bargaining solver that production paths use, the paper's projected
-Polak-Ribiere conjugate-gradient solver with Newton step lengths (which falls
-back to the exact solver), a brute-force grid oracle kept as the tests'
-reference, and the sampled utility region with its convex hull, Pareto
-boundary and time-sharing mixtures.
+Polak-Ribiere conjugate-gradient solver with Newton step lengths (which returns
+the exact solver's answer in place of an endpoint that does not weakly
+dominate the threat point or has no positive product), a brute-force grid
+oracle kept as the tests' reference, and the sampled utility region with its
+convex hull, Pareto boundary and time-sharing mixtures.
 
 Contexts, allocations, Hessians and eigenvalue pairs hold floats for one
 relay position, or equal-length arrays for a batch of positions (see
@@ -158,10 +159,6 @@ class EigenPair:
     lambda2: float
     delta: float
 
-    def __post_init__(self):
-        if np.any(self.delta < 0):
-            raise ValueError("discriminant of a symmetric 2x2 matrix cannot be negative")
-
 
 def eigenvalues(h: Hessian2x2) -> EigenPair:
     """Closed-form eigenvalues via trace and discriminant, of one Hessian or
@@ -190,21 +187,6 @@ def is_strictly_concave_at(alloc: BandAllocation, ctx: NashProductContext) -> bo
     return bool(eigenvalues(hessian(alloc, ctx)).lambda2 < 0.0)
 
 
-@dataclass(frozen=True)
-class CgState:
-    """Snapshot of one conjugate-gradient iteration (for traces/diagnostics)."""
-
-    k: int
-    iterate: BandAllocation
-    gradient: tuple
-    direction: tuple
-    step: float
-    beta: float
-    direction_norm: float
-    epsilon: float
-    mode: str
-
-
 def _projected_gradient(w, g, lo, hi):
     """First-order stationarity measure on the box: gradient components that
     point outward at an active bound do not count."""
@@ -214,8 +196,7 @@ def _projected_gradient(w, g, lo, hi):
     return pg
 
 
-def cg_minimize(fun, grad, hess, w0, lo, hi, epsilon, max_iter,
-                mode: str = "joint", trace: list | None = None):
+def cg_minimize(fun, grad, hess, w0, lo, hi, epsilon, max_iter, mode: str = "joint"):
     """Projected nonlinear CG with Newton step lengths and PR+ updates.
 
     Minimizes ``fun`` over the box [lo, hi]^2. Per iteration: a Newton-optimal
@@ -237,15 +218,9 @@ def cg_minimize(fun, grad, hess, w0, lo, hi, epsilon, max_iter,
     g = np.asarray(grad(w), dtype=float)
     v = -g
     k = 0
-    notes = []
     fallbacks = 0
     pinned_stop = False
     span = hi - lo
-
-    def residual_now():
-        return min(float(np.linalg.norm(v)),
-                   float(np.linalg.norm(_projected_gradient(w, g, lo, hi))))
-
     while k < max_iter:
         if float(np.linalg.norm(v)) <= epsilon:
             break
@@ -286,30 +261,19 @@ def cg_minimize(fun, grad, hess, w0, lo, hi, epsilon, max_iter,
         v = -g_next + beta * v
         w, g = w_next, g_next
         k += 1
-        if trace is not None:
-            trace.append(CgState(
-                k=k, iterate=BandAllocation(float(w[0]), float(w[1])),
-                gradient=(float(g[0]), float(g[1])),
-                direction=(float(v[0]), float(v[1])),
-                step=float(t), beta=float(beta),
-                direction_norm=float(np.linalg.norm(v)),
-                epsilon=float(epsilon), mode=mode))
+    notes = []
     if fallbacks:
         notes.append(f"steepest-descent fallback used on {fallbacks} iteration(s)")
     if pinned_stop:
         notes.append("stopped at a box-stationary point (projected gradient below epsilon)")
-    res = residual_now()
+    res = min(float(np.linalg.norm(v)),
+              float(np.linalg.norm(_projected_gradient(w, g, lo, hi))))
     return w, res, k, res <= epsilon, notes
-
-
-# Deterministic offsets (fractions of omega) tried when the start point sits
-# on the zero-gradient saddle at the threat point.
-_RESTART_OFFSETS = ((0.01, 0.0162), (-0.01, -0.0162), (0.031, -0.017), (-0.031, 0.017))
 
 
 def cg_nbs(ctx: NashProductContext, w0: BandAllocation | None = None,
            epsilon: float | None = None, max_iter: int = 200,
-           mode: str = "joint", trace: list | None = None) -> EquilibriumReport:
+           mode: str = "joint") -> EquilibriumReport:
     """Nash bargaining solution by conjugate-gradient descent on -pi.
 
     The default start is the equilibrium allocation shrunk by 10 percent:
@@ -318,16 +282,15 @@ def cg_nbs(ctx: NashProductContext, w0: BandAllocation | None = None,
     belongs to. (A start such as (omega/2, omega/2) usually sits where both
     players lose relative to the threat point; the product of two losses is
     positive and grows away from the solution, so the iteration would chase
-    the wrong quadrant and be rejected at the end.) Default epsilon is
-    1e-8 * max(1, |grad pi|) at the start. A start where pi and its gradient
-    both vanish sits on the saddle at the threat point and is nudged to a
-    fixed nearby point first. Iterates are projected onto [0, omega]^2. The
-    dominance constraint u_i >= u_i_ne is not enforced during the iteration.
-    The endpoint is rejected, and :func:`exact_nbs` returned in its place
-    with a note, when it violates that constraint, or when its Nash product
-    is not positive although a bargain with a positive product exists (CG
-    can climb back to the threat point from a start outside the dominance
-    region).
+    the wrong quadrant.) Default epsilon is 1e-8 * max(1, |grad pi|) at the
+    start. Iterates are projected onto [0, omega]^2; the dominance
+    constraint u_i >= u_i_ne is not enforced during the iteration.
+
+    One exit rule: an endpoint that does not weakly dominate the threat
+    point, or whose Nash product is not positive, is rejected, and
+    :func:`exact_nbs` is returned in its place with a note. So where there is
+    no bargain the result is the threat allocation, and where there is one
+    it weakly dominates the threat point with a positive product.
     """
     omega = ctx.scenario.omega
     if w0 is None:
@@ -344,24 +307,10 @@ def cg_nbs(ctx: NashProductContext, w0: BandAllocation | None = None,
     def fun_m(w):
         return -nash_product(BandAllocation(w[0], w[1]), ctx)
 
-    notes = []
-    g0 = np.asarray(grad_m(start))
-    eps_probe = epsilon if epsilon is not None else 1e-8 * max(1.0, float(np.linalg.norm(g0)))
-    if float(np.linalg.norm(g0)) <= eps_probe and fun_m(start) == 0.0:
-        for dx, dy in _RESTART_OFFSETS:
-            cand = np.clip(start + np.array([dx * omega, dy * omega]), 0.0, omega)
-            if (float(np.linalg.norm(grad_m(cand))) > eps_probe
-                    or fun_m(cand) != 0.0):
-                start = cand
-                notes.append("start repositioned off the threat-point saddle")
-                break
     if epsilon is None:
         epsilon = 1e-8 * max(1.0, float(np.linalg.norm(grad_m(start))))
-
-    w, residual, iters, converged, core_notes = cg_minimize(
-        fun_m, grad_m, hess_m, start, 0.0, omega, epsilon, max_iter,
-        mode=mode, trace=trace)
-    notes.extend(core_notes)
+    w, residual, iters, converged, notes = cg_minimize(
+        fun_m, grad_m, hess_m, start, 0.0, omega, epsilon, max_iter, mode=mode)
 
     alloc = BandAllocation(float(w[0]), float(w[1]))
     u = utility_pair(alloc, ctx.terms, ctx.scenario)
@@ -369,13 +318,10 @@ def cg_nbs(ctx: NashProductContext, w0: BandAllocation | None = None,
         u.u(i) >= ctx.threat.u(i) - 1e-12 * abs(ctx.threat.u(i)) for i in (1, 2))
     if not dominates or nash_product(alloc, ctx) <= 0.0:
         exact = exact_nbs(ctx)
-        # exact_nbs returns the threat allocation only when no allocation
-        # has a positive product; a dominating CG endpoint then stands.
-        if not dominates or exact.allocation != ctx.ne_alloc:
-            return replace(
-                exact,
-                diagnostics=exact.diagnostics + tuple(notes) + (
-                    "cg endpoint rejected; exact result returned",))
+        return replace(
+            exact,
+            diagnostics=exact.diagnostics + tuple(notes) + (
+                "cg endpoint rejected; exact result returned",))
 
     return EquilibriumReport(
         allocation=alloc,

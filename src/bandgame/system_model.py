@@ -179,7 +179,7 @@ def snr_direct(p, h_sq, sigma2: float):
         raise ValueError("sigma2 must be positive")
     if np.less(np.fmin(p, h_sq), 0).any():
         raise ValueError("power and channel gain must be non-negative")
-    return p * h_sq / sigma2
+    return _snr_direct(p, h_sq, sigma2)
 
 
 def snr_relayed(p_i, p_r: float, h_ir_sq, h_ri_sq, sigma2: float):
@@ -194,6 +194,16 @@ def snr_relayed(p_i, p_r: float, h_ir_sq, h_ri_sq, sigma2: float):
         raise ValueError("sigma2 must be positive")
     if p_r < 0 or np.less(np.fmin(np.fmin(p_i, h_ir_sq), h_ri_sq), 0).any():
         raise ValueError("powers and channel gains must be non-negative")
+    return _snr_relayed(p_i, p_r, h_ir_sq, h_ri_sq, sigma2)
+
+
+# The SNR formulas without argument checks, for inputs a Scenario has
+# already validated.
+def _snr_direct(p, h_sq, sigma2):
+    return p * h_sq / sigma2
+
+
+def _snr_relayed(p_i, p_r, h_ir_sq, h_ri_sq, sigma2):
     num = p_i * p_r * h_ir_sq * h_ri_sq
     den = sigma2 * (p_i * h_ir_sq + p_r * h_ri_sq + sigma2)
     return num / den
@@ -257,8 +267,8 @@ def link_budget_batch(scenario: Scenario, xr, yr) -> tuple:
             for k in np.flatnonzero(bad.any(axis=0)).tolist():
                 failures[k] = _degenerate(lengths.reshape(6, n)[first[k], k].item())
         h_ii, h_ir, h_ri = gains[:, 0], gains[:, 1], gains[:, 2]  # each (user, position)
-        g_direct = snr_direct(p, h_ii, s.sigma2)
-        g_relayed = snr_relayed(p, s.p_r, h_ir, h_ri, s.sigma2)
+        g_direct = _snr_direct(p, h_ii, s.sigma2)
+        g_relayed = _snr_relayed(p, s.p_r, h_ir, h_ri, s.sigma2)
         g_af = g_direct + g_relayed
     if not np.isfinite(g_af).all():
         for k in np.flatnonzero(~np.isfinite(g_af).all(axis=0)).tolist():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import loop_reference
-from bandgame import (BandAllocation, EigenPair, Hessian2x2, MarginalTerms,
+from bandgame import (BandAllocation, Hessian2x2, MarginalTerms,
                       NashProductContext, Point, SweepGrid, bandwidth_gain,
                       cg_minimize, cg_nbs, convex_hull_indices, eigenvalues,
                       exact_nbs, grid_oracle_nbs, hessian,
@@ -178,11 +178,6 @@ def test_eigenvalues_match_lapack():
         assert [eig.lambda1, eig.lambda2] == pytest.approx(ref, rel=1e-10, abs=1e-10 * scale)
 
 
-def test_eigenpair_rejects_negative_delta():
-    with pytest.raises(ValueError):
-        EigenPair(lambda1=0.0, lambda2=0.0, delta=-1.0)
-
-
 def test_concavity_flag(ctx450):
     assert eigenvalues(Hessian2x2(-1.0, -1.0, 0.0)).lambda2 < 0.0
     oracle = grid_oracle_nbs(ctx450)
@@ -278,10 +273,39 @@ def test_cg_corner_equilibrium_finds_bargain(paper):
     assert "cg endpoint rejected; exact result returned" in report.diagnostics
 
 
-def test_cg_saddle_start_is_repositioned(ctx450):
+def test_cg_threat_point_start_returns_exact(ctx450):
+    # The threat point is a critical point with a zero product: CG stops
+    # there at once, and the endpoint is rejected for the exact bargain.
     report = cg_nbs(ctx450, w0=ctx450.ne_alloc)
-    assert any("saddle" in d for d in report.diagnostics)
+    assert report.allocation == exact_nbs(ctx450).allocation
+    assert "cg endpoint rejected; exact result returned" in report.diagnostics
     assert nash_product(report.allocation, ctx450) > 0.0
+
+
+def test_cg_single_exit_rule():
+    # Where exact_nbs finds no bargain, cg_nbs returns the threat allocation
+    # itself, not a nearby CG endpoint with a zero product; where there is a
+    # bargain, its answer weakly dominates the threat point with a positive
+    # product.
+    rng = np.random.default_rng(1414)
+    draws = no_bargain = 0
+    while draws < 200:
+        scenario = random_scenario(rng)
+        try:
+            ctx = make_context(scenario, random_relay(rng, scenario))
+        except ValueError:
+            continue
+        draws += 1
+        report = cg_nbs(ctx)
+        if exact_nbs(ctx).allocation == ctx.ne_alloc:
+            no_bargain += 1
+            assert report.allocation == ctx.ne_alloc
+            assert report.utilities == ctx.threat
+            continue
+        for i in (1, 2):
+            assert report.utilities.u(i) >= ctx.threat.u(i) - 1e-12 * abs(ctx.threat.u(i))
+        assert nash_product(report.allocation, ctx) > 0.0
+    assert 0 < no_bargain < draws
 
 
 def test_cg_dominance_on_accepted_result(ctx450):
