@@ -411,17 +411,40 @@ def exact_nbs_batch(terms: MarginalTerms, ne_alloc: BandAllocation,
     threat point scores -inf. The largest product wins, ties going to the
     larger utility sum, then to the first slot. There is a bargain where the
     winning product is positive.
+
+    Only positions where both users rent band at the threat point are
+    scored. Where user i rents none, user j's threat band is its best
+    response to 0, its global maximum, since u_j(w_i, w_j) <= u_j(0, w_j)
+    for b >= 0; so g_j <= 0 everywhere and no product is positive.
     """
     omega = scenario.omega
-    n = np.size(ne_alloc.w1)
-    # Up to the quartic's roots every step is elementwise, which runs on
-    # floats as well as on arrays.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         c1, c2 = terms.relay_advantage(1), terms.relay_advantage(2)
         unit = np.maximum(np.maximum(abs(c1), abs(c2)), scenario.b * omega)
         unit = unit + (unit == 0.0)  # all zero: no scaling
         c1, c2, b = c1 / unit, c2 / unit, scenario.b * omega / unit
-        a1, a2 = ne_alloc.w1 / omega, ne_alloc.w2 / omega
+    w1, w2 = (np.array(w, dtype=float, ndmin=1) for w in (ne_alloc.w1, ne_alloc.w2))
+    a1, a2 = w1 / omega, w2 / omega
+    bargain = np.zeros(len(w1), dtype=bool)
+    scored = np.flatnonzero((a1 > 0.0) & (a2 > 0.0))  # NaN rows fall out too
+    if len(scored):
+        c1, c2, b = (np.reshape(x, -1)[scored] for x in (c1, c2, b))
+        best, y1, y2 = _best_candidates(c1, c2, b, a1[scored], a2[scored])
+        won = best > 0.0
+        bargain[scored[won]] = True
+        w1[scored[won]], w2[scored[won]] = omega * y1[won], omega * y2[won]
+    return BandAllocation(w1=w1, w2=w2), bargain
+
+
+def _best_candidates(c1, c2, b, a1, a2) -> tuple:
+    """The largest Nash product over :func:`exact_nbs_batch`'s 16 candidate
+    slots, and the allocation that wins it, for N positions in its normalized
+    units (the (N,) arrays ``c1``, ``c2``, ``b``, and the threat allocation
+    ``a1``, ``a2``). The product is -inf where no candidate dominates the
+    threat point.
+    """
+    n = len(a1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         alpha1 = -a1 * (c1 - b * (a1 + a2))
         alpha2 = -a2 * (c2 - b * (a1 + a2))
 
@@ -462,11 +485,7 @@ def exact_nbs_batch(terms: MarginalTerms, ne_alloc: BandAllocation,
     best = product.max(axis=1)
     k = np.argmax(np.where(product == best[:, None], g1 + g2, -np.inf), axis=1)
     rows = np.arange(n)
-    bargain = best > 0.0
-    alloc = BandAllocation(
-        w1=np.where(bargain, omega * y1[rows, k], ne_alloc.w1),
-        w2=np.where(bargain, omega * y2[rows, k], ne_alloc.w2))
-    return alloc, bargain
+    return best, y1[rows, k], y2[rows, k]
 
 
 def _interior_quartic(c1, c2, b, alpha1, alpha2) -> tuple:
@@ -682,12 +701,15 @@ class RegionSample:
     ``allocations`` and ``utilities`` are (N, 2) arrays over the sampling
     grid; ``hull_indices`` index the CCW hull vertices within them, and
     ``pareto_indices`` the undominated hull vertices ordered by increasing u1.
+    ``axis`` holds the r band values of each grid axis: sample k is the
+    allocation (axis[k // r], axis[k % r]).
     """
 
     allocations: np.ndarray
     utilities: np.ndarray
     hull_indices: np.ndarray
     pareto_indices: np.ndarray
+    axis: np.ndarray
 
     def hull_utilities(self) -> np.ndarray:
         return self.utilities[self.hull_indices]
@@ -738,6 +760,7 @@ def sample_utility_region(ctx: NashProductContext, resolution: int = 201) -> Reg
         utilities=utilities,
         hull_indices=np.asarray(hull, dtype=int),
         pareto_indices=np.asarray(_pareto_chain(utilities, hull), dtype=int),
+        axis=axis,
     )
 
 

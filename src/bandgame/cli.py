@@ -10,7 +10,7 @@ The CSV writers build the text of a block of rows at once in numpy: each
 float cell gets exactly the text of ``'%.17e' % x``, from its 18 significant
 digits computed in double-double arithmetic (Python's ``%`` formats the rare
 cell that is within reach of a rounding tie or of the float range's ends).
-A writer streams the blocks into the open text file it is given.
+A writer streams the blocks, as bytes, into the open binary file it is given.
 """
 
 import argparse
@@ -146,23 +146,32 @@ def _fmt(value) -> str:
 
 
 # CSV cells are written into fixed-width byte slots, one row of slots per CSV
-# row, with a mask of the bytes that belong to the text; ``buf[mask]`` is then
-# the text of a block of rows. A float slot holds the widest ``%.17e`` text,
-# "-d.ddddddddddddddddde+ddd", then its separator: the sign byte and the
-# exponent's hundreds digit are the optional bytes. A flag slot holds "false"
-# and its separator; "true" leaves out the "e".
+# row, in one buffer per call that every block of rows overwrites. A float
+# slot holds the widest ``%.17e`` text, "-d.ddddddddddddddddde+ddd", then its
+# separator; a flag slot holds "false" and its separator. A byte that a
+# cell's text leaves out is written as NUL: the sign of a value that has
+# none, the exponent's hundreds digit below 1e100, the "e" of "true" and the
+# bytes after "nan" and "inf". The NULs are removed once per block, as it is
+# written out.
 _FLOAT_SLOT = 26
 _FLAG_SLOT = 6
-_FLOAT_CELL = np.dtype({"names": ["d0", "d1_8", "d9_16", "d17", "exp"],
-                        "formats": ["u1", "<u8", "<u8", "u1", "<u4"],
-                        "offsets": [1, 3, 11, 19, 21], "itemsize": _FLOAT_SLOT})
-_FLOAT_TEMPLATE = np.frombuffer(b"-0.00000000000000000e+000", dtype=np.uint8)
-_FLAG_TEMPLATE = np.frombuffer(b"false", dtype=np.uint8)
-_WORDS = np.frombuffer(b"falstrue", dtype="<u4")  # the four bytes before "e"
-_NAN_INF = np.frombuffer(b"naninf", dtype=np.uint8).reshape(2, 3)
+_FLOAT_CELL = np.dtype({"names": ["sign", "lead", "d1_8", "d9_16", "tail", "exp"],
+                        "formats": ["u1", "<u2", "<u8", "<u8", "<u2", "<u4"],
+                        "offsets": [0, 1, 3, 11, 19, 21], "itemsize": _FLOAT_SLOT})
+_FLAG_CELL = np.dtype({"names": ["word", "e"], "formats": ["<u4", "u1"],
+                       "offsets": [0, 4], "itemsize": _FLAG_SLOT})
+_TEXT = np.dtype(f"V{_FLOAT_SLOT - 1}")  # a float slot's text, without the separator
+_DOT = ord(".") << 8   # "lead" is the first digit and "."
+_E = ord("e") << 8     # "tail" is the last digit and "e"
+_FALS, _TRUE = np.frombuffer(b"falstrue", dtype="<u4")  # the four bytes before "e"
+_SPECIAL_LEAD = np.frombuffer(b"nain", dtype="<u2")  # "lead" of "nan" and "inf"
+_SPECIAL_THIRD = np.frombuffer(b"nf", dtype=np.uint8)  # their third byte
 _EXP_MIN = -400
-# "+ddd" / "-ddd" of every decimal exponent a double can have.
-_EXP_TEXT = np.frombuffer(b"".join(b"%+04d" % e for e in range(_EXP_MIN, 401)), dtype="<u4")
+# "+ddd" / "-ddd" of every decimal exponent a double can have, with NUL for
+# the hundreds digit of the exponents below 100.
+_EXP_TEXT = np.frombuffer(b"".join(
+    b"%+04d" % e if abs(e) >= 100 else b"%c\0%02d" % (b"+-"[e < 0], abs(e))
+    for e in range(_EXP_MIN, 401)), dtype="<u4")
 _CSV_BLOCK_ROWS = 8192  # rows per block; bounds the peak memory
 
 
@@ -222,8 +231,8 @@ def _decimal(x):
     tie, or whose magnitude is outside [1e-250, 1e250].
     """
     a = np.abs(x)
-    fast = (a >= 1e-250) & (a <= 1e250)
-    a = np.where(fast, a, 1.0)
+    rare = np.flatnonzero(~((a >= 1e-250) & (a <= 1e250)))
+    a[rare] = 1.0  # exact digits and a zero fraction, so never slow
     e10 = np.floor(np.log10(a)).astype(np.int64)
     n, frac = _scaled_floor(a, e10)
     # log10 can land on the wrong side of a power of ten: move one decade.
@@ -232,13 +241,13 @@ def _decimal(x):
         e10[off] += np.where(n[off] >= 10 ** 18, 1, -1)
         n[off], frac[off] = _scaled_floor(a[off], e10[off])
     n += frac > 0.5
-    carry = n == 10 ** 18  # rounded up to the next decade
+    carry = np.flatnonzero(n == 10 ** 18)  # rounded up to the next decade
     n[carry] = 10 ** 17
     e10[carry] += 1
-    n[~fast] = 0
-    e10[~fast] = 0
-    slow = fast & (np.abs(frac - 0.5) < 1e-6)
-    slow |= ~fast & (x != 0.0) & np.isfinite(x)
+    n[rare] = 0
+    e10[rare] = 0
+    slow = np.abs(frac - 0.5) < 1e-6
+    slow[rare] = (x[rare] != 0.0) & np.isfinite(x[rare])
     if slow.any():
         text = ["%.17e" % v for v in np.abs(x[slow]).tolist()]  # "d.<17 digits>e<exponent>"
         n[slow] = [int(t[0] + t[2:19]) for t in text]
@@ -249,69 +258,80 @@ def _decimal(x):
 def _ascii8(v):
     """ASCII digits of each ``v`` < 10**8, zero-padded to eight and packed in a
     uint64 whose least significant byte is the first digit."""
-    x = v // 10000 | (v % 10000) << 32       # two 4-digit lanes of 32 bits
-    y = (x * 10486 >> 20) & 0x7F0000007F     # each lane // 100
-    x = y | (x - y * 100) << 16              # four 2-digit lanes of 16 bits
-    y = (x * 103 >> 10) & 0x000F000F000F000F  # each lane // 10
-    x = y | (x - y * 10) << 8                # eight digits, one per byte
-    return x | 0x3030303030303030
+    q = v // 10000
+    x = v - q * 10000
+    x <<= 32
+    x |= q                                   # two 4-digit lanes of 32 bits
+    y = x * 10486
+    y >>= 20
+    y &= 0x7F0000007F                        # each lane // 100
+    x -= y * 100
+    x <<= 16
+    x |= y                                   # four 2-digit lanes of 16 bits
+    y = x * 103
+    y >>= 10
+    y &= 0x000F000F000F000F                  # each lane // 10
+    x -= y * 10
+    x <<= 8
+    x |= y                                   # eight digits, one per byte
+    x |= 0x3030303030303030
+    return x
 
 
-def _put_floats(buf, mask, x, offsets) -> None:
+def _put_floats(buf, x, offsets) -> None:
     """Write the ``%.17e`` text of each cell of ``x`` (rows, k) into the rows
-    of ``buf``, column j into the float slot at byte ``offsets[j]``; the
-    template is already in place.
+    of ``buf``, column j into the float slot at byte ``offsets[j]``.
 
     The digits of all k columns are computed in one pass, and each run of
     adjacent slots is written through one strided view.
     """
-    n, e10 = (v.reshape(x.shape) for v in _decimal(x.ravel()))
-    lead = n // 10 ** 17
-    rest = n - lead * 10 ** 17
-    eights = _ascii8(np.stack([rest // 10 ** 9, rest % 10 ** 9 // 10]).astype(np.uint64))
-    fields = {"d0": lead + 48, "d1_8": eights[0], "d9_16": eights[1],
-              "d17": rest % 10 + 48, "exp": _EXP_TEXT[e10 - _EXP_MIN]}
-    nan = np.isnan(x)
-    sign = np.signbit(x) & ~nan  # Python prints "nan" for every NaN
-    wide = np.abs(e10) >= 100
+    flat = x.ravel()
+    n, e10 = _decimal(flat)
+    high = n // 10 ** 9                          # digits 0 to 8
+    low = n - high * 10 ** 9                     # digits 9 to 17
+    lead = high // 10 ** 8
+    eights = np.empty((2, len(n)), dtype=np.int64)
+    np.subtract(high, lead * 10 ** 8, out=eights[0])
+    np.floor_divide(low, 10, out=eights[1])
+    tail = low - eights[1] * 10
+    eights = _ascii8(eights)
+    fields = {"sign": np.signbit(flat).view(np.uint8) * np.uint8(ord("-")),
+              "lead": lead + (ord("0") | _DOT), "d1_8": eights[0], "d9_16": eights[1],
+              "tail": tail + (ord("0") | _E), "exp": _EXP_TEXT[e10 - _EXP_MIN]}
+    special = np.flatnonzero(~np.isfinite(flat))
+    if len(special):  # "nan" for every NaN, "inf", "-inf"
+        inf = np.isinf(flat[special]).view(np.uint8)
+        fields["sign"][special] *= inf
+        fields["lead"][special] = _SPECIAL_LEAD[inf]
+        fields["d1_8"][special] = _SPECIAL_THIRD[inf]
+        for name in ("d9_16", "tail", "exp"):
+            fields[name][special] = 0
     breaks = [j for j in range(1, len(offsets)) if offsets[j] != offsets[j - 1] + _FLOAT_SLOT]
     for start, stop in zip([0] + breaks, breaks + [len(offsets)]):
         off, end = offsets[start], offsets[stop - 1] + _FLOAT_SLOT
         cells = buf[:, off:end].view(_FLOAT_CELL)  # (rows, stop - start)
         for name, value in fields.items():
-            cells[name] = value[:, start:stop]
-        mask[:, off:end:_FLOAT_SLOT] = sign[:, start:stop]
-        mask[:, off + 22:end:_FLOAT_SLOT] = wide[:, start:stop]
-    row, col = np.nonzero(nan | np.isinf(x))
-    if len(row):
-        slot = np.asarray(offsets)[col][:, None]
-        buf[row[:, None], slot + np.arange(1, 4)] = _NAN_INF[np.isinf(x[row, col]).astype(np.intp)]
-        mask[row[:, None], slot + np.arange(4, _FLOAT_SLOT - 1)] = False
+            cells[name] = value.reshape(x.shape)[:, start:stop]
 
 
-def _put_flags(buf, mask, off, flags) -> None:
+def _put_flags(buf, off, flags) -> None:
     """Write ``true``/``false`` for each of ``flags`` into the flag slots at
     byte ``off``."""
     flags = np.asarray(flags, dtype=bool)
-    words = buf.view(np.dtype({"names": ["w"], "formats": ["<u4"], "offsets": [off],
-                               "itemsize": buf.shape[1]}))[:, 0]
-    words["w"] = _WORDS[flags.astype(np.intp)]
-    mask[:, off + 4] = ~flags
+    cells = buf[:, off:off + _FLAG_SLOT].view(_FLAG_CELL)[:, 0]
+    cells["word"] = np.where(flags, _TRUE, _FALS)
+    cells["e"] = np.where(flags, np.uint8(0), np.uint8(ord("e")))
 
 
 class _Distinct:
-    """A float column that repeats few values: each distinct value is
-    formatted once, told apart by bit pattern so that -0.0 keeps its own
-    text, and the rows take their slot from ``index``."""
+    """A float column whose rows take few values: each of ``values`` is
+    formatted once, and row k's cell is the text of ``values[index[k]]``."""
 
-    def __init__(self, values):
-        bits, self.index = np.unique(np.asarray(values, dtype=float).view(np.uint64),
-                                     return_inverse=True)
-        buf = np.empty((len(bits), _FLOAT_SLOT), dtype=np.uint8)
-        buf[:, :-1] = _FLOAT_TEMPLATE
-        mask = np.ones(buf.shape, dtype=bool)
-        _put_floats(buf, mask, bits.view(np.float64)[:, None], [0])
-        self.text, self.mask = buf[:, :-1], mask[:, :-1]  # without the separator
+    def __init__(self, values, index):
+        buf = np.empty((len(values), _FLOAT_SLOT), dtype=np.uint8)
+        _put_floats(buf, np.asarray(values, dtype=float)[:, None], [0])
+        self.text = np.ascontiguousarray(buf[:, :-1]).view(_TEXT)[:, 0]
+        self.index = np.asarray(index)
 
     def __len__(self):
         return len(self.index)
@@ -319,44 +339,44 @@ class _Distinct:
 
 def _csv(header: str, columns, out) -> None:
     """Write ``header`` and one line per row of the equal-length ``columns``
-    to the open text file ``out``.
+    to the open binary file ``out``.
 
     A column is a float array (``%.17e`` cells, the text of :func:`_fmt`), a
     boolean array (``true``/``false``) or a :class:`_Distinct`. Rows are built
-    in blocks of ``_CSV_BLOCK_ROWS``, and each block is written as soon as it
-    is built. The float arrays of a block are stacked into one (rows, k)
-    array and formatted in one pass.
+    in blocks of ``_CSV_BLOCK_ROWS`` in one buffer, and each block is written
+    as soon as it is built. The float arrays of a block are stacked into one
+    (rows, k) array and formatted in one pass.
     """
     columns = [c if isinstance(c, _Distinct) else np.asarray(c) for c in columns]
     flags = [not isinstance(c, _Distinct) and c.dtype == bool for c in columns]
-    template = np.concatenate([np.append(_FLAG_TEMPLATE if f else _FLOAT_TEMPLATE, ord(","))
-                               for f in flags])
-    template[-1] = ord("\n")
     offsets = np.cumsum([0] + [_FLAG_SLOT if f else _FLOAT_SLOT for f in flags]).tolist()
     floats = [(off, c) for off, f, c in zip(offsets, flags, columns)
               if not f and not isinstance(c, _Distinct)]
-    out.write(header + "\n")
     n_rows = len(columns[0])
+    # A bytearray, whose translate drops the NULs without a copy to bytes first.
+    text = bytearray(min(n_rows, _CSV_BLOCK_ROWS) * offsets[-1])
+    buf = np.frombuffer(text, dtype=np.uint8).reshape(-1, offsets[-1])
+    buf[:, np.subtract(offsets[1:], 1)] = ord(",")
+    buf[:, -1] = ord("\n")
+    out.write(header.encode("ascii") + b"\n")
     for start in range(0, n_rows, _CSV_BLOCK_ROWS):
         rows = slice(start, min(start + _CSV_BLOCK_ROWS, n_rows))
-        buf = np.empty((rows.stop - start, len(template)), dtype=np.uint8)
-        buf[:] = template
-        mask = np.ones(buf.shape, dtype=bool)
+        block = buf[:rows.stop - start]
         if floats:
-            _put_floats(buf, mask, np.stack([c[rows] for _, c in floats], axis=1, dtype=float),
+            _put_floats(block, np.stack([c[rows] for _, c in floats], axis=1, dtype=float),
                         [off for off, _ in floats])
         for off, flag, column in zip(offsets, flags, columns):
             if isinstance(column, _Distinct):
-                index = column.index[rows]
-                buf[:, off:off + _FLOAT_SLOT - 1] = column.text[index]
-                mask[:, off:off + _FLOAT_SLOT - 1] = column.mask[index]
+                cells = block[:, off:off + _FLOAT_SLOT - 1].view(_TEXT)[:, 0]
+                cells[:] = column.text[column.index[rows]]
             elif flag:
-                _put_flags(buf, mask, off, column[rows])
-        out.write(buf[mask].tobytes().decode("ascii"))
+                _put_flags(block, off, column[rows])
+        written = text if len(block) == len(buf) else text[:block.size]
+        out.write(written.translate(None, b"\0"))
 
 
 def sweep_csv(records, out) -> None:
-    """Write the sweep CSV of ``records`` to the open text file ``out``."""
+    """Write the sweep CSV of ``records`` to the open binary file ``out``."""
     r = records
     _csv(SWEEP_HEADER, [
         r.xr, r.yr, r.ne.w1, r.ne.w2, r.nbs.w1, r.nbs.w2,
@@ -367,19 +387,20 @@ def sweep_csv(records, out) -> None:
 
 
 def region_csv(sample, out) -> None:
-    """Write the region CSV of ``sample`` to the open text file ``out``."""
+    """Write the region CSV of ``sample`` to the open binary file ``out``."""
     n = len(sample.utilities)
     on_hull, on_pareto = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
     on_hull[sample.hull_indices] = True
     on_pareto[sample.pareto_indices] = True
-    _csv(REGION_HEADER, [_Distinct(sample.allocations[:, 0]),
-                         _Distinct(sample.allocations[:, 1]),
+    r = len(sample.axis)
+    _csv(REGION_HEADER, [_Distinct(sample.axis, np.repeat(np.arange(r), r)),
+                         _Distinct(sample.axis, np.tile(np.arange(r), r)),
                          sample.utilities[:, 0], sample.utilities[:, 1],
                          on_hull, on_pareto], out)
 
 
 def concavity_csv(records, out) -> None:
-    """Write the concavity CSV of ``records`` to the open text file ``out``."""
+    """Write the concavity CSV of ``records`` to the open binary file ``out``."""
     r = records
     _csv(CONCAVITY_HEADER, [r.xr, r.yr, r.lambda1, r.lambda2, r.strictly_concave], out)
 
@@ -450,7 +471,7 @@ def _cmd_region(args) -> int:
     ctx = make_context(scenario, relay)
     sample = sample_utility_region(ctx, resolution=args.resolution)
     path = _out_path(args.out)
-    with open(path, "w") as out:
+    with open(path, "wb") as out:
         region_csv(sample, out)
     print(f"wrote {path} ({len(sample.allocations)} samples, "
           f"{len(sample.hull_indices)} hull vertices, "
@@ -469,7 +490,7 @@ def _cmd_sweep(args) -> int:
     grid = _grid_from_args(args)
     records = sweep(scenario, grid)
     path = _out_path(args.out)
-    with open(path, "w") as out:
+    with open(path, "wb") as out:
         sweep_csv(records, out)
     failures = np.count_nonzero(np.not_equal(records.failure, None))
     print(f"wrote {path} ({len(records.xr)} positions, {failures} failed)")
@@ -481,7 +502,7 @@ def _cmd_concavity(args) -> int:
     grid = _grid_from_args(args)
     records = concavity_map(scenario, grid)
     path = _out_path(args.out)
-    with open(path, "w") as out:
+    with open(path, "wb") as out:
         concavity_csv(records, out)
     concave = np.count_nonzero(records.strictly_concave)
     print(f"wrote {path} ({len(records.xr)} positions, {concave} strictly concave)")

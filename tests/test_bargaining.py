@@ -13,7 +13,8 @@ from bandgame import (BandAllocation, Hessian2x2, MarginalTerms,
                       max_nash_product_on_pareto, nash_equilibrium,
                       nash_product, nash_product_gradient,
                       sample_utility_region, sweep, utility_pair)
-from bandgame.bargaining import _interior_quartic, _quartic_roots, make_context_batch
+from bandgame.bargaining import (_best_candidates, _interior_quartic, _quartic_roots,
+                                 exact_nbs_batch, make_context_batch)
 from bandgame.cli import main, paper_scenario_path
 from conftest import RELAY_450, random_relay, random_scenario, rows
 from test_acceptance import _criterion3_sites
@@ -520,6 +521,30 @@ def test_exact_sweep_reports_missed_bargains(paper):
         r = records[xy]
         for i in (1, 2):
             assert r.nbs_u.u(i) > r.ne_u.u(i), xy
+
+
+def test_zero_band_positions_have_no_bargain(paper):
+    # exact_nbs_batch scores only the positions where both users rent band at
+    # the threat point. Its full candidate scorer, run on the positions that
+    # it skips (inputs normalized by the loop reference), finds no bargain
+    # there: on the bundled 25 m grid, which holds the near-zero products of
+    # a gain formula with cancellation, and on seeded random scenarios.
+    rng = np.random.default_rng(61)
+    grids = [(paper, SweepGrid(step=25.0))]
+    grids += [(random_scenario(rng), SweepGrid(step=50.0)) for _ in range(12)]
+    skipped = []
+    for scenario, grid in grids:
+        ctx, failures = make_context_batch(scenario, *grid.positions())
+        t, ne = ctx.terms, ctx.ne_alloc
+        zero = np.flatnonzero(np.equal(failures, None) & ((ne.w1 == 0.0) | (ne.w2 == 0.0)))
+        inputs = np.array([loop_reference.normalized(
+            float(t.psi1[k] - t.phi1[k]), float(t.psi2[k] - t.phi2[k]), scenario.b,
+            scenario.omega, (float(ne.w1[k]), float(ne.w2[k])))[:5] for k in zero])
+        best, _, _ = _best_candidates(*inputs.T)
+        assert not (best > 0.0).any()
+        assert not exact_nbs_batch(t, ne, scenario)[1][zero].any()
+        skipped.append(len(zero))
+    assert skipped[0] == 539 and sum(skipped[1:]) > 2000
 
 
 def test_oracle_degenerate_relay_useless(paper):

@@ -155,9 +155,9 @@ def test_cli_region(paper_path, tmp_path, capsys):
 
 def _text(write, *args):
     """What the CSV writer ``write`` writes to a file, as a string."""
-    out = io.StringIO()
+    out = io.BytesIO()
     write(*args, out)
-    return out.getvalue()
+    return out.getvalue().decode("ascii")
 
 
 def _reference_region_csv(sample):
@@ -263,9 +263,11 @@ def test_float_columns_formatted_together(monkeypatch):
     floats = [rng.permutation(np.concatenate([rng.choice(values, 2500), special]))
               for _ in range(4)]
     flags = rng.random(len(floats[0])) < 0.5
-    repeated = rng.choice(np.array(special + [1.5, -2.5e-300]), len(flags))
+    choices = np.array(special + [1.5, -2.5e-300])
+    pick = rng.integers(len(choices), size=len(flags))
+    repeated = choices[pick]
     got = _text(_csv, "h", [floats[0], flags, floats[1], floats[2],
-                            cli._Distinct(repeated), floats[3]])
+                            cli._Distinct(choices, pick), floats[3]])
     cells = zip(*(c.tolist() for c in (floats[0], flags, floats[1], floats[2], repeated, floats[3])))
     want = "h\n" + "".join(",".join(_fmt(c) for c in row) + "\n" for row in cells)
     assert got.split("\n") == want.split("\n")
@@ -280,7 +282,7 @@ def test_map_csvs_match_per_cell_format_50m(paper, tmp_path):
     want_sweep, want_concavity = _reference_map_csvs(records)
     for write, want in ((sweep_csv, want_sweep), (concavity_csv, want_concavity)):
         path = tmp_path / f"{write.__name__}.csv"
-        with open(path, "w") as out:
+        with open(path, "wb") as out:
             write(records, out)
         assert path.read_text().split("\n") == want.split("\n")
 
@@ -296,6 +298,24 @@ def test_csv_written_in_blocks_matches_per_cell_format(paper, monkeypatch):
                               (concavity_csv, records, want_concavity)):
         assert want.count("\n") > 2 * cli._CSV_BLOCK_ROWS + 1
         assert _text(write, data).split("\n") == want.split("\n")
+
+
+def test_cli_files_match_per_cell_format(paper, paper_path, tmp_path):
+    # The files the subcommands write, at the default block size. The
+    # 201 x 201 region has 40,401 rows: four full blocks and a partial fifth.
+    out = tmp_path / "region.csv"
+    assert main(["region", "--scenario", paper_path, "--relay", "450,450",
+                 "--resolution", "201", "--out", str(out)]) == 0
+    sample = sample_utility_region(make_context(paper, RELAY_450), resolution=201)
+    assert 4 * cli._CSV_BLOCK_ROWS < len(sample.utilities) == 40401 < 5 * cli._CSV_BLOCK_ROWS
+    # Compared row by row, so that a failure names the first bad row.
+    want = _reference_region_csv(sample).encode("ascii")
+    assert out.read_bytes().split(b"\n") == want.split(b"\n")
+    want_sweep, want_concavity = _reference_map_csvs(sweep(paper, SweepGrid(step=50.0)))
+    for command, want in (("sweep", want_sweep), ("concavity-map", want_concavity)):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--scenario", paper_path, "--step", "50", "--out", str(out)]) == 0
+        assert out.read_bytes().split(b"\n") == want.encode("ascii").split(b"\n")
 
 
 def test_cli_map_summary_lines(paper, paper_path, tmp_path, capsys):

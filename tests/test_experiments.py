@@ -111,7 +111,7 @@ def test_sweep_degenerate_position_recorded(paper):
 
 def test_sweep_deterministic(paper):
     grid = SweepGrid(step=175.0)
-    a, b = io.StringIO(), io.StringIO()
+    a, b = io.BytesIO(), io.BytesIO()
     sweep_csv(sweep(paper, grid), a)
     sweep_csv(sweep(paper, grid), b)
     assert a.getvalue() == b.getvalue()
