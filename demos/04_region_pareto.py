@@ -20,8 +20,9 @@ print(f"sampled {len(sample.utilities)} allocations "
 print()
 print("Pareto boundary (every 4th vertex):")
 print(f"{'u1':>14s} {'u2':>14s} {'w1':>10s} {'w2':>10s}")
+r = len(sample.axis)
 for i in sample.pareto_indices[::4]:
-    (u1, u2), (w1, w2) = sample.utilities[i], sample.allocations[i]
+    (u1, u2), (w1, w2) = sample.utilities[i], sample.axis[[i // r, i % r]]
     print(f"{u1:14.2f} {u2:14.2f} {w1:10.0f} {w2:10.0f}")
 print()
 

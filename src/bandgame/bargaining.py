@@ -12,7 +12,9 @@ Polak-Ribiere conjugate-gradient solver with Newton step lengths (which returns
 the exact solver's answer in place of an endpoint that does not weakly
 dominate the threat point or has no positive product), a brute-force grid
 oracle kept as the tests' reference, and the sampled utility region with its
-convex hull, Pareto boundary and time-sharing mixtures.
+convex hull, Pareto boundary and time-sharing mixtures. The oracle and the
+region evaluate the utilities on the same uniform allocation grid, one
+broadcast over its axis of band values.
 
 Contexts, allocations, Hessians and eigenvalue pairs hold floats for one
 relay position, or equal-length arrays for a batch of positions (see
@@ -589,6 +591,16 @@ def _quartic_roots(e3, e2, e1, e0) -> np.ndarray:
     return t
 
 
+def _utility_grid(ctx: NashProductContext, resolution: int) -> tuple:
+    """The band values ``axis`` of each grid axis, and the utilities at every
+    allocation (axis[i], axis[j]) of the resolution x resolution grid as
+    (resolution, resolution) arrays."""
+    if resolution < 2:
+        raise ValueError("resolution must be at least 2 per axis")
+    axis = np.linspace(0.0, ctx.scenario.omega, resolution)
+    return axis, utility_pair(BandAllocation(axis[:, None], axis), ctx.terms, ctx.scenario)
+
+
 def grid_oracle_nbs(ctx: NashProductContext, resolution: int = 401,
                     utility_scale=(1.0, 1.0)) -> EquilibriumReport:
     """Brute-force Nash product argmax on a uniform allocation grid.
@@ -600,15 +612,10 @@ def grid_oracle_nbs(ctx: NashProductContext, resolution: int = 401,
     argmax; the bargaining solution is invariant to such rescalings, which
     makes the hook useful for validation. Reported utilities are unscaled.
     """
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2 per axis")
     k1, k2 = utility_scale
     if not (k1 > 0 and k2 > 0):
         raise ValueError("utility_scale entries must be positive")
-    omega = ctx.scenario.omega
-    axis = np.linspace(0.0, omega, resolution)
-    W1, W2 = np.meshgrid(axis, axis, indexing="ij")
-    U = utility_pair(BandAllocation(W1, W2), ctx.terms, ctx.scenario)
+    axis, U = _utility_grid(ctx, resolution)
     F1 = k1 * U.u1 - k1 * ctx.threat.u1
     F2 = k2 * U.u2 - k2 * ctx.threat.u2
     qualifying = (F1 >= 0.0) & (F2 >= 0.0)
@@ -625,20 +632,15 @@ def grid_oracle_nbs(ctx: NashProductContext, resolution: int = 401,
                          "returning the threat allocation",),
         )
     product = np.where(qualifying, F1 * F2, -np.inf)
-    best = product.max()
-    ties = np.flatnonzero(product.reshape(-1) == best)
-    if len(ties) > 1:
-        # Exact product ties happen when one utility gain is pinned at zero
-        # (a whole edge of the region scores zero); bargaining then requires
-        # the Pareto-efficient representative, so prefer the larger utility
-        # sum, then the lowest index for determinism.
-        sums = U.u1.reshape(-1)[ties] + U.u2.reshape(-1)[ties]
-        idx = int(ties[int(np.argmax(sums))])
-    else:
-        idx = int(ties[0])
-    alloc = BandAllocation(float(W1.flat[idx]), float(W2.flat[idx]))
+    # Exact product ties happen when one utility gain is pinned at zero (a
+    # whole edge of the region scores zero); bargaining then requires the
+    # Pareto-efficient representative, so prefer the larger utility sum, then
+    # the lowest index for determinism.
+    ties = np.flatnonzero(product == product.max())
+    idx = int(ties[np.argmax(U.u1.flat[ties] + U.u2.flat[ties])])
+    i, j = divmod(idx, resolution)
     return EquilibriumReport(
-        allocation=alloc,
+        allocation=BandAllocation(float(axis[i]), float(axis[j])),
         utilities=UtilityPair(float(U.u1.flat[idx]), float(U.u2.flat[idx])),
         kind="NBS",
         iterations=n_points,
@@ -698,40 +700,27 @@ class ParetoPoint:
 class RegionSample:
     """Sampled utility region with its convex hull and Pareto boundary.
 
-    ``allocations`` and ``utilities`` are (N, 2) arrays over the sampling
-    grid; ``hull_indices`` index the CCW hull vertices within them, and
-    ``pareto_indices`` the undominated hull vertices ordered by increasing u1.
-    ``axis`` holds the r band values of each grid axis: sample k is the
-    allocation (axis[k // r], axis[k % r]).
+    ``axis`` holds the r band values of each grid axis, and sample k is the
+    allocation (axis[k // r], axis[k % r]). ``utilities`` is the (r*r, 2)
+    array of the samples' utility pairs; ``hull_indices`` index the CCW hull
+    vertices within it, and ``pareto_indices`` the undominated hull vertices
+    ordered by increasing u1.
     """
 
-    allocations: np.ndarray
     utilities: np.ndarray
     hull_indices: np.ndarray
     pareto_indices: np.ndarray
     axis: np.ndarray
 
-    def hull_utilities(self) -> np.ndarray:
-        return self.utilities[self.hull_indices]
-
 
 def _pareto_chain(utilities: np.ndarray, hull: list) -> list:
-    """Undominated hull vertices, walked CCW from max-u1 to max-u2."""
-    if len(hull) == 1:
-        return list(hull)
+    """Undominated hull vertices, walked CCW from max-u1 to max-u2 and
+    returned by increasing u1."""
     pts = utilities[hull]
-    start = max(range(len(hull)), key=lambda i: (pts[i, 0], pts[i, 1]))
-    end = max(range(len(hull)), key=lambda i: (pts[i, 1], pts[i, 0]))
-    if len(hull) == 2:
-        chain = [start] if start == end else [start, end]
-    else:
-        chain = [start]
-        i = start
-        while i != end:
-            i = (i + 1) % len(hull)
-            chain.append(i)
-    ordered = [hull[i] for i in reversed(chain)]  # increasing u1
-    return ordered
+    n = len(hull)
+    start = max(range(n), key=lambda i: (pts[i, 0], pts[i, 1]))
+    end = max(range(n), key=lambda i: (pts[i, 1], pts[i, 0]))
+    return [hull[(start + k) % n] for k in range((end - start) % n, -1, -1)]
 
 
 def sample_utility_region(ctx: NashProductContext, resolution: int = 201) -> RegionSample:
@@ -743,20 +732,13 @@ def sample_utility_region(ctx: NashProductContext, resolution: int = 201) -> Reg
     (c_i - b*s)*w_i), so each interior sample lies on the segment between the
     two ends of its anti-diagonal, which are boundary samples.
     """
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2 per axis")
-    omega = ctx.scenario.omega
-    axis = np.linspace(0.0, omega, resolution)
-    W1, W2 = np.meshgrid(axis, axis, indexing="ij")
-    U = utility_pair(BandAllocation(W1, W2), ctx.terms, ctx.scenario)
-    allocations = np.column_stack([W1.ravel(), W2.ravel()])
+    axis, U = _utility_grid(ctx, resolution)
     utilities = np.column_stack([U.u1.ravel(), U.u2.ravel()])
     edge = np.zeros((resolution, resolution), dtype=bool)
     edge[[0, -1], :] = edge[:, [0, -1]] = True
     boundary = np.flatnonzero(edge)
     hull = boundary[convex_hull_indices(utilities[boundary])].tolist()
     return RegionSample(
-        allocations=allocations,
         utilities=utilities,
         hull_indices=np.asarray(hull, dtype=int),
         pareto_indices=np.asarray(_pareto_chain(utilities, hull), dtype=int),
@@ -787,9 +769,9 @@ def max_nash_product_on_pareto(sample: RegionSample,
             best_val = val
             best = ParetoPoint(u1=u1, u2=u2, mu=mu, alloc_a=pa, alloc_b=pb)
 
-    verts = [(u1, u2, BandAllocation(w1, w2)) for (u1, u2), (w1, w2) in zip(
-        sample.utilities[sample.pareto_indices].tolist(),
-        sample.allocations[sample.pareto_indices].tolist())]
+    axis, r = sample.axis.tolist(), len(sample.axis)
+    verts = [(u1, u2, BandAllocation(axis[k // r], axis[k % r])) for (u1, u2), k in zip(
+        sample.utilities[sample.pareto_indices].tolist(), sample.pareto_indices.tolist())]
     for u1, u2, alloc in verts:
         consider(u1, u2, 1.0, alloc, alloc)
     for (pu1, pu2, pa), (qu1, qu2, qa) in zip(verts, verts[1:]):

@@ -444,10 +444,16 @@ def _cmd_ne(args) -> int:
 def _cmd_nbs(args) -> int:
     scenario = parse_scenario(args.scenario)
     relay = Point(*_parse_pair(args.relay, "--relay"))
-    ctx = make_context(scenario, relay)
     w0 = None
     if args.w0 is not None:
         w0 = BandAllocation(*_parse_pair(args.w0, "--w0"))
+        if not (math.isfinite(w0.w1) and math.isfinite(w0.w2)):
+            raise ValueError(f"--w0 must be finite, got {args.w0!r}")
+    if args.epsilon is not None and not (args.epsilon >= 0.0 and math.isfinite(args.epsilon)):
+        raise ValueError(f"--epsilon must be finite and >= 0, got {args.epsilon!r}")
+    if args.max_iter < 0:
+        raise ValueError(f"--max-iter must be >= 0, got {args.max_iter!r}")
+    ctx = make_context(scenario, relay)
     report = cg_nbs(ctx, w0=w0, epsilon=args.epsilon, max_iter=args.max_iter,
                     mode=args.mode)
     _print_report(report, "nbs")
@@ -473,7 +479,7 @@ def _cmd_region(args) -> int:
     path = _out_path(args.out)
     with open(path, "wb") as out:
         region_csv(sample, out)
-    print(f"wrote {path} ({len(sample.allocations)} samples, "
+    print(f"wrote {path} ({len(sample.utilities)} samples, "
           f"{len(sample.hull_indices)} hull vertices, "
           f"{len(sample.pareto_indices)} Pareto vertices)")
     return 0

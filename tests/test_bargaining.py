@@ -13,8 +13,8 @@ from bandgame import (BandAllocation, Hessian2x2, MarginalTerms,
                       max_nash_product_on_pareto, nash_equilibrium,
                       nash_product, nash_product_gradient,
                       sample_utility_region, sweep, utility_pair)
-from bandgame.bargaining import (_best_candidates, _interior_quartic, _quartic_roots,
-                                 exact_nbs_batch, make_context_batch)
+from bandgame.bargaining import (_best_candidates, _interior_quartic, _pareto_chain,
+                                 _quartic_roots, exact_nbs_batch, make_context_batch)
 from bandgame.cli import main, paper_scenario_path
 from conftest import RELAY_450, random_relay, random_scenario, rows
 from test_acceptance import _criterion3_sites
@@ -682,6 +682,47 @@ def _assert_hull_on_boundary(sample, n):
     assert set(sample.pareto_indices.tolist()) <= set(sample.hull_indices.tolist())
 
 
+def test_pareto_chain_short_hulls():
+    # One vertex is its own Pareto boundary.
+    utilities = np.array([[5.0, 5.0], [1.0, 2.0], [3.0, 4.0]])
+    assert _pareto_chain(utilities, [2]) == [2]
+    # Two vertices: one that dominates the other is the whole boundary; two
+    # that are each ahead in one utility are both on it, by increasing u1,
+    # in either hull order.
+    assert _pareto_chain(utilities, [1, 2]) == [2]
+    assert _pareto_chain(utilities, [2, 1]) == [2]
+    anti = np.array([[0.0, 3.0], [2.0, 1.0]])
+    assert _pareto_chain(anti, [0, 1]) == [0, 1]
+    assert _pareto_chain(anti, [1, 0]) == [0, 1]
+    # A tie in u1 goes to the larger u2, and a tie in u2 to the larger u1.
+    tied = np.array([[1.0, 0.0], [1.0, 2.0], [0.0, 2.0]])
+    assert _pareto_chain(tied, [0, 1]) == [1]
+    assert _pareto_chain(tied, [2, 1]) == [1]
+
+
+def test_oracle_utilities_are_region_samples(ctx450, paper):
+    # The oracle reports the utilities of one region sample, bit for bit:
+    # sample k = i*r + j at its allocation (axis[i], axis[j]).
+    rng = np.random.default_rng(41)
+    scenarios = [random_scenario(rng) for _ in range(40)]
+    contexts = [ctx450, _context_for(paper, MarginalTerms(phi1=1.5, psi1=1.5,
+                                                          phi2=0.7, psi2=0.7))]
+    contexts += [make_context(s, random_relay(rng, s)) for s in scenarios]
+    checked = {2: 0, 41: 0, 401: 0}
+    for ctx in contexts:
+        for r in checked:
+            report = grid_oracle_nbs(ctx, r)
+            if report.diagnostics:  # no grid point dominates the threat point
+                continue
+            sample = sample_utility_region(ctx, r)
+            i, j = (int(np.flatnonzero(sample.axis == w)[0])
+                    for w in (report.allocation.w1, report.allocation.w2))
+            got = np.array([report.utilities.u1, report.utilities.u2])
+            assert got.tobytes() == sample.utilities[i * r + j].tobytes()
+            checked[r] += 1
+    assert min(checked.values()) >= 10
+
+
 def test_region_rejects_resolution(ctx450):
     with pytest.raises(ValueError):
         sample_utility_region(ctx450, resolution=1)
@@ -704,21 +745,21 @@ def _inside_hull(points, hull_pts, tol):
 
 
 def test_region_samples_inside_hull(region450):
-    hull_pts = region450.hull_utilities()
+    hull_pts = region450.utilities[region450.hull_indices]
     scale = float(np.abs(region450.utilities).max())
     inside = _inside_hull(region450.utilities, hull_pts, tol=1e-7 * scale * scale)
     assert bool(inside.all())
 
 
 def test_region_contains_threat_point(region450, ctx450):
-    hull_pts = region450.hull_utilities()
+    hull_pts = region450.utilities[region450.hull_indices]
     scale = float(np.abs(region450.utilities).max())
     pt = np.array([[ctx450.threat.u1, ctx450.threat.u2]])
     assert bool(_inside_hull(pt, hull_pts, tol=1e-7 * scale * scale)[0])
 
 
 def test_region_pareto_undominated(region450):
-    hull_pts = region450.hull_utilities()
+    hull_pts = region450.utilities[region450.hull_indices]
     pareto_pts = region450.utilities[region450.pareto_indices]
     for p in pareto_pts:
         dominated = np.any((hull_pts[:, 0] >= p[0] + 1e-9)

@@ -160,13 +160,17 @@ def _text(write, *args):
     return out.getvalue().decode("ascii")
 
 
-def _reference_region_csv(sample):
-    """One ``_fmt`` call per cell and set membership for the flags."""
+def _reference_region_csv(sample, omega, resolution):
+    """One ``_fmt`` call per cell and set membership for the flags. Sample k
+    is the allocation of row k // resolution and column k % resolution of
+    the uniform grid over [0, omega]^2."""
+    axis = np.linspace(0.0, omega, resolution)
     on_hull = set(sample.hull_indices.tolist())
     on_pareto = set(sample.pareto_indices.tolist())
     lines = [REGION_HEADER]
-    for i, ((w1, w2), (u1, u2)) in enumerate(zip(sample.allocations, sample.utilities)):
-        cells = [w1, w2, u1, u2, i in on_hull, i in on_pareto]
+    for i, (u1, u2) in enumerate(sample.utilities):
+        row, col = divmod(i, resolution)
+        cells = [axis[row], axis[col], u1, u2, i in on_hull, i in on_pareto]
         lines.append(",".join(_fmt(c) for c in cells))
     return "\n".join(lines) + "\n"
 
@@ -179,7 +183,8 @@ def test_region_csv_matches_per_cell_format(paper):
         sample = sample_utility_region(ctx, resolution=41)
         assert len(sample.hull_indices) and len(sample.pareto_indices)
         # Compared row by row, so that a failure names the first bad row.
-        assert _text(region_csv, sample).split("\n") == _reference_region_csv(sample).split("\n")
+        reference = _reference_region_csv(sample, ctx.scenario.omega, 41)
+        assert _text(region_csv, sample).split("\n") == reference.split("\n")
 
 
 def _reference_map_csvs(records):
@@ -292,8 +297,9 @@ def test_csv_written_in_blocks_matches_per_cell_format(paper, monkeypatch):
     monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 100)
     sample = sample_utility_region(make_context(paper, RELAY_450), resolution=41)
     records = sweep(paper, SweepGrid(step=50.0))
+    want_region = _reference_region_csv(sample, paper.omega, 41)
     want_sweep, want_concavity = _reference_map_csvs(records)
-    for write, data, want in ((region_csv, sample, _reference_region_csv(sample)),
+    for write, data, want in ((region_csv, sample, want_region),
                               (sweep_csv, records, want_sweep),
                               (concavity_csv, records, want_concavity)):
         assert want.count("\n") > 2 * cli._CSV_BLOCK_ROWS + 1
@@ -309,7 +315,7 @@ def test_cli_files_match_per_cell_format(paper, paper_path, tmp_path):
     sample = sample_utility_region(make_context(paper, RELAY_450), resolution=201)
     assert 4 * cli._CSV_BLOCK_ROWS < len(sample.utilities) == 40401 < 5 * cli._CSV_BLOCK_ROWS
     # Compared row by row, so that a failure names the first bad row.
-    want = _reference_region_csv(sample).encode("ascii")
+    want = _reference_region_csv(sample, paper.omega, 201).encode("ascii")
     assert out.read_bytes().split(b"\n") == want.split(b"\n")
     want_sweep, want_concavity = _reference_map_csvs(sweep(paper, SweepGrid(step=50.0)))
     for command, want in (("sweep", want_sweep), ("concavity-map", want_concavity)):
@@ -382,6 +388,31 @@ def test_cli_error_exits(paper_path, tmp_path, capsys):
     # a non-finite grid step would never end the grid's axis
     assert main(["sweep", "--scenario", paper_path, "--step", "inf",
                  "--out", str(tmp_path / "never.csv")]) == 2
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--w0", "nan,0"], "--w0"),
+    (["--w0", "1e5,inf"], "--w0"),
+    (["--epsilon", "-1"], "--epsilon"),
+    (["--epsilon", "nan"], "--epsilon"),
+    (["--epsilon", "inf"], "--epsilon"),
+    (["--max-iter", "-3"], "--max-iter"),
+])
+def test_cli_nbs_rejects_bad_solver_flags(paper_path, monkeypatch, capsys, flags, named):
+    def solve(*args, **kwargs):
+        raise AssertionError("nbs ran the solver on a bad flag")
+
+    monkeypatch.setattr(cli, "cg_nbs", solve)
+    assert main(["nbs", "--scenario", paper_path, "--relay", "450,450"] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bandgame: error: ") and named in err
+
+
+def test_cli_nbs_accepts_zero_solver_flags(paper_path, capsys):
+    rc = main(["nbs", "--scenario", paper_path, "--relay", "450,450",
+               "--epsilon", "0", "--max-iter", "0", "--oracle"])
+    assert rc in (0, 1)
+    assert "[nbs] kind=NBS" in capsys.readouterr().out
 
 
 def test_main_builds_its_parser_once(paper_path, monkeypatch, capsys):
