@@ -7,7 +7,10 @@ The bargaining objective is the Nash product
 whose maximizer over the utilities weakly dominating the equilibrium pair is
 the Nash bargaining solution. This module provides the analytic gradient and
 Hessian of pi, its eigenvalue-based concavity certificate, the exact
-closed-form bargaining solver that production paths use, the paper's projected
+closed-form bargaining solver that production paths use (it scores the real
+roots of one quartic and nothing else: where both users rent band at the
+threat point no point of the box boundary has a positive product, and where
+one rents none there is no bargain), the paper's projected
 Polak-Ribiere conjugate-gradient solver with Newton step lengths (which returns
 the exact solver's answer in place of an endpoint that does not weakly
 dominate the threat point or has no positive product), a brute-force grid
@@ -336,30 +339,6 @@ def cg_nbs(ctx: NashProductContext, w0: BandAllocation | None = None,
     )
 
 
-def _quadratic_roots(q2, q1, q0) -> tuple:
-    """Both roots of q2*z**2 + q1*z + q0, elementwise.
-
-    Uses the cancellation-free form of the quadratic formula. A negative
-    discriminant is taken as zero, which yields the vertex; a vanishing q2
-    leaves the linear root and a non-finite one. Extra roots cost nothing:
-    every candidate is evaluated exactly afterwards.
-    """
-    disc = np.sqrt(np.maximum(q1 * q1 - 4.0 * q2 * q0, 0.0))
-    q = -0.5 * (q1 + np.copysign(disc, q1))
-    return q / q2, q0 / q
-
-
-# Candidate slots of exact_nbs_batch, per position: 4 corners, 4 quartic
-# roots, then the two roots of the slope quadratic on each of the 4 edges
-# w1 = 0, w2 = 0, w1 = 1, w2 = 1 (root 0 of every edge, then root 1).
-_CORNERS = np.array([[0.0, 0.0, 1.0, 1.0], [0.0, 1.0, 0.0, 1.0]])
-_EDGE = np.array([0.0, 0.0, 1.0, 1.0])            # the pinned band of each edge
-_PINNED = np.array([0, 1, 0, 1])                  # the user whose band is pinned
-_FREE = 1 - _PINNED
-_PINS_W1 = np.tile(_PINNED == 0, 2)
-_EDGE8 = np.tile(_EDGE, 2)
-
-
 NO_BARGAIN_NOTE = ("no allocation improves both utilities on the threat "
                    "point; returning the threat allocation")
 
@@ -404,34 +383,38 @@ def exact_nbs_batch(terms: MarginalTerms, ne_alloc: BandAllocation,
     w1*(s) = (A*(alpha2 + B*s) - B*alpha1) / (2AB) has the value
     N(s)**2 / (4AB) with N = A*alpha2 + B*alpha1 + AB*s, which is stationary
     in s at the roots of the quartic 2N'AB - N(AB)', found in closed form
-    (:func:`_quartic_roots`). On each box edge the product is a cubic in the
-    free coordinate. Every position has 16 candidate slots: the four
-    corners, four candidates for the quartic's real roots and two stationary
-    points on each edge. Each candidate is scored with gains written without
-    subtracting two nearly equal utilities; a slot without a candidate (an
-    unpeaked root, a non-finite value) or one that does not dominate the
-    threat point scores -inf. The largest product wins, ties going to the
-    larger utility sum, then to the first slot. There is a bargain where the
-    winning product is positive.
+    (:func:`_quartic_roots`). The four candidates for its real roots are
+    the only ones scored (:func:`_best_candidates`).
 
     Only positions where both users rent band at the threat point are
     scored. Where user i rents none, user j's threat band is its best
     response to 0, its global maximum, since u_j(w_i, w_j) <= u_j(0, w_j)
     for b >= 0; so g_j <= 0 everywhere and no product is positive.
+
+    On a scored position (a1, a2 > 0) no point of the box boundary has a
+    positive product, so the bargain is an interior stationary point: a
+    maximum of the product on its slice, where AB > 0, and stationary in s.
+    On the edge w_i = 0, u_i does not depend on w_j, and a_i > 0 is user
+    i's unique best response to a_j, so g_i < 0. On the edge w_i = omega
+    with a_i < 1, g_j = -b*((w_j - a_j)**2 + w_j*(1 - a_i)) < 0 where a_j
+    is interior, and g_j <= -b*(w_j**2 - (1 + a_i)*w_j + 1) < 0 where
+    a_j = 1. With a_i = 1 that edge is user j's best-response line, so
+    g_j <= 0. At a zero price a scored position has a1 = a2 = 1, each
+    u_i ignores w_j, and there is no bargain; its quartic has no finite
+    root in s.
     """
     omega = scenario.omega
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        c1, c2 = terms.relay_advantage(1), terms.relay_advantage(2)
-        unit = np.maximum(np.maximum(abs(c1), abs(c2)), scenario.b * omega)
-        unit = unit + (unit == 0.0)  # all zero: no scaling
-        c1, c2, b = c1 / unit, c2 / unit, scenario.b * omega / unit
     w1, w2 = (np.array(w, dtype=float, ndmin=1) for w in (ne_alloc.w1, ne_alloc.w2))
     a1, a2 = w1 / omega, w2 / omega
     bargain = np.zeros(len(w1), dtype=bool)
     scored = np.flatnonzero((a1 > 0.0) & (a2 > 0.0))  # NaN rows fall out too
     if len(scored):
-        c1, c2, b = (np.reshape(x, -1)[scored] for x in (c1, c2, b))
-        best, y1, y2 = _best_candidates(c1, c2, b, a1[scored], a2[scored])
+        # unit > 0: b*omega > 0, or at b = 0 renting band needs c_i > 0.
+        c1, c2 = (np.reshape(terms.relay_advantage(i), -1)[scored] for i in (1, 2))
+        b = scenario.b * omega
+        unit = np.maximum(np.maximum(abs(c1), abs(c2)), b)
+        best, y1, y2 = _best_candidates(c1 / unit, c2 / unit, b / unit,
+                                        a1[scored], a2[scored])
         won = best > 0.0
         bargain[scored[won]] = True
         w1[scored[won]], w2[scored[won]] = omega * y1[won], omega * y2[won]
@@ -439,18 +422,23 @@ def exact_nbs_batch(terms: MarginalTerms, ne_alloc: BandAllocation,
 
 
 def _best_candidates(c1, c2, b, a1, a2) -> tuple:
-    """The largest Nash product over :func:`exact_nbs_batch`'s 16 candidate
-    slots, and the allocation that wins it, for N positions in its normalized
-    units (the (N,) arrays ``c1``, ``c2``, ``b``, and the threat allocation
-    ``a1``, ``a2``). The product is -inf where no candidate dominates the
-    threat point.
+    """The largest Nash product over the four candidates of the quartic's
+    real roots, and the allocation that wins it, for N positions in
+    :func:`exact_nbs_batch`'s normalized units (the (N,) arrays ``c1``,
+    ``c2``, ``b``, and the threat allocation ``a1``, ``a2``, both positive).
+
+    No corner or edge is scored: with both users renting band at the threat
+    point, no boundary point has a positive product (see
+    :func:`exact_nbs_batch`). Each candidate is scored with gains written
+    without subtracting two nearly equal utilities; a candidate that is not
+    a slice peak (AB <= 0, a non-finite value) or that does not dominate the
+    threat point scores -inf, so the product is -inf where none does. The
+    largest product wins, ties going to the larger utility sum, then to the
+    first candidate.
     """
-    n = len(a1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         alpha1 = -a1 * (c1 - b * (a1 + a2))
         alpha2 = -a2 * (c2 - b * (a1 + a2))
-
-        # Interior: stationary points in s of the slice maximum N**2/(4AB).
         roots = _quartic_roots(*_interior_quartic(c1, c2, b, alpha1, alpha2))
         b, c1, c2, a1, a2, alpha1, alpha2 = (
             np.reshape(x, (-1, 1)) for x in (b, c1, c2, a1, a2, alpha1, alpha2))
@@ -458,26 +446,9 @@ def _best_candidates(c1, c2, b, a1, a2) -> tuple:
         real = np.isfinite(total)
         total = np.clip(np.where(real, total, 0.0), 0.0, 2.0)
         av, bv = c1 - b * total, c2 - b * total
-        peaked = real & (av * bv > 0.0)
-        inner1 = (av * (alpha2 + bv * total) - bv * alpha1) / (2.0 * av * bv)
-
-        # Edges: with one user's band pinned at e, its gain h0 + h1*z is linear
-        # and the other's af + f1*z - b*z**2 is quadratic in the free band z,
-        # so the product's slope is a quadratic.
-        c = np.concatenate([c1, c2], axis=1)
-        alpha = np.concatenate([alpha1, alpha2], axis=1)
-        cp, ap, cf, af = c[:, _PINNED], alpha[:, _PINNED], c[:, _FREE], alpha[:, _FREE]
-        h0, h1, f1 = ap + cp * _EDGE - b * _EDGE * _EDGE, -b * _EDGE, cf - b * _EDGE
-        z = np.concatenate(_quadratic_roots(-3.0 * b * h1, 2.0 * (h1 * f1 - b * h0),
-                                            h1 * af + h0 * f1), axis=1)
-
-        y1, y2 = np.empty((n, 16)), np.empty((n, 16))
-        y1[:, :4], y2[:, :4] = _CORNERS
-        y1[:, 4:8], y2[:, 4:8] = inner1, total - inner1
-        y1[:, 8:] = np.where(_PINS_W1, _EDGE8, z)
-        y2[:, 8:] = np.where(_PINS_W1, z, _EDGE8)
-        valid = np.isfinite(y1) & np.isfinite(y2)
-        valid[:, 4:8] &= peaked
+        y1 = (av * (alpha2 + bv * total) - bv * alpha1) / (2.0 * av * bv)
+        y2 = total - y1
+        valid = real & (av * bv > 0.0) & np.isfinite(y1)  # then y2 is finite too
         y1 = np.clip(np.where(valid, y1, 0.0), 0.0, 1.0)
         y2 = np.clip(np.where(valid, y2, 0.0), 0.0, 1.0)
         d1, d2 = y1 - a1, y2 - a2
@@ -486,7 +457,7 @@ def _best_candidates(c1, c2, b, a1, a2) -> tuple:
         product = np.where(valid & (g1 >= 0.0) & (g2 >= 0.0), g1 * g2, -np.inf)
     best = product.max(axis=1)
     k = np.argmax(np.where(product == best[:, None], g1 + g2, -np.inf), axis=1)
-    rows = np.arange(n)
+    rows = np.arange(len(k))
     return best, y1[rows, k], y2[rows, k]
 
 

@@ -13,7 +13,7 @@ from bandgame import (BandAllocation, Hessian2x2, MarginalTerms,
                       max_nash_product_on_pareto, nash_equilibrium,
                       nash_product, nash_product_gradient,
                       sample_utility_region, sweep, utility_pair)
-from bandgame.bargaining import (_best_candidates, _interior_quartic, _pareto_chain,
+from bandgame.bargaining import (_interior_quartic, _pareto_chain,
                                  _quartic_roots, exact_nbs_batch, make_context_batch)
 from bandgame.cli import main, paper_scenario_path
 from conftest import RELAY_450, random_relay, random_scenario, rows
@@ -525,9 +525,9 @@ def test_exact_sweep_reports_missed_bargains(paper):
 
 def test_zero_band_positions_have_no_bargain(paper):
     # exact_nbs_batch scores only the positions where both users rent band at
-    # the threat point. Its full candidate scorer, run on the positions that
-    # it skips (inputs normalized by the loop reference), finds no bargain
-    # there: on the bundled 25 m grid, which holds the near-zero products of
+    # the threat point. The loop reference, which scores the corners, the
+    # box edges and the quartic's roots, finds no bargain at the positions it
+    # skips: on the bundled 25 m grid, which holds the near-zero products of
     # a gain formula with cancellation, and on seeded random scenarios.
     rng = np.random.default_rng(61)
     grids = [(paper, SweepGrid(step=25.0))]
@@ -537,14 +537,77 @@ def test_zero_band_positions_have_no_bargain(paper):
         ctx, failures = make_context_batch(scenario, *grid.positions())
         t, ne = ctx.terms, ctx.ne_alloc
         zero = np.flatnonzero(np.equal(failures, None) & ((ne.w1 == 0.0) | (ne.w2 == 0.0)))
-        inputs = np.array([loop_reference.normalized(
-            float(t.psi1[k] - t.phi1[k]), float(t.psi2[k] - t.phi2[k]), scenario.b,
-            scenario.omega, (float(ne.w1[k]), float(ne.w2[k])))[:5] for k in zero])
-        best, _, _ = _best_candidates(*inputs.T)
-        assert not (best > 0.0).any()
+        for k in zero:
+            assert loop_reference.exact_nbs(
+                float(t.psi1[k] - t.phi1[k]), float(t.psi2[k] - t.phi2[k]), scenario.b,
+                scenario.omega, (float(ne.w1[k]), float(ne.w2[k]))) is None
         assert not exact_nbs_batch(t, ne, scenario)[1][zero].any()
         skipped.append(len(zero))
     assert skipped[0] == 539 and sum(skipped[1:]) > 2000
+
+
+# Rounding floor of test_bargains_are_interior, as a fraction of m1*m2, where
+# m_i = |d_i|*(|c_i| + b*(y_i + a_i + y_j)) + b*a_i*|d_j| sums the magnitudes
+# of the terms of the gain g_i = d_i*(c_i - b*(y_i + a_i + y_j)) - b*a_i*d_j.
+# The computed g_i is within about 7u (u = 2**-53, one per rounding) of m_i
+# of its exact value for the same inputs, and the threat allocation is
+# within a few u of each user's best response to the other's band, which
+# moves g_i by a few u of m_i more. On the box boundary one of the exact
+# gains at the exact equilibrium is <= 0, so one computed gain is below
+# 16u*m_i; the other is at most m_j, so the product is below 16u*m1*m2.
+# Seen: at most 1.3u*m1*m2, at a band one ulp from the threat's.
+BOUNDARY_FLOOR = 16.0 * 2.0 ** -53
+
+
+def test_bargains_are_interior(paper):
+    # Both users rent band at every position that exact_nbs_batch scores, so
+    # no point of the box boundary can hold a bargain and it scores only the
+    # quartic's roots. Every bargain lies inside the box, and dense samples
+    # of the four box edges, plus the threat's own band on each and the two
+    # bands on either side of it, have no product above the rounding floor
+    # where both gains are >= 0. Grids: the bundled 25 m one, and seeded
+    # random scenarios at 35 m with b in [1e-9, 1e-1] and omega in [1e3, 1e8].
+    rng = np.random.default_rng(62)
+    grids = [(paper, SweepGrid(step=25.0))]
+    for _ in range(100):
+        scenario = random_scenario(rng)
+        grids.append((replace(scenario, b=float(10.0 ** rng.uniform(-9.0, -1.0)),
+                              omega=float(10.0 ** rng.uniform(3.0, 8.0))),
+                      SweepGrid(step=35.0)))
+    z = np.linspace(0.0, 1.0, 1001)
+    scored_rows, bargains, near_threat = 0, 0, 0
+    for scenario, grid in grids:
+        ctx, failures = make_context_batch(scenario, *grid.positions())
+        t, ne = ctx.terms, ctx.ne_alloc
+        alloc, bargain = exact_nbs_batch(t, ne, scenario)
+        for w in (alloc.w1[bargain], alloc.w2[bargain]):
+            assert ((w > 0.0) & (w < scenario.omega)).all()
+        bargains += bargain.sum()
+        scored = np.flatnonzero(np.equal(failures, None) & (ne.w1 > 0.0) & (ne.w2 > 0.0))
+        scored_rows += len(scored)
+        if not len(scored):
+            continue
+        c1, c2, b, a1, a2 = np.array([loop_reference.normalized(
+            float(t.psi1[k] - t.phi1[k]), float(t.psi2[k] - t.phi2[k]), scenario.b,
+            scenario.omega, (float(ne.w1[k]), float(ne.w2[k])))[:5] for k in scored]).T[..., None]
+        for pinned, a in ((1, a2), (2, a1)):
+            below, above = np.nextafter(a, -1.0), np.nextafter(a, 2.0)
+            near = [np.nextafter(below, -1.0), below, a, above, np.nextafter(above, 2.0)]
+            free = np.clip(np.concatenate([np.broadcast_to(z, (len(a), len(z)))] + near,
+                                          axis=1), 0.0, 1.0)
+            for edge in (0.0, 1.0):
+                pin = np.full_like(free, edge)
+                y1, y2 = (pin, free) if pinned == 1 else (free, pin)
+                d1, d2 = y1 - a1, y2 - a2
+                g1 = d1 * (c1 - b * (y1 + a1 + y2)) - b * a1 * d2
+                g2 = d2 * (c2 - b * (y2 + a2 + y1)) - b * a2 * d1
+                m1 = abs(d1) * (abs(c1) + b * (y1 + a1 + y2)) + b * a1 * abs(d2)
+                m2 = abs(d2) * (abs(c2) + b * (y2 + a2 + y1)) + b * a2 * abs(d1)
+                both = (g1 >= 0.0) & (g2 >= 0.0)
+                assert (g1 * g2 <= BOUNDARY_FLOOR * m1 * m2)[both].all()
+                near_threat += (g1 * g2 > 0.0)[both].sum()
+    # The rounding near the threat point does show, and the floor lets it by.
+    assert scored_rows > 1000 and bargains > 500 and near_threat > 0
 
 
 def test_oracle_degenerate_relay_useless(paper):
