@@ -621,37 +621,92 @@ def grid_oracle_nbs(ctx: NashProductContext, resolution: int = 401,
     )
 
 
-def _cross(o, a, b):
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+# Shewchuk's bound on the rounding error of an orientation (a - o) x (b - o)
+# computed in doubles: its sign is certain where |cross| exceeds this times
+# |left product| + |right product| (barring underflow).
+_ORIENT_ERR = (3.0 + 16.0 * 2.0 ** -53) * 2.0 ** -53
+
+
+def _orientation(x, y, o, a, b):
+    """(a - o) x (b - o) for each index triple of the points (x[k], y[k]),
+    positive for a left turn, and whether rounding may have set its sign."""
+    left = (x[a] - x[o]) * (y[b] - y[o])
+    right = (y[a] - y[o]) * (x[b] - x[o])
+    cross = left - right
+    bound = _ORIENT_ERR * (np.abs(left) + np.abs(right))
+    return cross, (np.abs(cross) <= bound) & (bound > 0.0)
+
+
+def _chain(x, y) -> np.ndarray:
+    """Indices of the points (x[k], y[k]) that the monotone chain keeps: a
+    walk in index order that pops its last point while that is not a strict
+    left turn towards the next.
+
+    Pruning passes drop, all at once, every point that is not a left turn
+    between its kept neighbours, until none is left. Where every orientation
+    they compute has a certain sign, they give the exact hull chain, and so
+    does the walk unless one of its own tests, which the passes need not
+    make, is within rounding of zero. Where a pass meets an orientation
+    within rounding of zero (nearly collinear points), the result depends on
+    the order of the tests, and :func:`_replayed_chain` makes the walk's
+    tests in the walk's order instead.
+    """
+    keep = np.arange(len(x))
+    while len(keep) > 2:
+        cross, unsure = _orientation(x, y, keep[:-2], keep[1:-1], keep[2:])
+        if unsure.any():
+            return _replayed_chain(x, y)
+        left = cross > 0.0
+        if left.all():
+            break
+        keep = np.concatenate([keep[:1], keep[1:-1][left], keep[-1:]])
+    return keep
+
+
+def _replayed_chain(x, y) -> np.ndarray:
+    """The monotone chain's walk (see :func:`_chain`), test for test.
+
+    ``below[k]`` is the point under k on the stack when k is pushed. It is
+    guessed, every point's pops are replayed against the guess at once, and
+    the guess is replaced by the replay's until the two agree. A replay is
+    right for each point whose predecessors' guesses were, so this ends.
+    """
+    n = len(x)
+    new = np.arange(2, n)
+    below = np.maximum(np.arange(-1, n - 1), 0)  # at first, nothing popped
+    while True:
+        top = new - 1  # each point meets its predecessor on top of the stack
+        popped = np.zeros(n, dtype=bool)
+        walking = np.arange(n - 2)
+        while len(walking):
+            t = top[walking]
+            cross, _ = _orientation(x, y, below[t], t, new[walking])
+            pop = (t > 0) & (cross <= 0.0)
+            popped[t[pop]] = True
+            walking = walking[pop]
+            top[walking] = below[t[pop]]
+        if (top == below[2:]).all():
+            return np.flatnonzero(~popped)
+        below[2:] = top
 
 
 def convex_hull_indices(points: np.ndarray) -> list:
-    """Monotone-chain convex hull.
+    """Convex hull by the monotone chain, in numpy array passes (see
+    :func:`_chain`).
 
-    Returns CCW indices into ``points``. Collinear boundary points are left
-    off the hull. Duplicate points are collapsed to their first occurrence;
-    degenerate clouds yield hulls of one or two vertices.
+    Returns CCW indices into ``points``, from the least point by (x, y).
+    Collinear boundary points are left off the hull. Duplicate points are
+    collapsed to their first occurrence; degenerate clouds yield hulls of one
+    or two vertices.
     """
     uniq, first = np.unique(np.asarray(points, dtype=float), axis=0,
                             return_index=True)  # sorted by (x, y)
-    first = first.tolist()
     if len(uniq) <= 2:
-        return first
-    rows = uniq.tolist()
-
-    def chain(indices):
-        out = []
-        for i in indices:
-            while len(out) >= 2 and _cross(rows[out[-2]], rows[out[-1]], rows[i]) <= 0:
-                out.pop()
-            out.append(i)
-        return out
-
-    order = range(len(rows))
-    hull = chain(order)[:-1] + chain(reversed(order))[:-1]
-    if len(hull) < 2:  # every point collinear: keep the two extremes
-        hull = [0, len(rows) - 1]
-    return [first[i] for i in hull]
+        return first.tolist()
+    x, y = uniq[:, 0], uniq[:, 1]
+    lower = _chain(x, y)
+    upper = len(uniq) - 1 - _chain(x[::-1], y[::-1])
+    return first[np.concatenate([lower[:-1], upper[:-1]])].tolist()
 
 
 @dataclass(frozen=True)

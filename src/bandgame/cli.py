@@ -10,7 +10,10 @@ The CSV writers build the text of a block of rows at once in numpy: each
 float cell gets exactly the text of ``'%.17e' % x``, from its 18 significant
 digits computed in double-double arithmetic (Python's ``%`` formats the rare
 cell that is within reach of a rounding tie or of the float range's ends).
-A writer streams the blocks, as bytes, into the open binary file it is given.
+The digits are looked up four at a time in a table of the text of 0000 to
+9999, the cells of all float columns are built in one contiguous array, and
+each column's cells are copied whole into its slots. A writer streams the
+blocks, as bytes, into the open binary file it is given.
 """
 
 import argparse
@@ -155,15 +158,13 @@ def _fmt(value) -> str:
 # written out.
 _FLOAT_SLOT = 26
 _FLAG_SLOT = 6
+_TEXT = np.dtype(f"V{_FLOAT_SLOT - 1}")  # a float slot's text, without the separator
 _FLOAT_CELL = np.dtype({"names": ["sign", "lead", "d1_8", "d9_16", "tail", "exp"],
                         "formats": ["u1", "<u2", "<u8", "<u8", "<u2", "<u4"],
-                        "offsets": [0, 1, 3, 11, 19, 21], "itemsize": _FLOAT_SLOT})
-_FLAG_CELL = np.dtype({"names": ["word", "e"], "formats": ["<u4", "u1"],
-                       "offsets": [0, 4], "itemsize": _FLAG_SLOT})
-_TEXT = np.dtype(f"V{_FLOAT_SLOT - 1}")  # a float slot's text, without the separator
+                        "offsets": [0, 1, 3, 11, 19, 21], "itemsize": _TEXT.itemsize})
+_FLAG_TEXT = np.dtype(f"V{_FLAG_SLOT - 1}")  # a flag slot's text, without the separator
 _DOT = ord(".") << 8   # "lead" is the first digit and "."
 _E = ord("e") << 8     # "tail" is the last digit and "e"
-_FALS, _TRUE = np.frombuffer(b"falstrue", dtype="<u4")  # the four bytes before "e"
 _SPECIAL_LEAD = np.frombuffer(b"nain", dtype="<u2")  # "lead" of "nan" and "inf"
 _SPECIAL_THIRD = np.frombuffer(b"nf", dtype=np.uint8)  # their third byte
 _EXP_MIN = -400
@@ -201,26 +202,42 @@ _SPLIT = 134217729.0  # 2**27 + 1: Dekker's split of a double into two halves
 
 
 def _split(v):
-    c = _SPLIT * v
-    high = c - (c - v)
-    return high, v - high
+    """Dekker's split of each of ``v`` into a high and a low half."""
+    c = v * _SPLIT
+    high = c - v
+    np.subtract(c, high, out=high)  # c - (c - v)
+    return high, np.subtract(v, high, out=c)
+
+
+# 10**p for p from _P_MIN as rows hi, hi's two halves and lo: one gather
+# takes all four.
+_POW10 = np.stack([_POW10_HI, *_split(_POW10_HI), _POW10_LO])
 
 
 def _scaled_floor(a, e10):
     """floor(a * 10**(17 - e10)) as int64 and the fraction it drops.
 
     The product is taken in double-double arithmetic: 10**p as hi + lo and
-    a * hi as an exact two-product. Its error is about 1e-13 on a result of
-    about 1e17, whose double part is an integer.
+    a * hi as an exact two-product (hi's halves come from ``_POW10``). Its
+    error is about 1e-13 on a result of about 1e17, whose double part is an
+    integer.
     """
-    k = 17 - e10 - _P_MIN
-    hi, lo = _POW10_HI[k], _POW10_LO[k]
-    head = a * hi
+    k = (17 - _P_MIN) - e10
+    head, hh, hl, lo = np.take(_POW10, k, axis=1)
+    head *= a
     ah, al = _split(a)
-    hh, hl = _split(hi)
-    tail = ((ah * hh - head) + ah * hl + al * hh) + al * hl + a * lo
-    whole = np.floor(tail)
-    return head.astype(np.int64) + whole.astype(np.int64), tail - whole
+    # ((ah*hh - head) + ah*hl + al*hh) + al*hl + a*lo, one term at a time
+    tail = ah * hh
+    tail -= head
+    tail += np.multiply(ah, hl, out=ah)
+    tail += np.multiply(al, hh, out=hh)
+    tail += np.multiply(al, hl, out=hl)
+    tail += np.multiply(a, lo, out=lo)
+    whole = np.floor(tail, out=lo)
+    tail -= whole
+    n = head.astype(np.int64)
+    n += whole.astype(np.int64)
+    return n, tail
 
 
 def _decimal(x):
@@ -228,15 +245,18 @@ def _decimal(x):
     ``'%.17e' % x`` for each finite x; 0 and 0 for zeros, NaN and infinities.
 
     Python's ``%`` formats a value whose dropped fraction is within 1e-6 of a
-    tie, or whose magnitude is outside [1e-250, 1e250].
+    tie, or whose magnitude is outside about [1e-250, 1e250].
     """
     a = np.abs(x)
-    rare = np.flatnonzero(~((a >= 1e-250) & (a <= 1e250)))
+    with np.errstate(divide="ignore"):
+        e = np.log10(a)
+    rare = np.flatnonzero(~(np.abs(e) <= 250.0))  # also 0, NaN and inf
     a[rare] = 1.0  # exact digits and a zero fraction, so never slow
-    e10 = np.floor(np.log10(a)).astype(np.int64)
+    e[rare] = 0.0
+    e10 = np.floor(e, out=e).astype(np.int64)
     n, frac = _scaled_floor(a, e10)
     # log10 can land on the wrong side of a power of ten: move one decade.
-    off = np.flatnonzero((n < 10 ** 17) | (n >= 10 ** 18))
+    off = np.flatnonzero((n - 10 ** 17).view(np.uint64) >= 9 * 10 ** 17)
     if len(off):
         e10[off] += np.where(n[off] >= 10 ** 18, 1, -1)
         n[off], frac[off] = _scaled_floor(a[off], e10[off])
@@ -246,7 +266,8 @@ def _decimal(x):
     e10[carry] += 1
     n[rare] = 0
     e10[rare] = 0
-    slow = np.abs(frac - 0.5) < 1e-6
+    frac -= 0.5
+    slow = np.abs(frac, out=frac) < 1e-6
     slow[rare] = (x[rare] != 0.0) & np.isfinite(x[rare])
     if slow.any():
         text = ["%.17e" % v for v in np.abs(x[slow]).tolist()]  # "d.<17 digits>e<exponent>"
@@ -255,49 +276,53 @@ def _decimal(x):
     return n, e10
 
 
+# The ASCII text of 0000 to 9999 as little-endian words: the first digit in
+# the least significant byte. np.indices counts through the four digits.
+_DIGITS4 = np.ascontiguousarray(np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T
+                                + np.uint8(ord("0"))).view("<u4")[:, 0]
+
+
 def _ascii8(v):
     """ASCII digits of each ``v`` < 10**8, zero-padded to eight and packed in a
     uint64 whose least significant byte is the first digit."""
-    q = v // 10000
-    x = v - q * 10000
-    x <<= 32
-    x |= q                                   # two 4-digit lanes of 32 bits
-    y = x * 10486
-    y >>= 20
-    y &= 0x7F0000007F                        # each lane // 100
-    x -= y * 100
-    x <<= 16
-    x |= y                                   # four 2-digit lanes of 16 bits
-    y = x * 103
-    y >>= 10
-    y &= 0x000F000F000F000F                  # each lane // 10
-    x -= y * 10
-    x <<= 8
-    x |= y                                   # eight digits, one per byte
-    x |= 0x3030303030303030
-    return x
+    q = v // 10_000
+    words = np.empty(v.shape + (2,), dtype="<u4")
+    words[..., 0] = _DIGITS4[q]
+    q *= -10_000
+    q += v                                   # v % 10_000
+    words[..., 1] = _DIGITS4[q]
+    return words.view("<u8")[..., 0]
 
 
 def _put_floats(buf, x, offsets) -> None:
     """Write the ``%.17e`` text of each cell of ``x`` (rows, k) into the rows
     of ``buf``, column j into the float slot at byte ``offsets[j]``.
 
-    The digits of all k columns are computed in one pass, and each run of
-    adjacent slots is written through one strided view.
+    The digits of all k columns are computed in one pass into a contiguous
+    (rows, k) array of cells, and each column's cells are copied whole into
+    its slots.
     """
     flat = x.ravel()
     n, e10 = _decimal(flat)
     high = n // 10 ** 9                          # digits 0 to 8
-    low = n - high * 10 ** 9                     # digits 9 to 17
+    n -= high * 10 ** 9                          # digits 9 to 17
     lead = high // 10 ** 8
     eights = np.empty((2, len(n)), dtype=np.int64)
     np.subtract(high, lead * 10 ** 8, out=eights[0])
-    np.floor_divide(low, 10, out=eights[1])
-    tail = low - eights[1] * 10
+    np.floor_divide(n, 10, out=eights[1])
+    n -= eights[1] * 10                          # digit 17
     eights = _ascii8(eights)
-    fields = {"sign": np.signbit(flat).view(np.uint8) * np.uint8(ord("-")),
-              "lead": lead + (ord("0") | _DOT), "d1_8": eights[0], "d9_16": eights[1],
-              "tail": tail + (ord("0") | _E), "exp": _EXP_TEXT[e10 - _EXP_MIN]}
+    lead += ord("0") | _DOT
+    n += ord("0") | _E
+    e10 -= _EXP_MIN
+    cells = np.empty(x.shape, dtype=_FLOAT_CELL)
+    fields = cells.reshape(-1)
+    fields["sign"] = np.signbit(flat).view(np.uint8) * np.uint8(ord("-"))
+    fields["lead"] = lead
+    fields["d1_8"] = eights[0]
+    fields["d9_16"] = eights[1]
+    fields["tail"] = n
+    fields["exp"] = _EXP_TEXT[e10]
     special = np.flatnonzero(~np.isfinite(flat))
     if len(special):  # "nan" for every NaN, "inf", "-inf"
         inf = np.isinf(flat[special]).view(np.uint8)
@@ -306,21 +331,16 @@ def _put_floats(buf, x, offsets) -> None:
         fields["d1_8"][special] = _SPECIAL_THIRD[inf]
         for name in ("d9_16", "tail", "exp"):
             fields[name][special] = 0
-    breaks = [j for j in range(1, len(offsets)) if offsets[j] != offsets[j - 1] + _FLOAT_SLOT]
-    for start, stop in zip([0] + breaks, breaks + [len(offsets)]):
-        off, end = offsets[start], offsets[stop - 1] + _FLOAT_SLOT
-        cells = buf[:, off:end].view(_FLOAT_CELL)  # (rows, stop - start)
-        for name, value in fields.items():
-            cells[name] = value.reshape(x.shape)[:, start:stop]
+    for j, off in enumerate(offsets):
+        buf[:, off:off + _FLOAT_SLOT - 1].view(_TEXT)[:, 0] = cells[:, j].view(_TEXT)
 
 
 def _put_flags(buf, off, flags) -> None:
     """Write ``true``/``false`` for each of ``flags`` into the flag slots at
     byte ``off``."""
-    flags = np.asarray(flags, dtype=bool)
-    cells = buf[:, off:off + _FLAG_SLOT].view(_FLAG_CELL)[:, 0]
-    cells["word"] = np.where(flags, _TRUE, _FALS)
-    cells["e"] = np.where(flags, np.uint8(0), np.uint8(ord("e")))
+    words = buf[:, off:off + _FLAG_SLOT - 1].view(_FLAG_TEXT)[:, 0]
+    words[:] = b"false"
+    words[np.flatnonzero(flags)] = b"true\0"
 
 
 class _Distinct:

@@ -13,6 +13,7 @@ from bandgame import (BandAllocation, Hessian2x2, MarginalTerms,
                       max_nash_product_on_pareto, nash_equilibrium,
                       nash_product, nash_product_gradient,
                       sample_utility_region, sweep, utility_pair)
+from bandgame import bargaining
 from bandgame.bargaining import (_interior_quartic, _pareto_chain,
                                  _quartic_roots, exact_nbs_batch, make_context_batch)
 from bandgame.cli import main, paper_scenario_path
@@ -717,6 +718,17 @@ def test_convex_hull_matches_plain_chain(ctx450):
         assert convex_hull_indices(points) == _reference_hull(points)
     utilities = sample_utility_region(ctx450, resolution=401).utilities
     assert convex_hull_indices(utilities) == _reference_hull(utilities)
+
+
+def test_replayed_chain_matches_plain_chain(ctx450, monkeypatch):
+    # convex_hull_indices replays the chain only for nearly collinear points;
+    # the replay repeats the chain's own tests, so it must match on every
+    # cloud, whatever its orientations.
+    utilities = sample_utility_region(ctx450, resolution=101).utilities
+    monkeypatch.setattr(bargaining, "_chain", bargaining._replayed_chain)
+    rng = np.random.default_rng(7)
+    for points in [*_hull_clouds(rng), utilities]:
+        assert convex_hull_indices(points) == _reference_hull(points)
 
 
 def test_region_hull_on_grid_boundary(ctx450, paper):

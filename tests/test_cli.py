@@ -1,6 +1,7 @@
 import io
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -276,6 +277,51 @@ def test_float_columns_formatted_together(monkeypatch):
     cells = zip(*(c.tolist() for c in (floats[0], flags, floats[1], floats[2], repeated, floats[3])))
     want = "h\n" + "".join(",".join(_fmt(c) for c in row) + "\n" for row in cells)
     assert got.split("\n") == want.split("\n")
+
+
+def test_scaled_floor_matches_exact_fractions():
+    # _scaled_floor's docstring puts its error at about 1e-13 on a result of
+    # about 1e17: n + frac is the exact a * 10**(17 - e10) within 1e-13, and
+    # the fraction is in [0, 1). The tie test of _decimal needs only 1e-6.
+    rng = np.random.default_rng(47)
+    decades = np.repeat(np.arange(-250, 250), 4)
+    a = rng.uniform(1.0, 10.0, len(decades)) * 10.0 ** decades.astype(float)
+    a = np.concatenate([a, 10.0 ** np.arange(-250, 251).astype(float)])
+    e10 = np.floor(np.log10(a)).astype(np.int64)
+    e10 += [Fraction(v) >= Fraction(10) ** int(e + 1) for v, e in zip(a.tolist(), e10.tolist())]
+    e10 -= [Fraction(v) < Fraction(10) ** int(e) for v, e in zip(a.tolist(), e10.tolist())]
+    a_before, e10_before = a.copy(), e10.copy()
+    n, frac = cli._scaled_floor(a, e10)
+    assert np.array_equal(a, a_before) and np.array_equal(e10, e10_before)
+    assert ((frac >= 0.0) & (frac < 1.0)).all()
+    worst = max(abs(Fraction(k) + Fraction(f) - Fraction(v) * Fraction(10) ** (17 - e))
+                for v, e, k, f in zip(a.tolist(), e10.tolist(), n.tolist(), frac.tolist()))
+    assert worst <= Fraction(1, 10 ** 13)
+
+
+def test_digit_table_matches_percent_format():
+    # v = k * 10001 puts every 4-digit group k in both halves of the eight.
+    rng = np.random.default_rng(53)
+    v = np.concatenate([[0, 9_999, 10_000, 99_999_999], np.arange(10_000) * 10_001,
+                        rng.integers(0, 10 ** 8, 5000)])
+    for shape in (v.shape, (2, len(v) // 2)):
+        got = cli._ascii8(v.reshape(shape)).astype("<u8").tobytes()
+        assert got == b"".join(b"%08d" % k for k in v.tolist())
+
+
+def test_formatting_leaves_its_inputs_unchanged():
+    rng = np.random.default_rng(59)
+    values = rng.choice(_float_cases(rng), 20_000)
+    bits = values.view(np.uint64).copy()
+    cli._decimal(values)
+    assert np.array_equal(values.view(np.uint64), bits)
+    flags = rng.random(len(values)) < 0.5
+    choices = rng.choice(values, 50)
+    pick = rng.integers(len(choices), size=len(values))
+    before = [c.copy() for c in (values, flags, choices, pick)]
+    _text(_csv, "h", [values, flags, cli._Distinct(choices, pick), values[::-1]])
+    for got, want in zip((values, flags, choices, pick), before):
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
 
 
 def test_map_csvs_match_per_cell_format_50m(paper, tmp_path):
