@@ -28,7 +28,7 @@ from .experiments import (SweepGrid, SweepRecord, bandwidth_gain,
 from .game import (BandAllocation, ConvergenceError, EquilibriumReport,
                    MarginalTerms, UtilityPair, best_response,
                    best_response_iteration, marginal_terms, nash_equilibrium,
-                   utility, utility_pair, utility_partial)
+                   utility_pair, utility_partial)
 from .system_model import (DegenerateGeometryError, LinkBudget, Point,
                            Scenario, UserLink, channel_gain, distance,
                            efficiency, link_budget, snr_direct, snr_relayed)
@@ -45,6 +45,6 @@ __all__ = [
     "is_strictly_concave_at", "link_budget", "make_context",
     "marginal_terms", "max_nash_product_on_pareto", "nash_equilibrium",
     "nash_product", "nash_product_gradient", "sample_utility_region",
-    "snr_direct", "snr_relayed", "social_welfare_gain", "sweep", "utility",
+    "snr_direct", "snr_relayed", "social_welfare_gain", "sweep",
     "utility_pair", "utility_partial",
 ]

@@ -281,15 +281,19 @@ def cg_nbs(ctx: NashProductContext, w0: BandAllocation | None = None,
            mode: str = "joint") -> EquilibriumReport:
     """Nash bargaining solution by conjugate-gradient descent on -pi.
 
-    The default start is the equilibrium allocation shrunk by 10 percent:
-    renting slightly less band than at the equilibrium raises both utilities,
-    so that point lies inside the dominance region the bargaining optimum
-    belongs to. (A start such as (omega/2, omega/2) usually sits where both
-    players lose relative to the threat point; the product of two losses is
-    positive and grows away from the solution, so the iteration would chase
-    the wrong quadrant.) Default epsilon is 1e-8 * max(1, |grad pi|) at the
-    start. Iterates are projected onto [0, omega]^2; the dominance
-    constraint u_i >= u_i_ne is not enforced during the iteration.
+    The default start is the equilibrium allocation shrunk by 10 percent.
+    Where both users rent band at the equilibrium, renting slightly less
+    raises both utilities, so that point lies inside the dominance region the
+    bargaining optimum belongs to. Where a user rents no band at the
+    equilibrium, the start leaves that user at zero band and at its threat
+    utility, so the start's product is 0; most rejected endpoints (below)
+    come from such starts. (A start such as (omega/2, omega/2) usually sits
+    where both players lose relative to the threat point; the product of two
+    losses is positive and grows away from the solution, so the iteration
+    would chase the wrong quadrant.) Default epsilon is
+    1e-8 * max(1, |grad pi|) at the start. Iterates are projected onto
+    [0, omega]^2; the dominance constraint u_i >= u_i_ne is not enforced
+    during the iteration.
 
     One exit rule: an endpoint that does not weakly dominate the threat
     point, or whose Nash product is not positive, is rejected, and
@@ -640,7 +644,7 @@ def _orientation(x, y, o, a, b):
 def _chain(x, y) -> np.ndarray:
     """Indices of the points (x[k], y[k]) that the monotone chain keeps: a
     walk in index order that pops its last point while that is not a strict
-    left turn towards the next.
+    left turn towards the next (:func:`_walk`).
 
     Pruning passes drop, all at once, every point that is not a left turn
     between its kept neighbours, until none is left. Where every orientation
@@ -648,14 +652,13 @@ def _chain(x, y) -> np.ndarray:
     does the walk unless one of its own tests, which the passes need not
     make, is within rounding of zero. Where a pass meets an orientation
     within rounding of zero (nearly collinear points), the result depends on
-    the order of the tests, and :func:`_replayed_chain` makes the walk's
-    tests in the walk's order instead.
+    the order of the tests, so the walk itself runs instead.
     """
     keep = np.arange(len(x))
     while len(keep) > 2:
         cross, unsure = _orientation(x, y, keep[:-2], keep[1:-1], keep[2:])
         if unsure.any():
-            return _replayed_chain(x, y)
+            return _walk(x, y)
         left = cross > 0.0
         if left.all():
             break
@@ -663,31 +666,19 @@ def _chain(x, y) -> np.ndarray:
     return keep
 
 
-def _replayed_chain(x, y) -> np.ndarray:
-    """The monotone chain's walk (see :func:`_chain`), test for test.
-
-    ``below[k]`` is the point under k on the stack when k is pushed. It is
-    guessed, every point's pops are replayed against the guess at once, and
-    the guess is replaced by the replay's until the two agree. A replay is
-    right for each point whose predecessors' guesses were, so this ends.
-    """
-    n = len(x)
-    new = np.arange(2, n)
-    below = np.maximum(np.arange(-1, n - 1), 0)  # at first, nothing popped
-    while True:
-        top = new - 1  # each point meets its predecessor on top of the stack
-        popped = np.zeros(n, dtype=bool)
-        walking = np.arange(n - 2)
-        while len(walking):
-            t = top[walking]
-            cross, _ = _orientation(x, y, below[t], t, new[walking])
-            pop = (t > 0) & (cross <= 0.0)
-            popped[t[pop]] = True
-            walking = walking[pop]
-            top[walking] = below[t[pop]]
-        if (top == below[2:]).all():
-            return np.flatnonzero(~popped)
-        below[2:] = top
+def _walk(x, y) -> np.ndarray:
+    """The monotone chain's walk over every point (x[k], y[k]), in index
+    order."""
+    x, y = x.tolist(), y.tolist()
+    stack = []
+    for k in range(len(x)):
+        while len(stack) >= 2:
+            o, a = stack[-2], stack[-1]
+            if (x[a] - x[o]) * (y[k] - y[o]) - (y[a] - y[o]) * (x[k] - x[o]) > 0.0:
+                break
+            stack.pop()
+        stack.append(k)
+    return np.array(stack)
 
 
 def convex_hull_indices(points: np.ndarray) -> list:
@@ -695,17 +686,22 @@ def convex_hull_indices(points: np.ndarray) -> list:
     :func:`_chain`).
 
     Returns CCW indices into ``points``, from the least point by (x, y).
-    Collinear boundary points are left off the hull. Duplicate points are
-    collapsed to their first occurrence; degenerate clouds yield hulls of one
-    or two vertices.
+    Collinear boundary points are left off the hull. Duplicate points (0.0
+    and -0.0 count as equal) are collapsed to their first occurrence: the
+    points are sorted by a stable lexsort, and a point equal to its sorted
+    predecessor is dropped. Degenerate clouds yield hulls of one or two
+    vertices.
     """
-    uniq, first = np.unique(np.asarray(points, dtype=float), axis=0,
-                            return_index=True)  # sorted by (x, y)
-    if len(uniq) <= 2:
+    points = np.asarray(points, dtype=float)
+    order = np.lexsort((points[:, 1], points[:, 0]))
+    x, y = points[order, 0], points[order, 1]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (x[1:] != x[:-1]) | (y[1:] != y[:-1])
+    first, x, y = order[new], x[new], y[new]
+    if len(first) <= 2:
         return first.tolist()
-    x, y = uniq[:, 0], uniq[:, 1]
     lower = _chain(x, y)
-    upper = len(uniq) - 1 - _chain(x[::-1], y[::-1])
+    upper = len(first) - 1 - _chain(x[::-1], y[::-1])
     return first[np.concatenate([lower[:-1], upper[:-1]])].tolist()
 
 

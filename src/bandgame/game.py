@@ -100,25 +100,22 @@ def marginal_terms(budget: LinkBudget, scenario: Scenario) -> MarginalTerms:
 
 
 def utility_value(phi: float, psi: float, w_own, w_other, omega: float, b: float):
-    """Payoff expression shared by the scalar and the vectorized paths.
+    """Payoff of a user with slopes ``phi``, ``psi`` that rents ``w_own``
+    while the other rents ``w_other``.
 
-    Works elementwise on numpy arrays; the grid evaluators reuse it so that
-    grid utilities are bit-identical to scalar ones.
+    Works elementwise on numpy arrays: :func:`utility_pair` calls it for one
+    allocation and for a grid of them alike, so grid utilities are
+    bit-identical to those of a single allocation.
     """
     return phi * (omega - w_own) + psi * w_own - b * (w_own + w_other) * w_own
 
 
-def utility(i: int, alloc: BandAllocation, terms: MarginalTerms,
-            scenario: Scenario) -> float:
-    """Utility of player i at the given allocation."""
-    return utility_value(terms.phi(i), terms.psi(i), alloc.w(i), alloc.w(3 - i),
-                         scenario.omega, scenario.b)
-
-
 def utility_pair(alloc: BandAllocation, terms: MarginalTerms,
                  scenario: Scenario) -> UtilityPair:
-    return UtilityPair(utility(1, alloc, terms, scenario),
-                       utility(2, alloc, terms, scenario))
+    omega, b = scenario.omega, scenario.b
+    return UtilityPair(
+        utility_value(terms.phi1, terms.psi1, alloc.w1, alloc.w2, omega, b),
+        utility_value(terms.phi2, terms.psi2, alloc.w2, alloc.w1, omega, b))
 
 
 def utility_partial(i: int, alloc: BandAllocation, terms: MarginalTerms,

@@ -217,6 +217,53 @@ def test_cg_exact_on_quadratic():
     assert w[1] == pytest.approx(c, abs=1e-6)
 
 
+@pytest.mark.parametrize("offset", [
+    (1.0e4, -1.0e4),  # the first trial raises fun
+    (25001.25, 0.0),  # it lowers fun, by less than the sufficient decrease
+])
+def test_cg_fallback_backtracks_to_sufficient_decrease(offset):
+    # The Hessian reports no positive curvature, so every iteration takes the
+    # steepest-descent fallback. Its first trial moves 5% of the box, past the
+    # minimum, to about or beyond the start's mirror image, so the fallback
+    # has to halve its step to descend enough.
+    a, c = 3.0e5, 7.0e5
+
+    def f(w):
+        return (w[0] - a) ** 2 + 4.0 * (w[1] - c) ** 2
+
+    def g(w):
+        return np.array([2.0 * (w[0] - a), 8.0 * (w[1] - c)])
+
+    calls, iterates = [], []
+
+    def fun(w):
+        calls.append(w)
+        return f(w)
+
+    def grad(w):
+        iterates.append(np.array(w, dtype=float))
+        return g(w)
+
+    def hess(w):
+        return -np.eye(2)
+
+    w, _, iters, converged, notes = cg_minimize(
+        fun, grad, hess, np.array([a, c]) + offset, 0.0, 1.0e6,
+        epsilon=1e-6, max_iter=200)
+    assert notes == [f"steepest-descent fallback used on {iters} iteration(s)"]
+    # A fallback calls fun at its start and once per trial step, so more
+    # than two calls per iteration means that some trial was halved.
+    assert len(calls) > 2 * iters
+    assert len(iterates) == iters + 1
+    for before, after in zip(iterates, iterates[1:]):
+        # Armijo's sufficient decrease along the step taken (no step is
+        # clipped: the iterates stay inside the box)
+        assert f(after) <= f(before) + 1e-4 * float(g(before) @ (after - before))
+    assert converged
+    assert w[0] == pytest.approx(a, abs=1e-3)
+    assert w[1] == pytest.approx(c, abs=1e-3)
+
+
 def test_cg_rejects_unknown_mode(ctx450):
     with pytest.raises(ValueError):
         cg_nbs(ctx450, mode="diagonal")
@@ -710,6 +757,10 @@ def _hull_clouds(rng):
         yield base * [1e-8, 1e8]
         angle = rng.uniform(0.0, 2.0 * np.pi, n)  # every point near the hull
         yield np.column_stack([np.cos(angle), np.sin(angle)])
+    # 0.0 and -0.0 are one coordinate, so vertices repeat across zero's sign
+    yield np.array([[-0.0, 0.0], [1.0, -0.0], [0.0, -0.0], [0.0, 1.0],
+                    [1.0, 0.0], [-0.0, 1.0], [0.25, 0.25], [0.0, 0.0],
+                    [-0.0, 0.5], [0.5, -0.0]])
 
 
 def test_convex_hull_matches_plain_chain(ctx450):
@@ -720,12 +771,12 @@ def test_convex_hull_matches_plain_chain(ctx450):
     assert convex_hull_indices(utilities) == _reference_hull(utilities)
 
 
-def test_replayed_chain_matches_plain_chain(ctx450, monkeypatch):
-    # convex_hull_indices replays the chain only for nearly collinear points;
-    # the replay repeats the chain's own tests, so it must match on every
+def test_chain_walk_matches_plain_chain(ctx450, monkeypatch):
+    # convex_hull_indices walks the chain only for nearly collinear points;
+    # the walk makes the plain chain's own tests, so it must match on every
     # cloud, whatever its orientations.
     utilities = sample_utility_region(ctx450, resolution=101).utilities
-    monkeypatch.setattr(bargaining, "_chain", bargaining._replayed_chain)
+    monkeypatch.setattr(bargaining, "_chain", bargaining._walk)
     rng = np.random.default_rng(7)
     for points in [*_hull_clouds(rng), utilities]:
         assert convex_hull_indices(points) == _reference_hull(points)

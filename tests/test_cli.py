@@ -434,6 +434,13 @@ def test_cli_error_exits(paper_path, tmp_path, capsys):
     # a non-finite grid step would never end the grid's axis
     assert main(["sweep", "--scenario", paper_path, "--step", "inf",
                  "--out", str(tmp_path / "never.csv")]) == 2
+    # a flag that takes "x,y" and gets one or three numbers
+    capsys.readouterr()
+    assert main(["ne", "--scenario", paper_path, "--relay", "450"]) == 2
+    assert "--relay" in capsys.readouterr().err
+    assert main(["sweep", "--scenario", paper_path, "--x-bounds", "0,700,3",
+                 "--out", str(tmp_path / "bounds.csv")]) == 2
+    assert "--x-bounds" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags, named", [

@@ -5,7 +5,7 @@ import pytest
 
 from bandgame import (BandAllocation, LinkBudget, MarginalTerms, UserLink,
                       best_response, best_response_iteration, link_budget,
-                      marginal_terms, nash_equilibrium, utility,
+                      marginal_terms, nash_equilibrium, utility_pair,
                       utility_partial)
 from conftest import RELAY_450, random_scenario
 
@@ -55,20 +55,20 @@ def test_marginal_terms_af_collapse(paper):
 
 def test_utility_no_relay_band(terms_450, paper):
     alloc = BandAllocation(0.0, 123456.0)
-    assert utility(1, alloc, terms_450, paper) == terms_450.phi1 * paper.omega
+    assert utility_pair(alloc, terms_450, paper).u(1) == terms_450.phi1 * paper.omega
 
 
 def test_utility_full_band_no_pricing(terms_450, paper):
     free = replace(paper, b=0.0)
     alloc = BandAllocation(paper.omega, 0.0)
-    assert utility(1, alloc, terms_450, free) == pytest.approx(
+    assert utility_pair(alloc, terms_450, free).u(1) == pytest.approx(
         terms_450.psi1 * paper.omega, rel=1e-12)
 
 
 def test_utility_paper_value(terms_450, paper):
     alloc = BandAllocation(paper.omega / 4.0, paper.omega / 4.0)
-    assert utility(1, alloc, terms_450, paper) == pytest.approx(U1_QUARTER, rel=1e-11)
-    assert utility(2, alloc, terms_450, paper) == pytest.approx(U2_QUARTER, rel=1e-11)
+    assert utility_pair(alloc, terms_450, paper).u(1) == pytest.approx(U1_QUARTER, rel=1e-11)
+    assert utility_pair(alloc, terms_450, paper).u(2) == pytest.approx(U2_QUARTER, rel=1e-11)
 
 
 def test_utility_partial_no_pricing(terms_450, paper):
@@ -97,7 +97,8 @@ def test_utility_partial_matches_finite_differences(paper):
             for i in (1, 2):
                 up = BandAllocation(w1 + h if i == 1 else w1, w2 + h if i == 2 else w2)
                 dn = BandAllocation(w1 - h if i == 1 else w1, w2 - h if i == 2 else w2)
-                fd = (utility(i, up, terms, scenario) - utility(i, dn, terms, scenario)) / (2 * h)
+                fd = (utility_pair(up, terms, scenario).u(i)
+                      - utility_pair(dn, terms, scenario).u(i)) / (2 * h)
                 an = utility_partial(i, BandAllocation(w1, w2), terms, scenario)
                 assert an == pytest.approx(fd, rel=1e-6, abs=1e-9 * max(1.0, abs(an)))
 
@@ -228,7 +229,7 @@ def test_nash_equilibrium_no_profitable_deviation():
             for w in rng.uniform(0.0, scenario.omega, 100):
                 dev = (BandAllocation(float(w), ne_alloc.w2) if i == 1
                        else BandAllocation(ne_alloc.w1, float(w)))
-                assert utility(i, dev, terms, scenario) <= base + 1e-12 * max(1.0, abs(base))
+                assert utility_pair(dev, terms, scenario).u(i) <= base + 1e-12 * max(1.0, abs(base))
 
 
 def test_nash_equilibrium_zero_pricing_corner():
@@ -252,7 +253,7 @@ def test_utility_concave_in_own_band():
 
         def u(w):
             alloc = BandAllocation(w, w_j) if i == 1 else BandAllocation(w_j, w)
-            return utility(i, alloc, terms, scenario)
+            return utility_pair(alloc, terms, scenario).u(i)
 
         chord = lam * u(a) + (1 - lam) * u(c)
         assert u(mid) >= chord - 1e-9 * max(1.0, abs(chord))

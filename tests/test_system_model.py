@@ -81,6 +81,33 @@ def test_snr_relayed_trivial():
     assert snr_relayed(1.0, 1.0, s2, s2, s2) == pytest.approx(1.0 / 3.0, rel=1e-12)
 
 
+_SIGNS = np.array([1.0, -1.0, 1.0])  # one negative entry
+
+
+@pytest.mark.parametrize("helper, args, message", [
+    (snr_direct, (0.1, 1e-12, 0.0), "sigma2"),
+    (snr_direct, (0.1, 1e-12, -1e-13), "sigma2"),
+    (snr_direct, (0.1, 1e-12, math.nan), "sigma2"),
+    (snr_direct, (-0.1, 1e-12, 1e-13), "non-negative"),
+    (snr_direct, (0.1, -1e-12, 1e-13), "non-negative"),
+    (snr_direct, (0.1 * _SIGNS, 1e-12, 1e-13), "non-negative"),
+    (snr_direct, (0.1, 1e-12 * _SIGNS, 1e-13), "non-negative"),
+    (snr_relayed, (0.1, 0.1, 1e-11, 1e-11, 0.0), "sigma2"),
+    (snr_relayed, (0.1, 0.1, 1e-11, 1e-11, -1e-13), "sigma2"),
+    (snr_relayed, (0.1, 0.1, 1e-11, 1e-11, math.nan), "sigma2"),
+    (snr_relayed, (-0.1, 0.1, 1e-11, 1e-11, 1e-13), "non-negative"),
+    (snr_relayed, (0.1, -0.1, 1e-11, 1e-11, 1e-13), "non-negative"),
+    (snr_relayed, (0.1, 0.1, -1e-11, 1e-11, 1e-13), "non-negative"),
+    (snr_relayed, (0.1, 0.1, 1e-11, -1e-11, 1e-13), "non-negative"),
+    (snr_relayed, (0.1 * _SIGNS, 0.1, 1e-11, 1e-11, 1e-13), "non-negative"),
+    (snr_relayed, (0.1, 0.1, 1e-11 * _SIGNS, 1e-11, 1e-13), "non-negative"),
+    (snr_relayed, (0.1, 0.1, 1e-11, 1e-11 * _SIGNS, 1e-13), "non-negative"),
+])
+def test_snr_rejects_bad_arguments(helper, args, message):
+    with pytest.raises(ValueError, match=message):
+        helper(*args)
+
+
 def test_snr_relayed_paper_value(paper):
     got = snr_relayed(paper.p1, paper.p_r, H1R_SQ, HR1_SQ, paper.sigma2)
     assert got == pytest.approx(GAMMA_R1, rel=1e-12)
