@@ -57,12 +57,13 @@ class NashProductContext:
 
 def make_context(scenario: Scenario, relay: Point) -> NashProductContext:
     """Build the bargaining context for one relay position (computes the NE);
-    raises the error that leaves the position unsolvable."""
-    ctx, failures = make_context_batch(scenario, [relay.x], [relay.y])
+    raises the error that leaves the position unsolvable. One context is
+    built, from the position's floats."""
+    terms, ne, failures = _equilibria(scenario, [relay.x], [relay.y])
     if failures[0] is not None:
         raise failures[0]
-    return NashProductContext(scenario=scenario, terms=select(ctx.terms, 0),
-                              ne_alloc=select(ctx.ne_alloc, 0))
+    return NashProductContext(scenario=scenario, terms=select(terms, 0),
+                              ne_alloc=select(ne, 0))
 
 
 def make_context_batch(scenario: Scenario, xr, yr) -> tuple:
@@ -76,6 +77,13 @@ def make_context_batch(scenario: Scenario, xr, yr) -> tuple:
     ConvergenceError). A failed position keeps its slot with a NaN
     equilibrium, so everything computed from it is NaN as well.
     """
+    terms, ne, failures = _equilibria(scenario, xr, yr)
+    return NashProductContext(scenario=scenario, terms=terms, ne_alloc=ne), failures
+
+
+def _equilibria(scenario: Scenario, xr, yr) -> tuple:
+    """The marginal terms, equilibria and failures of
+    :func:`make_context_batch`, without the context."""
     budget, failures = link_budget_batch(scenario, xr, yr)
     terms = marginal_terms(budget, scenario)
     ne = nash_equilibrium_batch(terms, scenario)
@@ -87,7 +95,7 @@ def make_context_batch(scenario: Scenario, xr, yr) -> tuple:
         failed = np.not_equal(failures, None)
         ne = BandAllocation(w1=np.where(failed, math.nan, ne.w1),
                             w2=np.where(failed, math.nan, ne.w2))
-    return NashProductContext(scenario=scenario, terms=terms, ne_alloc=ne), failures
+    return terms, ne, failures
 
 
 def nash_product(alloc: BandAllocation, ctx: NashProductContext) -> float:
@@ -192,15 +200,6 @@ def is_strictly_concave_at(alloc: BandAllocation, ctx: NashProductContext) -> bo
     return bool(eigenvalues(hessian(alloc, ctx)).lambda2 < 0.0)
 
 
-def _projected_gradient(w, g, lo, hi):
-    """First-order stationarity measure on the box: gradient components that
-    point outward at an active bound do not count."""
-    pg = np.array(g, dtype=float)
-    pg[(w <= lo) & (pg > 0.0)] = 0.0
-    pg[(w >= hi) & (pg < 0.0)] = 0.0
-    return pg
-
-
 def cg_minimize(fun, grad, hess, w0, lo, hi, epsilon, max_iter, mode: str = "joint"):
     """Projected nonlinear CG with Newton step lengths and PR+ updates.
 
@@ -213,30 +212,51 @@ def cg_minimize(fun, grad, hess, w0, lo, hi, epsilon, max_iter, mode: str = "joi
 
     Stops when the direction norm falls to ``epsilon`` or, because projection
     can pin a coordinate against the box while the raw direction stays large,
-    when the projected gradient does.
+    when the projected gradient does: the gradient without its components
+    that point outward at an active bound. ``epsilon=None`` means
+    1e-8 * max(1, |g|), with g the gradient at the (projected) start.
 
-    Returns ``(w, residual, iterations, converged, notes)``.
+    Returns ``(w, residual, iterations, converged, notes)``; the residual is
+    the smaller of the two norms at ``w``.
     """
     if mode not in ("joint", "alternating"):
         raise ValueError(f"unknown mode {mode!r}")
-    w = np.clip(np.asarray(w0, dtype=float), lo, hi)
+
+    def norm(x):  # what np.linalg.norm computes for a 1-D float vector
+        return math.sqrt(x.dot(x))
+
+    def clip(x):  # np.clip without its wrapper; it keeps x's sign of zero at lo
+        return np.minimum(np.maximum(lo, x), hi)
+
+    def projected_norm(w, g):
+        # Components of g that point outward at an active bound do not count;
+        # with one zeroed, norm's dot product is the other's square exactly.
+        kept = [gi for wi, gi in zip(w.tolist(), g.tolist())
+                if not (wi <= lo and gi > 0.0 or wi >= hi and gi < 0.0)]
+        return norm(g) if len(kept) == 2 else math.sqrt(sum(x * x for x in kept))
+
+    w = clip(np.asarray(w0, dtype=float))
     g = np.asarray(grad(w), dtype=float)
+    if epsilon is None:
+        epsilon = 1e-8 * max(1.0, norm(g))
     v = -g
     k = 0
     fallbacks = 0
     pinned_stop = False
     span = hi - lo
-    while k < max_iter:
-        if float(np.linalg.norm(v)) <= epsilon:
+    while True:
+        v_norm = norm(v)
+        if k >= max_iter or v_norm <= epsilon:
             break
-        if float(np.linalg.norm(_projected_gradient(w, g, lo, hi))) <= epsilon:
+        pg_norm = projected_norm(w, g)
+        if pg_norm <= epsilon:
             pinned_stop = True
             break
         A = np.asarray(hess(w), dtype=float)
         curvature = float(v @ A @ v)
         if curvature > 0.0:
             t = -float(g @ v) / curvature
-            w_next = np.clip(w + t * v, lo, hi)
+            w_next = clip(w + t * v)
         else:
             # Non-convex stretch: Newton length is undefined or an ascent;
             # take a safeguarded steepest-descent step instead. The first
@@ -247,13 +267,13 @@ def cg_minimize(fun, grad, hess, w0, lo, hi, epsilon, max_iter, mode: str = "joi
             v = -g
             slope = float(g @ v)
             f0 = fun(w)
-            t = 0.05 * span / max(float(np.linalg.norm(v)), 1e-300)
+            t = 0.05 * span / max(norm(v), 1e-300)
             for _ in range(60):
-                cand = np.clip(w + t * v, lo, hi)
+                cand = clip(w + t * v)
                 if fun(cand) <= f0 + 1e-4 * t * slope:
                     break
                 t *= 0.5
-            w_next = np.clip(w + t * v, lo, hi)
+            w_next = clip(w + t * v)
         if mode == "alternating":
             keep = w.copy()
             keep[k % 2] = w_next[k % 2]
@@ -271,8 +291,9 @@ def cg_minimize(fun, grad, hess, w0, lo, hi, epsilon, max_iter, mode: str = "joi
         notes.append(f"steepest-descent fallback used on {fallbacks} iteration(s)")
     if pinned_stop:
         notes.append("stopped at a box-stationary point (projected gradient below epsilon)")
-    res = min(float(np.linalg.norm(v)),
-              float(np.linalg.norm(_projected_gradient(w, g, lo, hi))))
+    else:
+        pg_norm = projected_norm(w, g)
+    res = min(v_norm, pg_norm)
     return w, res, k, res <= epsilon, notes
 
 
@@ -291,9 +312,11 @@ def cg_nbs(ctx: NashProductContext, w0: BandAllocation | None = None,
     where both players lose relative to the threat point; the product of two
     losses is positive and grows away from the solution, so the iteration
     would chase the wrong quadrant.) Default epsilon is
-    1e-8 * max(1, |grad pi|) at the start. Iterates are projected onto
-    [0, omega]^2; the dominance constraint u_i >= u_i_ne is not enforced
-    during the iteration.
+    1e-8 * max(1, |grad pi|) at the start (see :func:`cg_minimize`).
+    Iterates are projected onto [0, omega]^2; the dominance constraint
+    u_i >= u_i_ne is not enforced during the iteration. The objective and
+    its derivatives are evaluated on Python floats, which round as numpy's
+    scalars do.
 
     One exit rule: an endpoint that does not weakly dominate the threat
     point, or whose Nash product is not positive, is rejected, and
@@ -301,27 +324,24 @@ def cg_nbs(ctx: NashProductContext, w0: BandAllocation | None = None,
     no bargain the result is the threat allocation, and where there is one
     it weakly dominates the threat point with a positive product.
     """
-    omega = ctx.scenario.omega
     if w0 is None:
         w0 = BandAllocation(0.9 * ctx.ne_alloc.w1, 0.9 * ctx.ne_alloc.w2)
-    start = np.clip(np.array([w0.w1, w0.w2], dtype=float), 0.0, omega)
 
     def grad_m(w):
-        g1, g2 = nash_product_gradient(BandAllocation(w[0], w[1]), ctx)
+        g1, g2 = nash_product_gradient(BandAllocation(*w.tolist()), ctx)
         return (-g1, -g2)
 
     def hess_m(w):
-        return -hessian(BandAllocation(w[0], w[1]), ctx).matrix()
+        return -hessian(BandAllocation(*w.tolist()), ctx).matrix()
 
     def fun_m(w):
-        return -nash_product(BandAllocation(w[0], w[1]), ctx)
+        return -nash_product(BandAllocation(*w.tolist()), ctx)
 
-    if epsilon is None:
-        epsilon = 1e-8 * max(1.0, float(np.linalg.norm(grad_m(start))))
     w, residual, iters, converged, notes = cg_minimize(
-        fun_m, grad_m, hess_m, start, 0.0, omega, epsilon, max_iter, mode=mode)
+        fun_m, grad_m, hess_m, (w0.w1, w0.w2), 0.0, ctx.scenario.omega, epsilon,
+        max_iter, mode=mode)
 
-    alloc = BandAllocation(float(w[0]), float(w[1]))
+    alloc = BandAllocation(*w.tolist())
     u = utility_pair(alloc, ctx.terms, ctx.scenario)
     dominates = all(
         u.u(i) >= ctx.threat.u(i) - 1e-12 * abs(ctx.threat.u(i)) for i in (1, 2))

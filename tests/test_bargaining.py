@@ -1,3 +1,4 @@
+import itertools
 import warnings
 from dataclasses import replace
 
@@ -38,6 +39,19 @@ MISSED_BARGAINS = (
 @pytest.fixture(scope="module")
 def ctx450(paper):
     return make_context(paper, RELAY_450)
+
+
+def _seeded_contexts(seed):
+    """Contexts of seeded random scenarios at random relays, skipping the
+    draws whose geometry is degenerate."""
+    rng = np.random.default_rng(seed)
+    while True:
+        scenario = random_scenario(rng)
+        try:
+            ctx = make_context(scenario, random_relay(rng, scenario))
+        except ValueError:
+            continue
+        yield ctx
 
 
 def _context_for(scenario, terms):
@@ -264,6 +278,48 @@ def test_cg_fallback_backtracks_to_sufficient_decrease(offset):
     assert w[1] == pytest.approx(c, abs=1e-3)
 
 
+@pytest.mark.parametrize("coord", [0, 1])
+@pytest.mark.parametrize("bound", [0.0, -0.0, 1.0e6])
+@pytest.mark.parametrize("outward", [True, False])
+def test_cg_box_stopping_rule(bound, outward, coord):
+    # A linear objective whose gradient is large along one coordinate, which
+    # starts exactly on a bound, and tiny along the other. Where the large
+    # component points out of the box, descent is blocked there: the
+    # projected gradient is tiny and CG stops at its start, pinned. Where it
+    # points inward, CG iterates.
+    lo, hi, eps = 0.0, 1.0e6, 1e-6
+    g = np.full(2, 3e-7)
+    g[coord] = (2.0 if bound == lo else -2.0) * (1.0 if outward else -1.0)
+    w0 = np.full(2, 0.5 * hi)
+    w0[coord] = bound
+
+    def fun(w):
+        return float(g @ w)
+
+    def grad(w):
+        return g.copy()
+
+    def hess(w):
+        return np.zeros((2, 2))
+
+    w, _, iters, converged, notes = cg_minimize(fun, grad, hess, w0, lo, hi, eps, 5)
+    pinned = "stopped at a box-stationary point (projected gradient below epsilon)"
+    if outward:
+        assert (iters, converged, notes) == (0, True, [pinned])
+        assert w.tobytes() == np.clip(w0, lo, hi).tobytes()
+    else:
+        assert iters == 5 and pinned not in notes
+    # The residual at the start, against the projected gradient built as an
+    # array: components that point outward at an active bound are zeroed.
+    _, residual, _, _, _ = cg_minimize(fun, grad, hess, w0, lo, hi, eps, 0)
+    w = np.clip(w0, lo, hi)
+    pg = g.copy()
+    pg[(w <= lo) & (pg > 0.0)] = 0.0
+    pg[(w >= hi) & (pg < 0.0)] = 0.0
+    assert residual == min(float(np.linalg.norm(-g)), float(np.linalg.norm(pg)))
+    assert (residual < 1.0) == outward
+
+
 def test_cg_rejects_unknown_mode(ctx450):
     with pytest.raises(ValueError):
         cg_nbs(ctx450, mode="diagonal")
@@ -336,15 +392,9 @@ def test_cg_single_exit_rule():
     # itself, not a nearby CG endpoint with a zero product; where there is a
     # bargain, its answer weakly dominates the threat point with a positive
     # product.
-    rng = np.random.default_rng(1414)
-    draws = no_bargain = 0
-    while draws < 200:
-        scenario = random_scenario(rng)
-        try:
-            ctx = make_context(scenario, random_relay(rng, scenario))
-        except ValueError:
-            continue
-        draws += 1
+    draws = 200
+    no_bargain = 0
+    for ctx in itertools.islice(_seeded_contexts(1414), draws):
         report = cg_nbs(ctx)
         if exact_nbs(ctx).allocation == ctx.ne_alloc:
             no_bargain += 1
@@ -355,6 +405,78 @@ def test_cg_single_exit_rule():
             assert report.utilities.u(i) >= ctx.threat.u(i) - 1e-12 * abs(ctx.threat.u(i))
         assert nash_product(report.allocation, ctx) > 0.0
     assert 0 < no_bargain < draws
+
+
+# cg_nbs at draws 1, 3 and 48 of _seeded_contexts(1414), recorded bit for bit
+# from the numpy-scalar implementation that evaluated the objective on
+# np.float64: draw 1 stops at its start, draw 3 iterates with fallbacks and is
+# rejected, draw 48 is accepted. Per mode: cg_minimize's endpoint, residual,
+# iterations, flag and notes, then the report's allocation, residual,
+# iterations and notes (floats as float.hex).
+_REJECTED = "cg endpoint rejected; exact result returned"
+_NO_BARGAIN = ("no allocation improves both utilities on the threat point; "
+               "returning the threat allocation")
+_PINNED = "stopped at a box-stationary point (projected gradient below epsilon)"
+CG_PINS = {
+    (1, "joint"): (
+        ("0x1.3d0bf87b36dc6p-36", "0x0.0p+0"), "0x1.0fc256621ee76p-93", 0, True, (),
+        ("0x1.60463088e79f8p-36", "0x0.0p+0"), "0x0.0p+0", 0, (_NO_BARGAIN, _REJECTED)),
+    (1, "alternating"): (
+        ("0x1.3d0bf87b36dc6p-36", "0x0.0p+0"), "0x1.0fc256621ee76p-93", 0, True, (),
+        ("0x1.60463088e79f8p-36", "0x0.0p+0"), "0x0.0p+0", 0, (_NO_BARGAIN, _REJECTED)),
+    (3, "joint"): (
+        ("0x1.e848000000000p+18", "0x1.e848000000000p+18"), "0x0.0p+0", 24, True,
+        ("steepest-descent fallback used on 24 iteration(s)", _PINNED),
+        ("0x1.b96c190795710p+17", "0x0.0p+0"), "0x0.0p+0", 0,
+        (_NO_BARGAIN, "steepest-descent fallback used on 24 iteration(s)", _PINNED,
+         _REJECTED)),
+    (3, "alternating"): (
+        ("0x1.e848000000000p+18", "0x1.e848000000000p+18"), "0x0.0p+0", 48, True,
+        ("steepest-descent fallback used on 48 iteration(s)", _PINNED),
+        ("0x1.b96c190795710p+17", "0x0.0p+0"), "0x0.0p+0", 0,
+        (_NO_BARGAIN, "steepest-descent fallback used on 48 iteration(s)", _PINNED,
+         _REJECTED)),
+    (48, "joint"): (
+        ("0x1.98d50cdbdd95bp+11", "0x1.dfa540399978dp+12"), "0x1.9155bb8d7da90p-21", 10,
+        True, (), ("0x1.98d50cdbdd95bp+11", "0x1.dfa540399978dp+12"),
+        "0x1.9155bb8d7da90p-21", 10, ()),
+    (48, "alternating"): (
+        ("0x1.98d50ce177b1dp+11", "0x1.dfa5403d5d45cp+12"), "0x1.68a6ec14b1400p-23", 32,
+        True, (), ("0x1.98d50ce177b1dp+11", "0x1.dfa5403d5d45cp+12"),
+        "0x1.68a6ec14b1400p-23", 32, ()),
+}
+
+
+def test_cg_pinned_answers(monkeypatch):
+    # The answers above, bit for bit, and one gradient evaluation per
+    # iteration plus one at the start, which also sets the default epsilon.
+    runs, grads = [], []
+    minimize, gradient = bargaining.cg_minimize, bargaining.nash_product_gradient
+
+    def recorded_minimize(*args, **kwargs):
+        runs.append(minimize(*args, **kwargs))
+        return runs[-1]
+
+    def recorded_gradient(alloc, ctx):
+        grads.append(alloc)
+        return gradient(alloc, ctx)
+
+    monkeypatch.setattr(bargaining, "cg_minimize", recorded_minimize)
+    monkeypatch.setattr(bargaining, "nash_product_gradient", recorded_gradient)
+    contexts = list(itertools.islice(_seeded_contexts(1414), 48))
+    for (draw, mode), pin in CG_PINS.items():
+        ctx = contexts[draw - 1]
+        runs.clear()
+        grads.clear()
+        report = cg_nbs(ctx, mode=mode)
+        (w, residual, iters, converged, notes), = runs
+        got = (tuple(x.hex() for x in w.tolist()), residual.hex(), iters, converged,
+               tuple(notes),
+               (report.allocation.w1.hex(), report.allocation.w2.hex()),
+               report.residual.hex(), report.iterations, report.diagnostics)
+        assert got == pin, (draw, mode)
+        assert len(grads) == iters + 1, (draw, mode)
+        assert grads[0] == BandAllocation(0.9 * ctx.ne_alloc.w1, 0.9 * ctx.ne_alloc.w2)
 
 
 def test_cg_dominance_on_accepted_result(ctx450):
