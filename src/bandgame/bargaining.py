@@ -35,7 +35,7 @@ import numpy as np
 
 from .game import (BandAllocation, ConvergenceError, EquilibriumReport,
                    MarginalTerms, UtilityPair, marginal_terms,
-                   nash_equilibrium_batch, utility_pair, utility_partial)
+                   nash_equilibrium_batch, utility_pair)
 from .system_model import Point, Scenario, link_budget_batch, select
 
 
@@ -98,27 +98,62 @@ def _equilibria(scenario: Scenario, xr, yr) -> tuple:
     return terms, ne, failures
 
 
-def nash_product(alloc: BandAllocation, ctx: NashProductContext) -> float:
-    """(u1 - u1_ne)*(u2 - u2_ne); negative outside the dominance quadrant."""
-    u = utility_pair(alloc, ctx.terms, ctx.scenario)
-    return (u.u1 - ctx.threat.u1) * (u.u2 - ctx.threat.u2)
+def _numbers(ctx: NashProductContext) -> tuple:
+    """The numbers of a context that :func:`_gains` reads after (w1, w2):
+    phi_i, psi_i and c_i = psi_i - phi_i of each user, omega, b and the
+    threat utilities."""
+    t, s = ctx.terms, ctx.scenario
+    return (t.phi1, t.psi1, t.relay_advantage(1), t.phi2, t.psi2, t.relay_advantage(2),
+            s.omega, s.b, ctx.threat.u1, ctx.threat.u2)
 
 
-def nash_product_gradient(alloc: BandAllocation, ctx: NashProductContext):
-    """Analytic gradient (dpi/dw1, dpi/dw2).
+def _gains(w1, w2, phi1, psi1, c1, phi2, psi2, c2, omega, b, t1, t2) -> tuple:
+    """The utility gains d_i = u_i - u_i_ne and the partials du_i = d u_i / d w_i
+    at (w1, w2), on floats or elementwise on arrays: the kernel of the Nash
+    product, its gradient and its Hessian.
+
+    u_i is :func:`~bandgame.game.utility_value`'s expression and du_i
+    :func:`~bandgame.game.utility_partial`'s, with c_i the terms'
+    ``relay_advantage(i)``, each in the same order, so every result has
+    their bits.
+    """
+    d1 = phi1 * (omega - w1) + psi1 * w1 - b * (w1 + w2) * w1 - t1
+    d2 = phi2 * (omega - w2) + psi2 * w2 - b * (w2 + w1) * w2 - t2
+    du1 = c1 - b * (2.0 * w1 + w2)
+    du2 = c2 - b * (2.0 * w2 + w1)
+    return d1, d2, du1, du2
+
+
+def _gradient(w1, w2, b, d1, d2, du1, du2) -> tuple:
+    """(dpi/dw1, dpi/dw2) from :func:`_gains`' values at (w1, w2).
 
     Uses d u_j / d w_i = -b * w_j for j != i: the opponent's utility sees w_i
     only through the price on its own rented band.
     """
-    s, t = ctx.scenario, ctx.terms
-    u = utility_pair(alloc, t, s)
-    d1 = u.u1 - ctx.threat.u1
-    d2 = u.u2 - ctx.threat.u2
-    du1 = utility_partial(1, alloc, t, s)
-    du2 = utility_partial(2, alloc, t, s)
-    g1 = du1 * d2 + d1 * (-s.b * alloc.w2)
-    g2 = d1 * du2 + d2 * (-s.b * alloc.w1)
-    return g1, g2
+    return du1 * d2 + d1 * (-b * w2), d1 * du2 + d2 * (-b * w1)
+
+
+def _curvature(w1, w2, b, unit, d1, d2, du1, du2) -> tuple:
+    """The Hessian entries (a11, a22, a12) of the Nash product at (w1, w2)
+    divided by ``unit`` squared, from :func:`_gains`' values there."""
+    b = b * unit
+    d1, d2, du1, du2 = d1 * unit, d2 * unit, du1 * unit, du2 * unit
+    a11 = -2.0 * b * d2 - 2.0 * b * w2 * du1
+    a22 = -2.0 * b * d1 - 2.0 * b * w1 * du2
+    a12 = -b * d2 - b * d1 + b * b * w1 * w2 + du1 * du2
+    return a11, a22, a12
+
+
+def nash_product(alloc: BandAllocation, ctx: NashProductContext) -> float:
+    """(u1 - u1_ne)*(u2 - u2_ne); negative outside the dominance quadrant."""
+    d1, d2, _, _ = _gains(alloc.w1, alloc.w2, *_numbers(ctx))
+    return d1 * d2
+
+
+def nash_product_gradient(alloc: BandAllocation, ctx: NashProductContext):
+    """Analytic gradient (dpi/dw1, dpi/dw2) (see :func:`_gradient`)."""
+    w1, w2 = alloc.w1, alloc.w2
+    return _gradient(w1, w2, ctx.scenario.b, *_gains(w1, w2, *_numbers(ctx)))
 
 
 @dataclass(frozen=True)
@@ -131,12 +166,6 @@ class Hessian2x2:
     a12: float
     exponent: int = 0
 
-    def matrix(self) -> np.ndarray:
-        """The Hessian of one position as a 2x2 array; an entry beyond the
-        float range is infinite."""
-        return np.ldexp(np.array([[self.a11, self.a12], [self.a12, self.a22]]),
-                        self.exponent)
-
 
 # The Hessian is quadratic in the utility unit, which alpha and b carry. Its
 # factors are divided by 2**m, m the multiple of this step nearest log2(alpha):
@@ -145,22 +174,18 @@ class Hessian2x2:
 _UNIT_STEP = 256
 
 
+def _unit_exponent(alpha: float) -> int:
+    """m of the Hessian's unit 2**m (see ``_UNIT_STEP``)."""
+    return _UNIT_STEP * round(math.frexp(alpha)[1] / _UNIT_STEP)
+
+
 def hessian(alloc: BandAllocation, ctx: NashProductContext) -> Hessian2x2:
     """Analytic Hessian of the Nash product at ``alloc``; elementwise for a
     batch context and allocation."""
-    s, t = ctx.scenario, ctx.terms
-    m = _UNIT_STEP * round(math.frexp(s.alpha)[1] / _UNIT_STEP)
-    unit = math.ldexp(1.0, -m)
-    b = s.b * unit
-    u = utility_pair(alloc, t, s)
-    d1 = (u.u1 - ctx.threat.u1) * unit
-    d2 = (u.u2 - ctx.threat.u2) * unit
+    m = _unit_exponent(ctx.scenario.alpha)
     w1, w2 = alloc.w1, alloc.w2
-    du1 = utility_partial(1, alloc, t, s) * unit
-    du2 = utility_partial(2, alloc, t, s) * unit
-    a11 = -2.0 * b * d2 - 2.0 * b * w2 * du1
-    a22 = -2.0 * b * d1 - 2.0 * b * w1 * du2
-    a12 = -b * d2 - b * d1 + b * b * w1 * w2 + du1 * du2
+    a11, a22, a12 = _curvature(w1, w2, ctx.scenario.b, math.ldexp(1.0, -m),
+                               *_gains(w1, w2, *_numbers(ctx)))
     return Hessian2x2(a11=a11, a22=a22, a12=a12, exponent=2 * m)
 
 
@@ -216,8 +241,16 @@ def cg_minimize(fun, grad, hess, w0, lo, hi, epsilon, max_iter, mode: str = "joi
     that point outward at an active bound. ``epsilon=None`` means
     1e-8 * max(1, |g|), with g the gradient at the (projected) start.
 
+    The fallback keeps the trial point it accepts and the objective value
+    there: where the next iteration falls back again from that point, that
+    value is its start value, and ``fun`` is not called at the same point
+    twice. Norms and the dot products with v and A stay numpy 2-vector dot
+    products: BLAS may fuse their multiply-adds, so plain float arithmetic
+    would round some of them differently.
+
     Returns ``(w, residual, iterations, converged, notes)``; the residual is
-    the smaller of the two norms at ``w``.
+    the smaller of the two norms at ``w``, and it is converged only where it
+    is finite and at most epsilon.
     """
     if mode not in ("joint", "alternating"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -242,6 +275,7 @@ def cg_minimize(fun, grad, hess, w0, lo, hi, epsilon, max_iter, mode: str = "joi
     v = -g
     k = 0
     fallbacks = 0
+    f_w = None  # fun(w) where a fallback evaluated it on accepting w, else None
     pinned_stop = False
     span = hi - lo
     while True:
@@ -257,6 +291,7 @@ def cg_minimize(fun, grad, hess, w0, lo, hi, epsilon, max_iter, mode: str = "joi
         if curvature > 0.0:
             t = -float(g @ v) / curvature
             w_next = clip(w + t * v)
+            f_w = None
         else:
             # Non-convex stretch: Newton length is undefined or an ascent;
             # take a safeguarded steepest-descent step instead. The first
@@ -266,18 +301,22 @@ def cg_minimize(fun, grad, hess, w0, lo, hi, epsilon, max_iter, mode: str = "joi
             fallbacks += 1
             v = -g
             slope = float(g @ v)
-            f0 = fun(w)
+            f0 = fun(w) if f_w is None else f_w
             t = 0.05 * span / max(norm(v), 1e-300)
             for _ in range(60):
-                cand = clip(w + t * v)
-                if fun(cand) <= f0 + 1e-4 * t * slope:
+                w_next = clip(w + t * v)
+                f_w = fun(w_next)
+                if f_w <= f0 + 1e-4 * t * slope:
                     break
                 t *= 0.5
-            w_next = clip(w + t * v)
+            else:  # no trial accepted: one more halving, not evaluated
+                w_next = clip(w + t * v)
+                f_w = None
         if mode == "alternating":
             keep = w.copy()
             keep[k % 2] = w_next[k % 2]
             w_next = keep
+            f_w = None
         g_next = np.asarray(grad(w_next), dtype=float)
         gg = float(g @ g)
         beta = float(g_next @ (g_next - g)) / gg if gg > 0.0 else 0.0
@@ -294,7 +333,7 @@ def cg_minimize(fun, grad, hess, w0, lo, hi, epsilon, max_iter, mode: str = "joi
     else:
         pg_norm = projected_norm(w, g)
     res = min(v_norm, pg_norm)
-    return w, res, k, res <= epsilon, notes
+    return w, res, k, math.isfinite(res) and res <= epsilon, notes
 
 
 def cg_nbs(ctx: NashProductContext, w0: BandAllocation | None = None,
@@ -314,28 +353,41 @@ def cg_nbs(ctx: NashProductContext, w0: BandAllocation | None = None,
     would chase the wrong quadrant.) Default epsilon is
     1e-8 * max(1, |grad pi|) at the start (see :func:`cg_minimize`).
     Iterates are projected onto [0, omega]^2; the dominance constraint
-    u_i >= u_i_ne is not enforced during the iteration. The objective and
-    its derivatives are evaluated on Python floats, which round as numpy's
-    scalars do.
+    u_i >= u_i_ne is not enforced during the iteration. The context's
+    numbers (:func:`_numbers`) and the Hessian's unit are read once per
+    call; the objective, its gradient and its Hessian are then the
+    kernel's (:func:`_gains`) on the iterate's two Python floats, which
+    round as numpy's scalars do, so they have the bits of
+    :func:`nash_product`, :func:`nash_product_gradient` and
+    :func:`hessian`.
 
     One exit rule: an endpoint that does not weakly dominate the threat
-    point, or whose Nash product is not positive, is rejected, and
-    :func:`exact_nbs` is returned in its place with a note. So where there is
-    no bargain the result is the threat allocation, and where there is one
-    it weakly dominates the threat point with a positive product.
+    point, whose Nash product is not positive, or whose residual is not
+    finite (a gradient norm that overflows), is rejected, and
+    :func:`exact_nbs` is returned in its place with a note. So where there
+    is no bargain the result is the threat allocation, and where there is
+    one it weakly dominates the threat point with a positive product.
     """
     if w0 is None:
         w0 = BandAllocation(0.9 * ctx.ne_alloc.w1, 0.9 * ctx.ne_alloc.w2)
+    numbers = _numbers(ctx)
+    b = ctx.scenario.b
+    m = _unit_exponent(ctx.scenario.alpha)
+    unit = math.ldexp(1.0, -m)
+
+    def fun_m(w):
+        d1, d2, _, _ = _gains(*w.tolist(), *numbers)
+        return -(d1 * d2)
 
     def grad_m(w):
-        g1, g2 = nash_product_gradient(BandAllocation(*w.tolist()), ctx)
+        w1, w2 = w.tolist()
+        g1, g2 = _gradient(w1, w2, b, *_gains(w1, w2, *numbers))
         return (-g1, -g2)
 
     def hess_m(w):
-        return -hessian(BandAllocation(*w.tolist()), ctx).matrix()
-
-    def fun_m(w):
-        return -nash_product(BandAllocation(*w.tolist()), ctx)
+        w1, w2 = w.tolist()
+        a11, a22, a12 = _curvature(w1, w2, b, unit, *_gains(w1, w2, *numbers))
+        return -np.ldexp(np.array([[a11, a12], [a12, a22]]), 2 * m)
 
     w, residual, iters, converged, notes = cg_minimize(
         fun_m, grad_m, hess_m, (w0.w1, w0.w2), 0.0, ctx.scenario.omega, epsilon,
@@ -345,7 +397,7 @@ def cg_nbs(ctx: NashProductContext, w0: BandAllocation | None = None,
     u = utility_pair(alloc, ctx.terms, ctx.scenario)
     dominates = all(
         u.u(i) >= ctx.threat.u(i) - 1e-12 * abs(ctx.threat.u(i)) for i in (1, 2))
-    if not dominates or nash_product(alloc, ctx) <= 0.0:
+    if not dominates or nash_product(alloc, ctx) <= 0.0 or not math.isfinite(residual):
         exact = exact_nbs(ctx)
         return replace(
             exact,

@@ -1,4 +1,5 @@
 import itertools
+import math
 import warnings
 from dataclasses import replace
 
@@ -13,7 +14,8 @@ from bandgame import (BandAllocation, Hessian2x2, MarginalTerms,
                       is_strictly_concave_at, make_context,
                       max_nash_product_on_pareto, nash_equilibrium,
                       nash_product, nash_product_gradient,
-                      sample_utility_region, sweep, utility_pair)
+                      sample_utility_region, sweep, utility_pair,
+                      utility_partial)
 from bandgame import bargaining
 from bandgame.bargaining import (_interior_quartic, _pareto_chain,
                                  _quartic_roots, exact_nbs_batch, make_context_batch)
@@ -171,6 +173,58 @@ def test_hessian_matches_finite_differences(ctx450, paper):
         assert np.linalg.norm(an_m - fd) <= 1e-4 * (np.linalg.norm(fd) + 1e-9)
 
 
+def _formulas(alloc, ctx):
+    """The Nash product, its gradient and its Hessian written out from the
+    per-user utility functions: the rounding the kernel must keep."""
+    s, t = ctx.scenario, ctx.terms
+    u = utility_pair(alloc, t, s)
+    d1, d2 = u.u1 - ctx.threat.u1, u.u2 - ctx.threat.u2
+    du1, du2 = utility_partial(1, alloc, t, s), utility_partial(2, alloc, t, s)
+    w1, w2 = alloc.w1, alloc.w2
+    product = d1 * d2
+    gradient = (du1 * d2 + d1 * (-s.b * w2), d1 * du2 + d2 * (-s.b * w1))
+    m = 256 * round(math.frexp(s.alpha)[1] / 256)
+    unit = math.ldexp(1.0, -m)
+    b = s.b * unit
+    d1, d2, du1, du2 = d1 * unit, d2 * unit, du1 * unit, du2 * unit
+    curvature = Hessian2x2(a11=-2.0 * b * d2 - 2.0 * b * w2 * du1,
+                           a22=-2.0 * b * d1 - 2.0 * b * w1 * du2,
+                           a12=-b * d2 - b * d1 + b * b * w1 * w2 + du1 * du2,
+                           exponent=2 * m)
+    return product, gradient, curvature
+
+
+def _bits(product, gradient, curvature):
+    return [np.asarray(x, dtype=float).tobytes() for x in (
+        product, *gradient, curvature.a11, curvature.a22, curvature.a12)] + [curvature.exponent]
+
+
+def test_kernel_matches_utility_formulas(paper):
+    # nash_product, nash_product_gradient and hessian keep the bits of the
+    # formulas above: on the floats of seeded contexts, at units where the
+    # Hessian is rescaled, and on a sweep's arrays.
+    rng = np.random.default_rng(29)
+    cases = []
+    for base in itertools.islice(_seeded_contexts(30), 60):
+        s = base.scenario
+        for scale in (1.0, 1e-100, 1e160):
+            ctx = base if scale == 1.0 else make_context(
+                replace(s, alpha=s.alpha * scale, b=s.b * scale), RELAY_450)
+            omega = ctx.scenario.omega
+            for alloc in (ctx.ne_alloc, exact_nbs(ctx).allocation,
+                          BandAllocation(-0.0, omega),
+                          BandAllocation(*rng.uniform(0.0, omega, 2).tolist())):
+                cases.append((alloc, ctx))
+    grid = SweepGrid(step=25.0)
+    ctx, _ = make_context_batch(paper, *grid.positions())
+    nbs, _ = exact_nbs_batch(ctx.terms, ctx.ne_alloc, paper)
+    cases += [(ctx.ne_alloc, ctx), (nbs, ctx),
+              (BandAllocation(*rng.uniform(0.0, paper.omega, (2, len(nbs.w1)))), ctx)]
+    for alloc, ctx in cases:
+        got = (nash_product(alloc, ctx), nash_product_gradient(alloc, ctx), hessian(alloc, ctx))
+        assert _bits(*got) == _bits(*_formulas(alloc, ctx))
+
+
 def test_eigenvalues_trivial():
     eig = eigenvalues(Hessian2x2(a11=3.0, a22=3.0, a12=0.0))
     assert (eig.lambda1, eig.lambda2, eig.delta) == (3.0, 3.0, 0.0)
@@ -265,9 +319,11 @@ def test_cg_fallback_backtracks_to_sufficient_decrease(offset):
         fun, grad, hess, np.array([a, c]) + offset, 0.0, 1.0e6,
         epsilon=1e-6, max_iter=200)
     assert notes == [f"steepest-descent fallback used on {iters} iteration(s)"]
-    # A fallback calls fun at its start and once per trial step, so more
-    # than two calls per iteration means that some trial was halved.
-    assert len(calls) > 2 * iters
+    # fun is called at the start and once per trial step: each fallback
+    # starts from the point the one before accepted, whose value it reuses.
+    # So more than one call per iteration beyond the start's means that some
+    # trial was halved.
+    assert len(calls) > iters + 1
     assert len(iterates) == iters + 1
     for before, after in zip(iterates, iterates[1:]):
         # Armijo's sufficient decrease along the step taken (no step is
@@ -448,21 +504,22 @@ CG_PINS = {
 
 
 def test_cg_pinned_answers(monkeypatch):
-    # The answers above, bit for bit, and one gradient evaluation per
-    # iteration plus one at the start, which also sets the default epsilon.
+    # The answers above, bit for bit, and one evaluation of the kernel's
+    # gradient per iteration plus one at the start, which also sets the
+    # default epsilon.
     runs, grads = [], []
-    minimize, gradient = bargaining.cg_minimize, bargaining.nash_product_gradient
+    minimize, gradient = bargaining.cg_minimize, bargaining._gradient
 
     def recorded_minimize(*args, **kwargs):
         runs.append(minimize(*args, **kwargs))
         return runs[-1]
 
-    def recorded_gradient(alloc, ctx):
-        grads.append(alloc)
-        return gradient(alloc, ctx)
+    def recorded_gradient(w1, w2, *args):
+        grads.append((w1, w2))
+        return gradient(w1, w2, *args)
 
     monkeypatch.setattr(bargaining, "cg_minimize", recorded_minimize)
-    monkeypatch.setattr(bargaining, "nash_product_gradient", recorded_gradient)
+    monkeypatch.setattr(bargaining, "_gradient", recorded_gradient)
     contexts = list(itertools.islice(_seeded_contexts(1414), 48))
     for (draw, mode), pin in CG_PINS.items():
         ctx = contexts[draw - 1]
@@ -476,7 +533,54 @@ def test_cg_pinned_answers(monkeypatch):
                report.residual.hex(), report.iterations, report.diagnostics)
         assert got == pin, (draw, mode)
         assert len(grads) == iters + 1, (draw, mode)
-        assert grads[0] == BandAllocation(0.9 * ctx.ne_alloc.w1, 0.9 * ctx.ne_alloc.w2)
+        assert grads[0] == (0.9 * ctx.ne_alloc.w1, 0.9 * ctx.ne_alloc.w2)
+
+
+def test_cg_fallback_evaluates_each_point_once(monkeypatch):
+    # Draw 3 in joint mode falls back on each of its 24 iterations, each from
+    # the trial point the one before accepted: the objective is evaluated at
+    # the start and once per trial, never twice at one point.
+    points = []
+    minimize = bargaining.cg_minimize
+
+    def recorded_minimize(fun, *args, **kwargs):
+        def recorded_fun(w):
+            points.append(tuple(w.tolist()))
+            return fun(w)
+        return minimize(recorded_fun, *args, **kwargs)
+
+    monkeypatch.setattr(bargaining, "cg_minimize", recorded_minimize)
+    ctx = next(itertools.islice(_seeded_contexts(1414), 2, None))
+    report = cg_nbs(ctx, mode="joint")
+    assert "steepest-descent fallback used on 24 iteration(s)" in report.diagnostics
+    assert len(points) == 25
+    assert len(set(points)) == len(points)
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e150, 1e160, 1e200])
+def test_cg_large_units_return_exact(paper, scale):
+    # With alpha and b this large the gradient's squared norm, or the
+    # Hessian, overflows (numpy warns). The default epsilon and the
+    # residual are then not finite (1e100, 1e150), or the iterates become
+    # NaN (1e160, 1e200): the endpoint is rejected for the exact bargain.
+    ctx = make_context(replace(paper, alpha=paper.alpha * scale, b=paper.b * scale),
+                       RELAY_450)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        report = cg_nbs(ctx)
+    exact = exact_nbs(ctx)
+    assert report.allocation == exact.allocation
+    assert report.diagnostics[-1] == _REJECTED
+    assert nash_product(report.allocation, ctx) > 0.0
+
+
+def test_cg_overflowing_residual_is_not_converged():
+    # |g|**2 overflows: the default epsilon and the residual are both inf.
+    g = np.array([1e200, -1e200])
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        w, residual, iters, converged, _ = cg_minimize(
+            lambda w: float(g @ w), lambda w: g.copy(), lambda w: np.zeros((2, 2)),
+            np.array([0.5, 0.5]), 0.0, 1.0, None, 10)
+    assert (residual, iters, converged) == (math.inf, 0, False)
 
 
 def test_cg_dominance_on_accepted_result(ctx450):
