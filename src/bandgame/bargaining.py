@@ -34,9 +34,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .game import (BandAllocation, ConvergenceError, EquilibriumReport,
-                   MarginalTerms, UtilityPair, marginal_terms,
+                   MarginalTerms, UtilityPair, kkt_allocation, marginal_terms,
                    nash_equilibrium_batch, utility_pair)
-from .system_model import Point, Scenario, link_budget_batch, select
+from .system_model import Point, Scenario, link_budget, link_budget_batch, select
 
 
 @dataclass(frozen=True)
@@ -57,13 +57,17 @@ class NashProductContext:
 
 def make_context(scenario: Scenario, relay: Point) -> NashProductContext:
     """Build the bargaining context for one relay position (computes the NE);
-    raises the error that leaves the position unsolvable. One context is
-    built, from the position's floats."""
-    terms, ne, failures = _equilibria(scenario, [relay.x], [relay.y])
-    if failures[0] is not None:
-        raise failures[0]
-    return NashProductContext(scenario=scenario, terms=select(terms, 0),
-                              ne_alloc=select(ne, 0))
+    raises the error that leaves the position unsolvable.
+
+    Every field is a float: the link budget, the marginal terms and the
+    equilibrium are computed on the position's floats by :func:`link_budget`,
+    :func:`marginal_terms` and :func:`kkt_allocation`, each with its batch
+    function's expressions and numpy loops, so the context and the error
+    are :func:`make_context_batch`'s at that position, bit for bit.
+    """
+    terms = marginal_terms(link_budget(scenario, relay), scenario)
+    return NashProductContext(scenario=scenario, terms=terms,
+                              ne_alloc=kkt_allocation(terms, scenario))
 
 
 def make_context_batch(scenario: Scenario, xr, yr) -> tuple:
@@ -77,13 +81,6 @@ def make_context_batch(scenario: Scenario, xr, yr) -> tuple:
     ConvergenceError). A failed position keeps its slot with a NaN
     equilibrium, so everything computed from it is NaN as well.
     """
-    terms, ne, failures = _equilibria(scenario, xr, yr)
-    return NashProductContext(scenario=scenario, terms=terms, ne_alloc=ne), failures
-
-
-def _equilibria(scenario: Scenario, xr, yr) -> tuple:
-    """The marginal terms, equilibria and failures of
-    :func:`make_context_batch`, without the context."""
     budget, failures = link_budget_batch(scenario, xr, yr)
     terms = marginal_terms(budget, scenario)
     ne = nash_equilibrium_batch(terms, scenario)
@@ -95,7 +92,7 @@ def _equilibria(scenario: Scenario, xr, yr) -> tuple:
         failed = np.not_equal(failures, None)
         ne = BandAllocation(w1=np.where(failed, math.nan, ne.w1),
                             w2=np.where(failed, math.nan, ne.w2))
-    return terms, ne, failures
+    return NashProductContext(scenario=scenario, terms=terms, ne_alloc=ne), failures
 
 
 def _numbers(ctx: NashProductContext) -> tuple:
@@ -225,6 +222,9 @@ def is_strictly_concave_at(alloc: BandAllocation, ctx: NashProductContext) -> bo
     return bool(eigenvalues(hessian(alloc, ctx)).lambda2 < 0.0)
 
 
+NON_FINITE_NOTE = "stopped at a non-finite iterate, objective or gradient"
+
+
 def cg_minimize(fun, grad, hess, w0, lo, hi, epsilon, max_iter, mode: str = "joint"):
     """Projected nonlinear CG with Newton step lengths and PR+ updates.
 
@@ -248,6 +248,10 @@ def cg_minimize(fun, grad, hess, w0, lo, hi, epsilon, max_iter, mode: str = "joi
     products: BLAS may fuse their multiply-adds, so plain float arithmetic
     would round some of them differently.
 
+    It stops at once where the iterate or the gradient there is not finite,
+    or the objective at the iterate a fallback starts from: the residual is
+    then NaN, and a note says so.
+
     Returns ``(w, residual, iterations, converged, notes)``; the residual is
     the smaller of the two norms at ``w``, and it is converged only where it
     is finite and at most epsilon.
@@ -261,10 +265,11 @@ def cg_minimize(fun, grad, hess, w0, lo, hi, epsilon, max_iter, mode: str = "joi
     def clip(x):  # np.clip without its wrapper; it keeps x's sign of zero at lo
         return np.minimum(np.maximum(lo, x), hi)
 
-    def projected_norm(w, g):
-        # Components of g that point outward at an active bound do not count;
-        # with one zeroed, norm's dot product is the other's square exactly.
-        kept = [gi for wi, gi in zip(w.tolist(), g.tolist())
+    def projected_norm(ws, gs, g):
+        # Components of g (whose floats are gs, w's are ws) that point outward
+        # at an active bound do not count; with one zeroed, norm's dot
+        # product is the other's square exactly.
+        kept = [gi for wi, gi in zip(ws, gs)
                 if not (wi <= lo and gi > 0.0 or wi >= hi and gi < 0.0)]
         return norm(g) if len(kept) == 2 else math.sqrt(sum(x * x for x in kept))
 
@@ -276,13 +281,17 @@ def cg_minimize(fun, grad, hess, w0, lo, hi, epsilon, max_iter, mode: str = "joi
     k = 0
     fallbacks = 0
     f_w = None  # fun(w) where a fallback evaluated it on accepting w, else None
-    pinned_stop = False
+    pinned_stop = non_finite = False
     span = hi - lo
     while True:
+        ws, gs = w.tolist(), g.tolist()
+        if not all(map(math.isfinite, ws + gs)):
+            non_finite = True
+            break
         v_norm = norm(v)
         if k >= max_iter or v_norm <= epsilon:
             break
-        pg_norm = projected_norm(w, g)
+        pg_norm = projected_norm(ws, gs, g)
         if pg_norm <= epsilon:
             pinned_stop = True
             break
@@ -302,6 +311,9 @@ def cg_minimize(fun, grad, hess, w0, lo, hi, epsilon, max_iter, mode: str = "joi
             v = -g
             slope = float(g @ v)
             f0 = fun(w) if f_w is None else f_w
+            if not math.isfinite(f0):
+                non_finite = True
+                break
             t = 0.05 * span / max(norm(v), 1e-300)
             for _ in range(60):
                 w_next = clip(w + t * v)
@@ -328,10 +340,13 @@ def cg_minimize(fun, grad, hess, w0, lo, hi, epsilon, max_iter, mode: str = "joi
     notes = []
     if fallbacks:
         notes.append(f"steepest-descent fallback used on {fallbacks} iteration(s)")
+    if non_finite:
+        notes.append(NON_FINITE_NOTE)
+        return w, math.nan, k, False, notes
     if pinned_stop:
         notes.append("stopped at a box-stationary point (projected gradient below epsilon)")
     else:
-        pg_norm = projected_norm(w, g)
+        pg_norm = projected_norm(ws, gs, g)
     res = min(v_norm, pg_norm)
     return w, res, k, math.isfinite(res) and res <= epsilon, notes
 

@@ -15,17 +15,19 @@ for that closed form.
 The value types hold floats for one relay position, or equal-length arrays
 for a batch of positions. The marginal terms and the utility functions take
 either. The equilibrium is computed for a batch at once
-(:func:`nash_equilibrium_batch`); :func:`nash_equilibrium` is its call with
-N = 1.
+(:func:`nash_equilibrium_batch`), and for one position on its floats
+(:func:`nash_equilibrium`, :func:`kkt_allocation`): the same nine clamp
+patterns in the same order, with the same expressions, tolerances and
+comparisons, each of which Python floats round as numpy does elementwise,
+so one position and a batch get the same bits.
 """
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .system_model import LinkBudget, Scenario, efficiency_batch, select
+from .system_model import LinkBudget, Scenario, efficiency_batch
 
 
 class ConvergenceError(RuntimeError):
@@ -89,11 +91,17 @@ class EquilibriumReport:
 
 
 def marginal_terms(budget: LinkBudget, scenario: Scenario) -> MarginalTerms:
-    """phi_i and psi_i of both users from a link budget of one position, or of
-    a batch (fields are arrays)."""
+    """phi_i and psi_i of both users from a link budget of one position
+    (floats; the terms are floats), or of a batch (fields are arrays).
+
+    The four efficiencies come from one :func:`efficiency_batch` call, over
+    a 4-element array for one position, so one position runs the batch's
+    numpy loops and gets its bits."""
     u1, u2 = budget.user1, budget.user2
     f = efficiency_batch(np.array([u1.gamma_direct, u1.gamma_af, u2.gamma_direct, u2.gamma_af]),
                          scenario.M)
+    if f.ndim == 1:  # one position
+        f = f.tolist()
     a, p1, p2, p_r = scenario.alpha, scenario.p1, scenario.p2, scenario.p_r
     return MarginalTerms(phi1=a * f[0] / p1, psi1=a * f[1] / (p1 + p_r),
                          phi2=a * f[2] / p2, psi2=a * f[3] / (p2 + p_r))
@@ -186,14 +194,14 @@ _SIGN = np.where(_STATE == _LO, 1.0, np.where(_HIGH, -1.0, 0.0))
 
 
 def nash_equilibrium(terms: MarginalTerms, scenario: Scenario) -> EquilibriumReport:
-    """The unique pure Nash equilibrium of the band game.
+    """The unique pure Nash equilibrium of the band game at one position.
 
-    Solved in closed form by :func:`nash_equilibrium_batch` with N = 1. The
-    report has no iterations and zero residual.
+    Solved in closed form on the terms' floats (:func:`kkt_allocation`), with
+    :func:`nash_equilibrium_batch`'s patterns, expressions and tolerances, so
+    it is the batch's equilibrium bit for bit. The report has no iterations
+    and zero residual.
     """
-    alloc = select(nash_equilibrium_batch(terms, scenario), 0)
-    if math.isnan(alloc.w1):  # pragma: no cover - the patterns are exhaustive
-        raise ConvergenceError("no KKT pattern validated; inconsistent inputs")
+    alloc = kkt_allocation(terms, scenario)
     return EquilibriumReport(
         allocation=alloc,
         utilities=utility_pair(alloc, terms, scenario),
@@ -202,6 +210,63 @@ def nash_equilibrium(terms: MarginalTerms, scenario: Scenario) -> EquilibriumRep
         residual=0.0,
         converged=True,
     )
+
+
+# _STATE's patterns as (user 1's state, user 2's state), in its order.
+_PATTERNS = tuple(zip(_STATE[0, 0].tolist(), _STATE[1, 0].tolist()))
+
+
+def kkt_allocation(terms: MarginalTerms, scenario: Scenario) -> BandAllocation:
+    """The equilibrium allocation of one position's marginal terms, as floats;
+    raises ConvergenceError where no clamp pattern is feasible.
+
+    :func:`nash_equilibrium_batch` at one position on Python floats: the nine
+    patterns in the same order, and each interior coordinate, tolerance,
+    clamp and comparison written as the batch writes it elementwise, so NaN
+    terms take the same pattern too. It stops at the first feasible pattern.
+    """
+    b, omega = scenario.b, scenario.omega
+    c = (terms.psi1 - terms.phi1, terms.psi2 - terms.phi2)
+    size = (abs(c[0]), abs(c[1]))
+    slack = 1e-12 * _maximum(_maximum(size[0], size[1]), 3.0 * b * omega)
+    tol_w = 1e-12 * omega
+    for state in _PATTERNS:
+        fixed = [omega if s == _HI else 0.0 for s in state]
+        w = fixed[:]
+        for i, j in ((0, 1), (1, 0)):
+            if state[i] != _IN:
+                continue
+            if b == 0:
+                if size[i] > slack:
+                    break
+                wi = 0.0
+            elif state[j] == _IN:
+                wi = (2.0 * c[i] - c[j]) / (3.0 * b)
+            else:
+                wi = (c[i] - b * fixed[j]) / (2.0 * b)
+            if not (-tol_w <= wi and wi <= omega + tol_w):
+                break
+            w[i] = _minimum(_maximum(wi, 0.0), omega)
+        else:  # KKT sign conditions on clamped coordinates
+            for i, j in ((0, 1), (1, 0)):
+                if state[i] != _IN:
+                    partial = c[i] - b * (2.0 * w[i] + w[j])
+                    if (partial if state[i] == _LO else -partial) > slack:
+                        break
+            else:
+                return BandAllocation(w1=w[0], w2=w[1])
+    raise ConvergenceError(  # pragma: no cover - the patterns are exhaustive
+        "no KKT pattern validated; inconsistent inputs")
+
+
+# np.maximum and np.minimum of two floats: NaN if either is, else the larger
+# (smaller) one, and y where they compare equal, so 0.0 and -0.0 give y.
+def _maximum(x: float, y: float) -> float:
+    return x if x > y or x != x else y
+
+
+def _minimum(x: float, y: float) -> float:
+    return x if x < y or x != x else y
 
 
 def nash_equilibrium_batch(terms: MarginalTerms, scenario: Scenario) -> BandAllocation:

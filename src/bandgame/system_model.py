@@ -8,10 +8,12 @@ the two (``gamma_af``). Channel power gains follow a deterministic path-loss
 law ``pathloss_const / d**pathloss_exp``.
 
 The link budget is computed for N relay positions at once, given as two
-coordinate arrays (:func:`link_budget_batch`); :func:`link_budget` is its
-call with N = 1. Every step is a numpy ufunc over whole arrays, the
-transcendental ones (``hypot``, ``**`` and, in the game layer, ``expm1``)
-included, so one position and a batch get the same bits.
+coordinate arrays (:func:`link_budget_batch`), and for one position on its
+floats (:func:`link_budget`). Both take the transcendental steps (``hypot``,
+``**`` and, in the game layer, ``expm1``) as numpy ufuncs over arrays, for
+one position over a 6- or 4-element array, so both run the same numpy loops;
+every other step is +, -, * or /, which Python floats round as numpy does
+elementwise. So one position and a batch get the same bits.
 """
 
 import math
@@ -164,6 +166,9 @@ def _channel_gains(d: np.ndarray, scenario: Scenario):
     return gains, bad
 
 
+_SNR_OVERFLOW = "relay too close to a node: an SNR overflows"
+
+
 def _degenerate(d: float) -> DegenerateGeometryError:
     """The error of a link of length ``d`` that has no gain."""
     if d == 0.0:
@@ -273,8 +278,7 @@ def link_budget_batch(scenario: Scenario, xr, yr) -> tuple:
     if not np.isfinite(g_af).all():
         for k in np.flatnonzero(~np.isfinite(g_af).all(axis=0)).tolist():
             if failures[k] is None:
-                failures[k] = DegenerateGeometryError(
-                    "relay too close to a node: an SNR overflows")
+                failures[k] = DegenerateGeometryError(_SNR_OVERFLOW)
     users = [UserLink(h_ii_sq=h_ii[i], h_ir_sq=h_ir[i], h_ri_sq=h_ri[i],
                       gamma_direct=g_direct[i], gamma_relayed=g_relayed[i],
                       gamma_af=g_af[i]) for i in (0, 1)]
@@ -282,8 +286,39 @@ def link_budget_batch(scenario: Scenario, xr, yr) -> tuple:
 
 
 def link_budget(scenario: Scenario, relay: Point) -> LinkBudget:
-    """Channel gains and the three SNRs of both users for one relay position."""
-    budget, failures = link_budget_batch(scenario, [relay.x], [relay.y])
-    if failures[0] is not None:
-        raise failures[0]
-    return select(budget, 0)
+    """Channel gains and the three SNRs of both users for one relay position,
+    as floats; raises the DegenerateGeometryError that leaves the position
+    without a budget (see :func:`link_budget_batch`).
+
+    Computed on the position's floats, with the batch's expressions in the
+    batch's order: the six link lengths come from one ``np.hypot`` and their
+    attenuations ``d**pathloss_exp`` from one ``**``, both over a 6-element
+    array, so they run the batch's numpy loops; the gains and the SNRs are
+    float arithmetic, which rounds as numpy does elementwise. So the budget
+    and the failure are the batch's at that position, bit for bit.
+    """
+    s, x, y = scenario, relay.x, relay.y
+    dx, dy = [], []
+    for src, dst in ((s.source_1, s.dest_1), (s.source_2, s.dest_2)):
+        dx += [src.x - dst.x, src.x - x, x - dst.x]
+        dy += [src.y - dst.y, src.y - y, y - dst.y]
+    lengths = np.hypot(np.array(dx), np.array(dy))
+    with np.errstate(over="ignore"):
+        attenuation = (lengths ** s.pathloss_exp).tolist()
+    for d, a in zip(lengths.tolist(), attenuation):
+        if a == 0.0 or d == 0.0:  # no gain, as in _channel_gains
+            raise _degenerate(d)
+    gains = [s.pathloss_const / a for a in attenuation]
+    users = []
+    for p, (h_ii, h_ir, h_ri) in ((s.p1, gains[:3]), (s.p2, gains[3:])):
+        g_direct = _snr_direct(p, h_ii, s.sigma2)
+        try:
+            g_relayed = _snr_relayed(p, s.p_r, h_ir, h_ri, s.sigma2)
+        except ZeroDivisionError:  # the denominator underflows: the batch's SNR is inf or NaN
+            g_relayed = math.nan
+        g_af = g_direct + g_relayed
+        if not math.isfinite(g_af):
+            raise DegenerateGeometryError(_SNR_OVERFLOW)
+        users.append(UserLink(h_ii_sq=h_ii, h_ir_sq=h_ir, h_ri_sq=h_ri, gamma_direct=g_direct,
+                              gamma_relayed=g_relayed, gamma_af=g_af))
+    return LinkBudget(user1=users[0], user2=users[1])

@@ -17,7 +17,7 @@ from bandgame import (BandAllocation, Hessian2x2, MarginalTerms,
                       sample_utility_region, sweep, utility_pair,
                       utility_partial)
 from bandgame import bargaining
-from bandgame.bargaining import (_interior_quartic, _pareto_chain,
+from bandgame.bargaining import (NON_FINITE_NOTE, _interior_quartic, _pareto_chain,
                                  _quartic_roots, exact_nbs_batch, make_context_batch)
 from bandgame.cli import main, paper_scenario_path
 from conftest import RELAY_450, random_relay, random_scenario, rows
@@ -54,6 +54,18 @@ def _seeded_contexts(seed):
         except ValueError:
             continue
         yield ctx
+
+
+def test_make_context_holds_floats(paper):
+    # One position's context is built on Python floats: numpy scalars in it
+    # would send every CG evaluation through numpy's scalar dispatch.
+    contexts = [make_context(paper, RELAY_450), make_context(replace(paper, b=0.0), RELAY_450),
+                make_context(paper, Point(1e100, 300.0))]
+    contexts += itertools.islice(_seeded_contexts(29), 20)
+    for ctx in contexts:
+        for value in (ctx.terms, ctx.ne_alloc, ctx.threat):
+            for name in value.__dataclass_fields__:
+                assert type(getattr(value, name)) is float, (value, name)
 
 
 def _context_for(scenario, terms):
@@ -557,20 +569,66 @@ def test_cg_fallback_evaluates_each_point_once(monkeypatch):
     assert len(set(points)) == len(points)
 
 
+def _objective_calls(monkeypatch) -> list:
+    """A one-entry list that counts the objective's calls in every
+    ``cg_minimize`` that ``cg_nbs`` runs from now on."""
+    calls = [0]
+    inner = bargaining.cg_minimize
+
+    def counted(fun, *args, **kwargs):
+        def fun_counted(w):
+            calls[0] += 1
+            return fun(w)
+        return inner(fun_counted, *args, **kwargs)
+
+    monkeypatch.setattr(bargaining, "cg_minimize", counted)
+    return calls
+
+
 @pytest.mark.parametrize("scale", [1e100, 1e150, 1e160, 1e200])
-def test_cg_large_units_return_exact(paper, scale):
-    # With alpha and b this large the gradient's squared norm, or the
-    # Hessian, overflows (numpy warns). The default epsilon and the
-    # residual are then not finite (1e100, 1e150), or the iterates become
-    # NaN (1e160, 1e200): the endpoint is rejected for the exact bargain.
+def test_cg_large_units_return_exact(paper, scale, monkeypatch):
+    # With alpha and b this large the gradient's squared norm overflows
+    # (numpy warns), so the default epsilon and the residual are not finite
+    # (1e100, 1e150); or the gradient at the start is NaN (1e160, 1e200),
+    # and CG stops there. Either way the endpoint is rejected for the exact
+    # bargain, after no more objective calls than at unit scale.
+    calls = _objective_calls(monkeypatch)
+    cg_nbs(make_context(paper, RELAY_450))
+    at_unit, calls[0] = calls[0], 0
     ctx = make_context(replace(paper, alpha=paper.alpha * scale, b=paper.b * scale),
                        RELAY_450)
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    if scale < 1e160:
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            report = cg_nbs(ctx)
+    else:
         report = cg_nbs(ctx)
+        assert NON_FINITE_NOTE in report.diagnostics
+    assert calls[0] <= at_unit
     exact = exact_nbs(ctx)
     assert report.allocation == exact.allocation
+    assert report.utilities == exact.utilities
     assert report.diagnostics[-1] == _REJECTED
     assert nash_product(report.allocation, ctx) > 0.0
+
+
+def test_cg_stops_at_non_finite_values():
+    # A NaN start, a NaN gradient at the start, a NaN objective where a
+    # fallback starts, and a step to a point whose gradient is NaN: each
+    # stops CG at once, with a NaN residual.
+    g = np.array([1.0, -1.0])
+    bad = np.array([math.nan, 1.0])
+    start = np.array([0.5, 0.5])
+    cases = [
+        (lambda w: float(g @ w), lambda w: g, lambda w: np.eye(2), bad, 0),
+        (lambda w: float(g @ w), lambda w: bad, lambda w: np.eye(2), start, 0),
+        (lambda w: math.nan, lambda w: g, lambda w: -np.eye(2), start, 0),
+        (lambda w: float(g @ w), lambda w: g if w[0] == 0.5 else bad, lambda w: np.eye(2),
+         start, 1),
+    ]
+    for fun, grad, hess, w0, iters in cases:
+        w, residual, k, converged, notes = cg_minimize(fun, grad, hess, w0, 0.0, 1.0, None, 10)
+        assert (math.isnan(residual), k, converged) == (True, iters, False)
+        assert notes[-1] == NON_FINITE_NOTE
 
 
 def test_cg_overflowing_residual_is_not_converged():

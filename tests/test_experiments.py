@@ -185,8 +185,9 @@ def _bits(values) -> bytes:
 
 def _assert_sweep_matches_loop(scenario, grid) -> tuple:
     """Compare ``sweep`` with the per-position reference loop, and at every
-    fifth position with the single-position API; returns the number of
-    bargains and of rows whose bargain moved within tolerance.
+    position with the single-position API (whose context is computed on
+    floats); returns the number of bargains and of rows whose bargain moved
+    within tolerance.
 
     Failures carry the same message. The equilibrium, its utilities and the
     bargain/no-bargain status are bit-equal. The bargaining allocation is
@@ -199,9 +200,8 @@ def _assert_sweep_matches_loop(scenario, grid) -> tuple:
     records = sweep(scenario, grid)
     xr, yr = grid.positions()
     assert _bits([records.xr, records.yr]) == _bits([xr, yr])
-    records = rows(records)
     bargains = moved = 0
-    for k, r in enumerate(records):
+    for r in rows(records):
         relay = Point(r.xr, r.yr)
         ref = loop_reference.position(scenario, relay)
         if isinstance(ref, str):
@@ -210,14 +210,14 @@ def _assert_sweep_matches_loop(scenario, grid) -> tuple:
                 make_context(scenario, relay)
             continue
         assert r.failure is None, relay
-        if k % 5 == 0:  # the single-position API: the same functions with N = 1
-            ctx = make_context(scenario, relay)
-            nbs = exact_nbs(ctx)
-            eig = eigenvalues(hessian(nbs.allocation, ctx))
-            assert (ctx.ne_alloc, ctx.threat, nbs.allocation, nbs.utilities,
-                    NO_BARGAIN_NOTE not in nbs.diagnostics) == (
-                r.ne, r.ne_u, r.nbs, r.nbs_u, r.bargain), relay
-            assert _bits([eig.lambda1, eig.lambda2]) == _bits([r.lambda1, r.lambda2]), relay
+        ctx = make_context(scenario, relay)
+        nbs = exact_nbs(ctx)
+        eig = eigenvalues(hessian(nbs.allocation, ctx))
+        assert _bits([ctx.ne_alloc.w1, ctx.ne_alloc.w2, ctx.threat.u1, ctx.threat.u2]) == _bits(
+            [r.ne.w1, r.ne.w2, r.ne_u.u1, r.ne_u.u2]), relay
+        assert (nbs.allocation, nbs.utilities, NO_BARGAIN_NOTE not in nbs.diagnostics) == (
+            r.nbs, r.nbs_u, r.bargain), relay
+        assert _bits([eig.lambda1, eig.lambda2]) == _bits([r.lambda1, r.lambda2]), relay
         assert _bits([r.ne.w1, r.ne.w2]) == _bits(ref["ne"]), relay
         assert _bits([r.ne_u.u1, r.ne_u.u2]) == _bits(ref["ne_u"]), relay
         assert r.bargain == ref["bargain"], relay

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ from bandgame import (BandAllocation, LinkBudget, MarginalTerms, UserLink,
                       best_response, best_response_iteration, link_budget,
                       marginal_terms, nash_equilibrium, utility_pair,
                       utility_partial)
+from bandgame.game import nash_equilibrium_batch
 from conftest import RELAY_450, random_scenario
 
 # 50-digit reference values for the bundled scenario, relay at (450, 450).
@@ -149,6 +151,33 @@ def test_best_response_non_increasing(paper):
         for i in (1, 2):
             assert (best_response(i, w_a, terms, paper)
                     >= best_response(i, w_b, terms, paper) - 1e-9)
+
+
+def test_nash_equilibrium_matches_batch(paper):
+    # The float path takes the batch's clamp pattern, bit for bit: at a zero
+    # price, where an interior coordinate needs a tie within the slack; at
+    # tiny prices, where dividing by 3b or 2b overflows; at relay advantages
+    # a few tol_w*b from the corners' and around zero, and whose interior
+    # coordinate lies on the box's tolerance; and on NaN terms.
+    omega = paper.omega
+    tol = 1e-12 * omega
+    near = [0.0, 0.5e-12, -0.5e-12, 2e-12, 1.0, -1.0, math.nan]
+    for price in (0.0, 5e-324, 1e-300, 1e-30, paper.b):
+        advantages = near + [price * (base + tol * k) for base in (0.0, 3.0 * omega, omega)
+                             for k in (-2.6, -1.0, -0.4, 0.0, 0.4, 1.0)]
+        advantages += [2.0 * price * (omega + tol), 2.0 * price * -tol]
+        c1, c2 = (np.array(c) for c in zip(*((x, y) for x in advantages for y in advantages)))
+        zero = np.zeros_like(c1)
+        scenario = replace(paper, b=price)
+        with np.errstate(over="ignore"):  # the batch's c/(3b) at b = 5e-324
+            batch = nash_equilibrium_batch(
+                MarginalTerms(phi1=zero, psi1=c1, phi2=zero, psi2=c2), scenario)
+        for k in range(len(c1)):
+            terms = MarginalTerms(phi1=0.0, psi1=c1[k].item(), phi2=0.0, psi2=c2[k].item())
+            alloc = nash_equilibrium(terms, scenario).allocation
+            assert type(alloc.w1) is type(alloc.w2) is float
+            assert np.array([alloc.w1, alloc.w2]).tobytes() == np.array(
+                [batch.w1[k], batch.w2[k]]).tobytes(), (price, c1[k], c2[k])
 
 
 def test_nash_equilibrium_relay_useless(paper):

@@ -1,11 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from bandgame import (DegenerateGeometryError, Point, channel_gain,
-                      distance, efficiency, link_budget, snr_direct,
-                      snr_relayed)
+                      distance, efficiency, link_budget, make_context,
+                      snr_direct, snr_relayed)
+from bandgame.bargaining import make_context_batch
+from bandgame.system_model import link_budget_batch, select
 from conftest import RELAY_450
 
 # Frozen reference values, computed with 50-digit arithmetic from the exact
@@ -161,6 +164,49 @@ def test_link_budget_af_is_exact_sum(paper):
 def test_link_budget_colocated_relay(paper):
     with pytest.raises(DegenerateGeometryError):
         link_budget(paper, paper.source_1)
+
+
+def _budget_bits(budget) -> bytes:
+    return np.array([getattr(user, name) for user in (budget.user1, budget.user2)
+                     for name in user.__dataclass_fields__], dtype=float).tobytes()
+
+
+def test_single_position_matches_batch_at_degenerate_geometry(paper):
+    # One position's float path gives the batch's budget and context bit for
+    # bit, or raises the batch's error: the same type, the same message.
+    at_origin = replace(paper, source_1=Point(0.0, 0.0))
+    cases = [
+        (paper, paper.source_1, "co-located nodes"),
+        # 1e-90 m from source_1, d**4 underflows; with dest_2 at 2e-90 m
+        # too, user 1's link comes first and names the failure.
+        (at_origin, Point(1e-90, 0.0), "nodes 1e-90 m apart"),
+        (replace(at_origin, dest_2=Point(-1e-90, 0.0)), Point(1e-90, 0.0), "nodes 1e-90 m apart"),
+        (paper, Point(1e100, 300.0), None),  # d**4 overflows: a zero gain, no failure
+        (at_origin, Point(1e-76, 0.0), None),  # a gain of about 1e302
+        (at_origin, Point(1e-79, 0.0), "relay too close"),  # the gain overflows, then an SNR
+        (replace(paper, pathloss_exp=0.0), paper.dest_2, "co-located nodes"),  # 0**0 is 1
+        # A relayed SNR's numerator and denominator both underflow to zero.
+        (replace(paper, sigma2=1e-200), Point(1e60, 1e60), "relay too close"),
+    ]
+    for scenario, relay, failure in cases:
+        batch, failures = link_budget_batch(scenario, [relay.x], [relay.y])
+        contexts, context_failures = make_context_batch(scenario, [relay.x], [relay.y])
+        assert repr(failures[0]) == repr(context_failures[0])
+        if failure is None:
+            assert failures[0] is None, relay
+            assert _budget_bits(link_budget(scenario, relay)) == _budget_bits(select(batch, 0))
+            ctx = make_context(scenario, relay)
+            assert np.array([ctx.ne_alloc.w1, ctx.ne_alloc.w2, ctx.threat.u1,
+                             ctx.threat.u2]).tobytes() == np.array([
+                contexts.ne_alloc.w1, contexts.ne_alloc.w2, contexts.threat.u1,
+                contexts.threat.u2]).tobytes()
+            continue
+        assert str(failures[0]).startswith(failure), relay
+        for single in (link_budget, make_context):
+            with pytest.raises(DegenerateGeometryError) as raised:
+                single(scenario, relay)
+            assert (type(raised.value), str(raised.value)) == (type(failures[0]),
+                                                               str(failures[0]))
 
 
 def test_link_budget_far_relay(paper):
