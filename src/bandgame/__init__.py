@@ -10,8 +10,8 @@ the tests' reference), certifies local strict concavity of the bargaining
 objective through 2x2 eigenvalues, builds the sampled utility region with its
 Pareto boundary and time-sharing hull, and sweeps relay positions into
 bandwidth-gain, welfare-gain and concavity maps through one array pipeline
-over all positions; the scalar API computes one position's link budget,
-terms and equilibrium on floats, with the pipeline's expressions and bits.
+over all positions. Each stage is one function, run on one position's
+floats or on arrays over many, so a single position gets the sweep's bits.
 The positions enter as two coordinate arrays, and a sweep is one record
 whose fields are arrays over them; a failed position keeps its slot, with
 NaN values.

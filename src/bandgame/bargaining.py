@@ -33,9 +33,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .game import (BandAllocation, ConvergenceError, EquilibriumReport,
-                   MarginalTerms, UtilityPair, kkt_allocation, marginal_terms,
-                   nash_equilibrium_batch, utility_pair)
+from .game import (BandAllocation, ConvergenceError, EquilibriumReport, MarginalTerms,
+                   UtilityPair, _kkt_allocation, marginal_terms, nash_equilibrium_batch,
+                   utility_pair)
 from .system_model import Point, Scenario, link_budget, link_budget_batch, select
 
 
@@ -59,15 +59,12 @@ def make_context(scenario: Scenario, relay: Point) -> NashProductContext:
     """Build the bargaining context for one relay position (computes the NE);
     raises the error that leaves the position unsolvable.
 
-    Every field is a float: the link budget, the marginal terms and the
-    equilibrium are computed on the position's floats by :func:`link_budget`,
-    :func:`marginal_terms` and :func:`kkt_allocation`, each with its batch
-    function's expressions and numpy loops, so the context and the error
-    are :func:`make_context_batch`'s at that position, bit for bit.
+    Every field is a float: :func:`make_context_batch`'s stages run on the
+    position's floats, and give the batch's context or error bit for bit.
     """
     terms = marginal_terms(link_budget(scenario, relay), scenario)
-    return NashProductContext(scenario=scenario, terms=terms,
-                              ne_alloc=kkt_allocation(terms, scenario))
+    w1, w2 = _kkt_allocation([terms.psi1 - terms.phi1, terms.psi2 - terms.phi2], scenario)
+    return NashProductContext(scenario=scenario, terms=terms, ne_alloc=BandAllocation(w1, w2))
 
 
 def make_context_batch(scenario: Scenario, xr, yr) -> tuple:

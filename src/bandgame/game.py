@@ -13,17 +13,16 @@ analysis. Damped best-response iteration is kept as an independent reference
 for that closed form.
 
 The value types hold floats for one relay position, or equal-length arrays
-for a batch of positions. The marginal terms and the utility functions take
-either. The equilibrium is computed for a batch at once
-(:func:`nash_equilibrium_batch`), and for one position on its floats
-(:func:`nash_equilibrium`, :func:`kkt_allocation`): the same nine clamp
-patterns in the same order, with the same expressions, tolerances and
-comparisons, each of which Python floats round as numpy does elementwise,
-so one position and a batch get the same bits.
+for a batch of positions, and each stage is one function that takes either:
+the marginal terms, the utilities and the equilibrium's KKT patterns
+(:func:`nash_equilibrium` on floats, :func:`nash_equilibrium_batch` on
+arrays). Python floats round as numpy does elementwise, so one position and
+a batch get the same bits.
 """
 
 import warnings
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -185,23 +184,19 @@ _LO, _IN, _HI = 0, 1, 2
 # The nine clamp patterns (user 1's state, user 2's state) of the KKT
 # conditions, in the order they are tried: the first feasible one is the
 # equilibrium. Each coordinate is clamped at 0, interior, or clamped at omega.
-_ORDER = (_IN, _LO, _HI)
-_STATE = np.array([np.repeat(_ORDER, 3), np.tile(_ORDER, 3)])[:, None, :]  # (user, 1, pattern)
-_INSIDE, _HIGH = _STATE == _IN, _STATE == _HI
-# The partial derivative at a clamped coordinate must not point into the box:
-# sign * partial <= slack, with sign +1 at 0 and -1 at omega (0 if interior).
-_SIGN = np.where(_STATE == _LO, 1.0, np.where(_HIGH, -1.0, 0.0))
+_ORDER = tuple((s1, s2) for s1 in (_IN, _LO, _HI) for s2 in (_IN, _LO, _HI))
+# numpy's maximum and minimum on Python floats, with numpy's NaN and signed-zero
+# results: NaN if either operand is, and the second one where they compare equal.
+_FLOAT_OPS = SimpleNamespace(maximum=lambda x, y: x if x > y or x != x else y,
+                             minimum=lambda x, y: x if x < y or x != x else y)
 
 
 def nash_equilibrium(terms: MarginalTerms, scenario: Scenario) -> EquilibriumReport:
-    """The unique pure Nash equilibrium of the band game at one position.
-
-    Solved in closed form on the terms' floats (:func:`kkt_allocation`), with
-    :func:`nash_equilibrium_batch`'s patterns, expressions and tolerances, so
-    it is the batch's equilibrium bit for bit. The report has no iterations
-    and zero residual.
-    """
-    alloc = kkt_allocation(terms, scenario)
+    """The unique pure Nash equilibrium of the band game at one position, on
+    the terms' floats: :func:`nash_equilibrium_batch`'s allocation at that
+    position, bit for bit. The report has no iterations and zero residual."""
+    w1, w2 = _kkt_allocation([terms.psi1 - terms.phi1, terms.psi2 - terms.phi2], scenario)
+    alloc = BandAllocation(w1=w1, w2=w2)
     return EquilibriumReport(
         allocation=alloc,
         utilities=utility_pair(alloc, terms, scenario),
@@ -210,63 +205,6 @@ def nash_equilibrium(terms: MarginalTerms, scenario: Scenario) -> EquilibriumRep
         residual=0.0,
         converged=True,
     )
-
-
-# _STATE's patterns as (user 1's state, user 2's state), in its order.
-_PATTERNS = tuple(zip(_STATE[0, 0].tolist(), _STATE[1, 0].tolist()))
-
-
-def kkt_allocation(terms: MarginalTerms, scenario: Scenario) -> BandAllocation:
-    """The equilibrium allocation of one position's marginal terms, as floats;
-    raises ConvergenceError where no clamp pattern is feasible.
-
-    :func:`nash_equilibrium_batch` at one position on Python floats: the nine
-    patterns in the same order, and each interior coordinate, tolerance,
-    clamp and comparison written as the batch writes it elementwise, so NaN
-    terms take the same pattern too. It stops at the first feasible pattern.
-    """
-    b, omega = scenario.b, scenario.omega
-    c = (terms.psi1 - terms.phi1, terms.psi2 - terms.phi2)
-    size = (abs(c[0]), abs(c[1]))
-    slack = 1e-12 * _maximum(_maximum(size[0], size[1]), 3.0 * b * omega)
-    tol_w = 1e-12 * omega
-    for state in _PATTERNS:
-        fixed = [omega if s == _HI else 0.0 for s in state]
-        w = fixed[:]
-        for i, j in ((0, 1), (1, 0)):
-            if state[i] != _IN:
-                continue
-            if b == 0:
-                if size[i] > slack:
-                    break
-                wi = 0.0
-            elif state[j] == _IN:
-                wi = (2.0 * c[i] - c[j]) / (3.0 * b)
-            else:
-                wi = (c[i] - b * fixed[j]) / (2.0 * b)
-            if not (-tol_w <= wi and wi <= omega + tol_w):
-                break
-            w[i] = _minimum(_maximum(wi, 0.0), omega)
-        else:  # KKT sign conditions on clamped coordinates
-            for i, j in ((0, 1), (1, 0)):
-                if state[i] != _IN:
-                    partial = c[i] - b * (2.0 * w[i] + w[j])
-                    if (partial if state[i] == _LO else -partial) > slack:
-                        break
-            else:
-                return BandAllocation(w1=w[0], w2=w[1])
-    raise ConvergenceError(  # pragma: no cover - the patterns are exhaustive
-        "no KKT pattern validated; inconsistent inputs")
-
-
-# np.maximum and np.minimum of two floats: NaN if either is, else the larger
-# (smaller) one, and y where they compare equal, so 0.0 and -0.0 give y.
-def _maximum(x: float, y: float) -> float:
-    return x if x > y or x != x else y
-
-
-def _minimum(x: float, y: float) -> float:
-    return x if x < y or x != x else y
 
 
 def nash_equilibrium_batch(terms: MarginalTerms, scenario: Scenario) -> BandAllocation:
@@ -285,32 +223,61 @@ def nash_equilibrium_batch(terms: MarginalTerms, scenario: Scenario) -> BandAllo
     tolerances are relative, so rescaling the utilities or the band does not
     move the equilibrium. Positions where no pattern is feasible get NaN.
     """
-    b, omega = scenario.b, scenario.omega
-    # Arrays are indexed (user, position, pattern); [::-1] swaps the users.
     c = np.reshape(np.array([terms.psi1, terms.psi2]) - np.array([terms.phi1, terms.phi2]),
-                   (2, -1, 1))
-    size = abs(c)
-    slack = 1e-12 * np.maximum(np.maximum(size[0], size[1]), 3.0 * b * omega)
-    fixed = _HIGH * omega
+                   (2, -1))
+    # An interior coordinate that overflows (c/(3b) at a tiny price) or is
+    # NaN (inf - inf at infinite terms) fails the box test.
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = _kkt_allocation(c, scenario)
+    return BandAllocation(w1=w[0], w2=w[1])
 
+
+def _kkt_allocation(c, scenario: Scenario):
+    """The equilibrium allocation (w1, w2) of the relay advantages ``c`` =
+    (c1, c2), as :func:`nash_equilibrium_batch` defines it. One position's
+    two floats return at their first feasible pattern, and raise
+    ConvergenceError if none is. A (2, N) array keeps the rows that no
+    pattern has decided yet and stops when none is left; the result is a
+    (2, N) array, NaN where no pattern is feasible."""
+    b, omega = scenario.b, scenario.omega
+    batch = isinstance(c, np.ndarray)
+    xp = np if batch else _FLOAT_OPS
+    size = [abs(c[0]), abs(c[1])]
+    slack = 1e-12 * xp.maximum(xp.maximum(size[0], size[1]), 3.0 * b * omega)
     tol_w = 1e-12 * omega
-    with np.errstate(invalid="ignore"):
-        if b == 0:
-            # An interior coordinate exists only at a tie: it is 0, and |c| <= slack.
-            w = np.broadcast_to(np.where(_INSIDE, 0.0, fixed), (2, len(c[0]), len(_ORDER) ** 2))
-        else:
-            w = np.where(_INSIDE, np.where(_INSIDE[::-1], (2.0 * c - c[::-1]) / (3.0 * b),
-                                           (c - b * fixed[::-1]) / (2.0 * b)), fixed)
-        # Box feasibility of interior coordinates, then exact clamp.
-        bad = _INSIDE & ~((-tol_w <= w) & (w <= omega + tol_w))
-        if b == 0:
-            bad |= _INSIDE & (size > slack)
-        w = np.minimum(np.maximum(w, 0.0), omega)
-        # KKT sign conditions on clamped coordinates.
-        bad |= _SIGN * (c - b * (2.0 * w + w[::-1])) > slack
-    feasible = ~(bad[0] | bad[1])
-
-    rows = np.arange(feasible.shape[0])
-    first = np.argmax(feasible, axis=1)
-    chosen = np.where(feasible[rows, first], w[:, rows, first], np.nan)
-    return BandAllocation(w1=chosen[0], w2=chosen[1])
+    if batch:  # the indices of the undecided rows, and the result
+        rows, out = np.arange(c.shape[1]), np.full(c.shape, np.nan)
+    clamped = (0.0, 0.0, omega)  # a coordinate's value in each state but _IN
+    for state in _ORDER:
+        w = [clamped[state[0]], clamped[state[1]]]
+        bad = False
+        for i, j in ((0, 1), (1, 0)):
+            if state[i] != _IN:
+                continue
+            if b == 0:  # an interior coordinate exists only at a tie: it is 0
+                bad = bad | (size[i] > slack)
+                continue
+            wi = ((2.0 * c[i] - c[j]) / (3.0 * b) if state[j] == _IN
+                  else (c[i] - b * w[j]) / (2.0 * b))
+            # Box feasibility (NaN fails it), then exact clamp.
+            bad = bad | (wi < -tol_w) | (wi > omega + tol_w) | (wi != wi)
+            w[i] = xp.minimum(xp.maximum(wi, 0.0), omega)
+        # KKT sign conditions: at a clamped coordinate, the partial derivative
+        # must not point into the box.
+        for i, j in ((0, 1), (1, 0)):
+            if state[i] != _IN:
+                partial = c[i] - b * (2.0 * w[i] + w[j])
+                bad = bad | ((partial if state[i] == _LO else -partial) > slack)
+        if not batch:
+            if not bad:
+                return w
+            continue
+        done = ~bad
+        out[0, rows[done]], out[1, rows[done]] = (x[done] if np.ndim(x) else x for x in w)
+        rows, c, size, slack = rows[bad], c[:, bad], [x[bad] for x in size], slack[bad]
+        if not rows.size:
+            break
+    if batch:
+        return out
+    raise ConvergenceError(  # pragma: no cover - the patterns are exhaustive
+        "no KKT pattern validated; inconsistent inputs")

@@ -7,13 +7,11 @@ combined two-phase link behaves like a single channel whose SNR is the sum of
 the two (``gamma_af``). Channel power gains follow a deterministic path-loss
 law ``pathloss_const / d**pathloss_exp``.
 
-The link budget is computed for N relay positions at once, given as two
-coordinate arrays (:func:`link_budget_batch`), and for one position on its
-floats (:func:`link_budget`). Both take the transcendental steps (``hypot``,
-``**`` and, in the game layer, ``expm1``) as numpy ufuncs over arrays, for
-one position over a 6- or 4-element array, so both run the same numpy loops;
-every other step is +, -, * or /, which Python floats round as numpy does
-elementwise. So one position and a batch get the same bits.
+The link budget is one function, run on one position's floats
+(:func:`link_budget`) or on N positions' arrays (:func:`link_budget_batch`).
+Its transcendental steps are numpy ufuncs over arrays even for one position,
+and every other step is +, -, * or /, which Python floats round as numpy
+does elementwise, so one position and a batch get the same bits.
 """
 
 import math
@@ -159,14 +157,12 @@ def _channel_gains(d: np.ndarray, scenario: Scenario):
     e = scenario.pathloss_exp
     attenuation = d ** e
     gains = scenario.pathloss_const / attenuation
-    if attenuation.all() and (e > 0 or d.all()):  # at e > 0, d == 0 gives 0
+    # At e > 0 a zero length has a zero attenuation.
+    if np.count_nonzero(attenuation) == d.size and (e > 0 or np.count_nonzero(d) == d.size):
         return gains, None
     bad = (attenuation == 0.0) | (d == 0.0)
     gains[bad] = math.nan
     return gains, bad
-
-
-_SNR_OVERFLOW = "relay too close to a node: an SNR overflows"
 
 
 def _degenerate(d: float) -> DegenerateGeometryError:
@@ -199,19 +195,19 @@ def snr_relayed(p_i, p_r: float, h_ir_sq, h_ri_sq, sigma2: float):
         raise ValueError("sigma2 must be positive")
     if p_r < 0 or np.less(np.fmin(np.fmin(p_i, h_ir_sq), h_ri_sq), 0).any():
         raise ValueError("powers and channel gains must be non-negative")
-    return _snr_relayed(p_i, p_r, h_ir_sq, h_ri_sq, sigma2)
+    num, den = _snr_relayed_terms(p_i, p_r, h_ir_sq, h_ri_sq, sigma2)
+    return num / den
 
 
 # The SNR formulas without argument checks, for inputs a Scenario has
-# already validated.
+# already validated; the relayed SNR as its numerator and denominator.
 def _snr_direct(p, h_sq, sigma2):
     return p * h_sq / sigma2
 
 
-def _snr_relayed(p_i, p_r, h_ir_sq, h_ri_sq, sigma2):
-    num = p_i * p_r * h_ir_sq * h_ri_sq
-    den = sigma2 * (p_i * h_ir_sq + p_r * h_ri_sq + sigma2)
-    return num / den
+def _snr_relayed_terms(p_i, p_r, h_ir_sq, h_ri_sq, sigma2):
+    return (p_i * p_r * h_ir_sq * h_ri_sq,
+            sigma2 * (p_i * h_ir_sq + p_r * h_ri_sq + sigma2))
 
 
 def efficiency(x: float, M: int) -> float:
@@ -234,10 +230,15 @@ def efficiency_batch(x: np.ndarray, M: int) -> np.ndarray:
     return (-np.expm1(-0.5 * x)) ** M
 
 
-# The three links of a user, in the order direct, source-relay and
-# relay-destination, by their two ends: which end is the relay (the others
-# are the user's source, then its destination).
-_AT_RELAY = np.array([[False, False], [False, True], [True, False]])[:, :, None]
+_SNR_OVERFLOW = "relay too close to a node: an SNR overflows"
+_SNR_UNDERFLOW = "noise power too small: a relayed SNR's denominator underflows to zero"
+
+
+def link_budget(scenario: Scenario, relay: Point) -> LinkBudget:
+    """Channel gains and the three SNRs of both users for one relay position,
+    as floats; raises the DegenerateGeometryError that leaves the position
+    without a budget (see :func:`link_budget_batch`)."""
+    return _link_budget(scenario, relay.x, relay.y, None)
 
 
 def link_budget_batch(scenario: Scenario, xr, yr) -> tuple:
@@ -245,80 +246,61 @@ def link_budget_batch(scenario: Scenario, xr, yr) -> tuple:
     given by their finite coordinates ``xr``, ``yr`` (sequences of length N).
 
     Returns a LinkBudget whose fields are arrays over the positions, and a
-    tuple with, for each position, None or the DegenerateGeometryError that
-    leaves it without a budget: a zero-length link, a ``d**pathloss_exp``
-    underflow (the first such link of user 1, then of user 2, in the order
-    direct, source-relay, relay-destination), or a relay so close to a node
-    that an SNR overflows. The entries of failed positions are NaN.
-
-    The six link lengths of every position come from one ``np.hypot`` over
-    the (user, link, position) array of coordinate differences.
+    tuple with, for each position, None or the first DegenerateGeometryError
+    that leaves it without a budget: a zero-length link or a
+    ``d**pathloss_exp`` underflow (the first such link of user 1, then of
+    user 2, in the order direct, source-relay, relay-destination); then, for
+    user 1 and then user 2, a relayed SNR whose denominator underflows to
+    zero, or an SNR that overflows (a relay too close to a node). The gains
+    of a link without one are NaN.
     """
+    failures = [None] * len(xr)
+    xr, yr = np.array([xr, yr], dtype=float)
+    return _link_budget(scenario, xr, yr, failures), tuple(failures)
+
+
+def _link_budget(scenario: Scenario, xr, yr, failures) -> LinkBudget:
+    """The link budget of one position, from its coordinates as floats, or of
+    N positions, from arrays: the six links' lengths and attenuations are a
+    (6,) or (6, N) array, and their gains and SNRs floats or arrays. One
+    position's failure is raised (``failures`` is None); position k's of a
+    batch goes to ``failures[k]``."""
     s = scenario
-    relay = np.array([xr, yr], dtype=float)[:, None, None, None, :]  # (axis, 1, 1, 1, N)
-    nodes = np.array([[[s.source_1.x, s.dest_1.x], [s.source_2.x, s.dest_2.x]],
-                      [[s.source_1.y, s.dest_1.y], [s.source_2.y, s.dest_2.y]]])
-    # (axis, user, link, end, N): the coordinates of both ends of every link
-    ends = np.where(_AT_RELAY, relay, nodes[:, :, None, :, None])
-    lengths = np.hypot(*(ends[:, :, :, 0] - ends[:, :, :, 1]))  # (user, link, N)
-    n = lengths.shape[-1]
-    failures = [None] * n
-    p = np.array([[s.p1], [s.p2]])
+    s1, d1, s2, d2 = s.source_1, s.dest_1, s.source_2, s.dest_2
+    zero = 0.0 * xr  # spreads a direct link's difference over the positions
+    # The links: user 1's direct, source-relay and relay-destination, then user 2's.
+    dx = np.array([s1.x - d1.x + zero, s1.x - xr, xr - d1.x,
+                   s2.x - d2.x + zero, s2.x - xr, xr - d2.x])
+    dy = np.array([s1.y - d1.y + zero, s1.y - yr, yr - d1.y,
+                   s2.y - d2.y + zero, s2.y - yr, yr - d2.y])
+    lengths = np.hypot(dx, dy)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         gains, bad = _channel_gains(lengths, s)
         if bad is not None:
-            bad = bad.reshape(6, n)  # links in the order above, by position
-            first = np.argmax(bad, axis=0)
-            for k in np.flatnonzero(bad.any(axis=0)).tolist():
-                failures[k] = _degenerate(lengths.reshape(6, n)[first[k], k].item())
-        h_ii, h_ir, h_ri = gains[:, 0], gains[:, 1], gains[:, 2]  # each (user, position)
-        g_direct = _snr_direct(p, h_ii, s.sigma2)
-        g_relayed = _snr_relayed(p, s.p_r, h_ir, h_ri, s.sigma2)
-        g_af = g_direct + g_relayed
-    if not np.isfinite(g_af).all():
-        for k in np.flatnonzero(~np.isfinite(g_af).all(axis=0)).tolist():
-            if failures[k] is None:
-                failures[k] = DegenerateGeometryError(_SNR_OVERFLOW)
-    users = [UserLink(h_ii_sq=h_ii[i], h_ir_sq=h_ir[i], h_ri_sq=h_ri[i],
-                      gamma_direct=g_direct[i], gamma_relayed=g_relayed[i],
-                      gamma_af=g_af[i]) for i in (0, 1)]
-    return LinkBudget(user1=users[0], user2=users[1]), tuple(failures)
-
-
-def link_budget(scenario: Scenario, relay: Point) -> LinkBudget:
-    """Channel gains and the three SNRs of both users for one relay position,
-    as floats; raises the DegenerateGeometryError that leaves the position
-    without a budget (see :func:`link_budget_batch`).
-
-    Computed on the position's floats, with the batch's expressions in the
-    batch's order: the six link lengths come from one ``np.hypot`` and their
-    attenuations ``d**pathloss_exp`` from one ``**``, both over a 6-element
-    array, so they run the batch's numpy loops; the gains and the SNRs are
-    float arithmetic, which rounds as numpy does elementwise. So the budget
-    and the failure are the batch's at that position, bit for bit.
-    """
-    s, x, y = scenario, relay.x, relay.y
-    dx, dy = [], []
-    for src, dst in ((s.source_1, s.dest_1), (s.source_2, s.dest_2)):
-        dx += [src.x - dst.x, src.x - x, x - dst.x]
-        dy += [src.y - dst.y, src.y - y, y - dst.y]
-    lengths = np.hypot(np.array(dx), np.array(dy))
-    with np.errstate(over="ignore"):
-        attenuation = (lengths ** s.pathloss_exp).tolist()
-    for d, a in zip(lengths.tolist(), attenuation):
-        if a == 0.0 or d == 0.0:  # no gain, as in _channel_gains
-            raise _degenerate(d)
-    gains = [s.pathloss_const / a for a in attenuation]
-    users = []
-    for p, (h_ii, h_ir, h_ri) in ((s.p1, gains[:3]), (s.p2, gains[3:])):
-        g_direct = _snr_direct(p, h_ii, s.sigma2)
-        try:
-            g_relayed = _snr_relayed(p, s.p_r, h_ir, h_ri, s.sigma2)
-        except ZeroDivisionError:  # the denominator underflows: the batch's SNR is inf or NaN
-            g_relayed = math.nan
-        g_af = g_direct + g_relayed
-        if not math.isfinite(g_af):
-            raise DegenerateGeometryError(_SNR_OVERFLOW)
-        users.append(UserLink(h_ii_sq=h_ii, h_ir_sq=h_ir, h_ri_sq=h_ri, gamma_direct=g_direct,
-                              gamma_relayed=g_relayed, gamma_af=g_af))
+            lengths, bad = lengths.reshape(6, -1), bad.reshape(6, -1)  # (link, position)
+            first = bad.argmax(axis=0)
+            _fail(failures, bad.any(axis=0), lambda k: _degenerate(lengths[first[k], k].item()))
+        gains = gains.tolist() if failures is None else gains
+        users = []
+        for p, (h_ii, h_ir, h_ri) in ((s.p1, gains[:3]), (s.p2, gains[3:])):
+            num, den = _snr_relayed_terms(p, s.p_r, h_ir, h_ri, s.sigma2)
+            # Before the division: on floats, a zero divisor raises.
+            _fail(failures, den == 0.0, lambda k: DegenerateGeometryError(_SNR_UNDERFLOW))
+            g_direct = _snr_direct(p, h_ii, s.sigma2)
+            g_relayed = num / den
+            g_af = g_direct + g_relayed
+            # inf - inf and NaN - NaN are NaN: the SNR is not finite.
+            _fail(failures, g_af - g_af != 0.0, lambda k: DegenerateGeometryError(_SNR_OVERFLOW))
+            users.append(UserLink(h_ii_sq=h_ii, h_ir_sq=h_ir, h_ri_sq=h_ri, gamma_direct=g_direct,
+                                  gamma_relayed=g_relayed, gamma_af=g_af))
     return LinkBudget(user1=users[0], user2=users[1])
+
+
+def _fail(failures, bad, error) -> None:
+    """Raise ``error(0)`` if ``bad`` at one position (``failures`` is None);
+    in a batch, put ``error(k)`` in each empty slot k where ``bad[k]``."""
+    if failures is not None:
+        for k in np.flatnonzero(bad).tolist():
+            failures[k] = failures[k] or error(k)
+    elif bad:
+        raise error(0)

@@ -2,6 +2,7 @@ import io
 import math
 import re
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -75,6 +76,29 @@ def test_sweep_single_position_composes(paper):
     eig = eigenvalues(hessian(nbs.allocation, ctx))
     assert (r.lambda1, r.lambda2) == (eig.lambda1, eig.lambda2)
     assert r.strictly_concave == (eig.lambda2 < 0.0)
+
+
+def test_sweep_at_the_smallest_price(paper):
+    # At b = 5e-324 the interior coordinates c/(3b) and c/(2b) overflow: the
+    # sweep warns of nothing, and each row's equilibrium is the one-position
+    # one, bit for bit.
+    tiny = replace(paper, b=5e-324)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        records = rows(sweep(tiny, SweepGrid(step=100.0)))
+    solved = 0
+    for r in records:
+        relay = Point(r.xr, r.yr)
+        if r.failure is not None:
+            with pytest.raises(ValueError, match=re.escape(r.failure)):
+                make_context(tiny, relay)
+            continue
+        ctx = make_context(tiny, relay)
+        alloc = nash_equilibrium(ctx.terms, tiny).allocation
+        assert (_bits([r.ne.w1, r.ne.w2]) == _bits([alloc.w1, alloc.w2])
+                == _bits([ctx.ne_alloc.w1, ctx.ne_alloc.w2])), relay
+        solved += 1
+    assert solved == len(records) - 1  # the relay on a node fails
 
 
 def test_sweep_useless_relay(paper):

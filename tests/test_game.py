@@ -169,9 +169,8 @@ def test_nash_equilibrium_matches_batch(paper):
         c1, c2 = (np.array(c) for c in zip(*((x, y) for x in advantages for y in advantages)))
         zero = np.zeros_like(c1)
         scenario = replace(paper, b=price)
-        with np.errstate(over="ignore"):  # the batch's c/(3b) at b = 5e-324
-            batch = nash_equilibrium_batch(
-                MarginalTerms(phi1=zero, psi1=c1, phi2=zero, psi2=c2), scenario)
+        batch = nash_equilibrium_batch(
+            MarginalTerms(phi1=zero, psi1=c1, phi2=zero, psi2=c2), scenario)
         for k in range(len(c1)):
             terms = MarginalTerms(phi1=0.0, psi1=c1[k].item(), phi2=0.0, psi2=c2[k].item())
             alloc = nash_equilibrium(terms, scenario).allocation

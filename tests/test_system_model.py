@@ -186,7 +186,7 @@ def test_single_position_matches_batch_at_degenerate_geometry(paper):
         (at_origin, Point(1e-79, 0.0), "relay too close"),  # the gain overflows, then an SNR
         (replace(paper, pathloss_exp=0.0), paper.dest_2, "co-located nodes"),  # 0**0 is 1
         # A relayed SNR's numerator and denominator both underflow to zero.
-        (replace(paper, sigma2=1e-200), Point(1e60, 1e60), "relay too close"),
+        (replace(paper, sigma2=1e-200), Point(1e60, 1e60), "noise power too small"),
     ]
     for scenario, relay, failure in cases:
         batch, failures = link_budget_batch(scenario, [relay.x], [relay.y])
@@ -207,6 +207,28 @@ def test_single_position_matches_batch_at_degenerate_geometry(paper):
                 single(scenario, relay)
             assert (type(raised.value), str(raised.value)) == (type(failures[0]),
                                                                str(failures[0]))
+    # Each scenario's relays in one batch, with an ordinary relay among them:
+    # every slot holds its own position's budget or failure.
+    batches = {}
+    for scenario, relay, _ in cases:
+        batches.setdefault(scenario, [Point(450.0, 650.0)]).append(relay)
+    for scenario, relays in batches.items():
+        xr, yr = [r.x for r in relays], [r.y for r in relays]
+        batch, failures = link_budget_batch(scenario, xr, yr)
+        contexts, context_failures = make_context_batch(scenario, xr, yr)
+        assert failures[0] is None
+        for k, relay in enumerate(relays):
+            assert repr(failures[k]) == repr(context_failures[k]), relay
+            try:
+                budget, ctx = link_budget(scenario, relay), make_context(scenario, relay)
+            except DegenerateGeometryError as exc:
+                assert (type(exc), str(exc)) == (type(failures[k]), str(failures[k])), relay
+                assert np.isnan([contexts.ne_alloc.w1[k], contexts.ne_alloc.w2[k]]).all()
+                continue
+            assert failures[k] is None, relay
+            assert _budget_bits(budget) == _budget_bits(select(batch, k)), relay
+            assert np.array([ctx.ne_alloc.w1, ctx.ne_alloc.w2]).tobytes() == np.array(
+                [contexts.ne_alloc.w1[k], contexts.ne_alloc.w2[k]]).tobytes(), relay
 
 
 def test_link_budget_far_relay(paper):
