@@ -20,51 +20,41 @@ region evaluate the utilities on the same uniform allocation grid, one
 broadcast over its axis of band values.
 
 Contexts, allocations, Hessians and eigenvalue pairs hold floats for one
-relay position, or equal-length arrays for a batch of positions (see
-:func:`make_context_batch`). The Nash product, its gradient, its Hessian and
-the eigenvalues take either; the bargaining solution is computed for a batch
-at once (:func:`exact_nbs_batch`), and :func:`exact_nbs` is its call with
-N = 1. A batch context keeps a failed position in its slot with a NaN
-equilibrium, and everything computed from it is NaN, or False for a flag.
+relay position, or equal-length arrays for a batch of positions; both
+context builders run one body, whose threat is the report of
+:func:`~bandgame.game.nash_equilibrium`. The Nash product, its gradient, its
+Hessian and the eigenvalues take either; the bargaining solution is computed
+for a batch at once (:func:`exact_nbs_batch`), and :func:`exact_nbs` is its
+call with N = 1. A batch context keeps a failed position in its slot with a
+NaN equilibrium, and everything computed from it is NaN, or False for a flag.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .game import (BandAllocation, ConvergenceError, EquilibriumReport, MarginalTerms,
-                   UtilityPair, _kkt_allocation, marginal_terms, nash_equilibrium_batch,
-                   utility_pair)
-from .system_model import Point, Scenario, link_budget, link_budget_batch, select
+from .game import (_NO_PATTERN, BandAllocation, ConvergenceError, EquilibriumReport,
+                   MarginalTerms, UtilityPair, marginal_terms, nash_equilibrium, utility_pair)
+from .system_model import Point, Scenario, _fail, link_budget, link_budget_batch, select
 
 
 @dataclass(frozen=True)
 class NashProductContext:
-    """Frozen inputs of one bargaining problem: scenario, marginal terms and
-    the threat (equilibrium) allocation. ``threat``, the utilities at
-    ``ne_alloc``, is derived from them."""
+    """Frozen inputs of one bargaining problem: scenario, marginal terms, the
+    threat (equilibrium) allocation and the utilities there."""
 
     scenario: Scenario
     terms: MarginalTerms
     ne_alloc: BandAllocation
-    threat: UtilityPair = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "threat",
-                           utility_pair(self.ne_alloc, self.terms, self.scenario))
+    threat: UtilityPair
 
 
 def make_context(scenario: Scenario, relay: Point) -> NashProductContext:
-    """Build the bargaining context for one relay position (computes the NE);
-    raises the error that leaves the position unsolvable.
-
-    Every field is a float: :func:`make_context_batch`'s stages run on the
-    position's floats, and give the batch's context or error bit for bit.
-    """
-    terms = marginal_terms(link_budget(scenario, relay), scenario)
-    w1, w2 = _kkt_allocation([terms.psi1 - terms.phi1, terms.psi2 - terms.phi2], scenario)
-    return NashProductContext(scenario=scenario, terms=terms, ne_alloc=BandAllocation(w1, w2))
+    """The bargaining context of one relay position (computes the NE): the
+    context or error of :func:`make_context_batch` there, bit for bit, with
+    float fields; raises the error that leaves the position unsolvable."""
+    return _context(scenario, link_budget(scenario, relay), None)
 
 
 def make_context_batch(scenario: Scenario, xr, yr) -> tuple:
@@ -79,17 +69,25 @@ def make_context_batch(scenario: Scenario, xr, yr) -> tuple:
     equilibrium, so everything computed from it is NaN as well.
     """
     budget, failures = link_budget_batch(scenario, xr, yr)
+    failures = list(failures)
+    return _context(scenario, budget, failures), tuple(failures)
+
+
+def _context(scenario: Scenario, budget, failures) -> NashProductContext:
+    """The context of one position's link budget (``failures`` is None) or
+    of a batch's: marginal terms, then :func:`nash_equilibrium`, whose
+    utilities are the threat. In a batch, a position without an equilibrium
+    fails with a ConvergenceError, and every failed one gets NaN."""
     terms = marginal_terms(budget, scenario)
-    ne = nash_equilibrium_batch(terms, scenario)
-    unsolved = np.isnan(ne.w1)
-    if unsolved.any():
-        failures = tuple(f or (ConvergenceError("no KKT pattern validated; inconsistent inputs")
-                               if bad else None) for f, bad in zip(failures, unsolved.tolist()))
-    if failures.count(None) < len(failures):
+    ne = nash_equilibrium(terms, scenario)
+    alloc, threat = ne.allocation, ne.utilities
+    if failures is not None:
+        _fail(failures, ~ne.converged, lambda k: ConvergenceError(_NO_PATTERN))
         failed = np.not_equal(failures, None)
-        ne = BandAllocation(w1=np.where(failed, math.nan, ne.w1),
-                            w2=np.where(failed, math.nan, ne.w2))
-    return NashProductContext(scenario=scenario, terms=terms, ne_alloc=ne), failures
+        if failed.any():
+            alloc = BandAllocation(*np.where(failed, math.nan, [alloc.w1, alloc.w2]))
+            threat = UtilityPair(*np.where(failed, math.nan, [threat.u1, threat.u2]))
+    return NashProductContext(scenario=scenario, terms=terms, ne_alloc=alloc, threat=threat)
 
 
 def _numbers(ctx: NashProductContext) -> tuple:

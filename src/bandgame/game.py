@@ -14,10 +14,9 @@ for that closed form.
 
 The value types hold floats for one relay position, or equal-length arrays
 for a batch of positions, and each stage is one function that takes either:
-the marginal terms, the utilities and the equilibrium's KKT patterns
-(:func:`nash_equilibrium` on floats, :func:`nash_equilibrium_batch` on
-arrays). Python floats round as numpy does elementwise, so one position and
-a batch get the same bits.
+the marginal terms, the utilities and the equilibrium (one loop over its
+KKT patterns). Python floats round as numpy does elementwise, so one
+position and a batch get the same bits.
 """
 
 import warnings
@@ -189,28 +188,14 @@ _ORDER = tuple((s1, s2) for s1 in (_IN, _LO, _HI) for s2 in (_IN, _LO, _HI))
 # results: NaN if either operand is, and the second one where they compare equal.
 _FLOAT_OPS = SimpleNamespace(maximum=lambda x, y: x if x > y or x != x else y,
                              minimum=lambda x, y: x if x < y or x != x else y)
+_NO_PATTERN = "no KKT pattern validated; inconsistent inputs"
 
 
 def nash_equilibrium(terms: MarginalTerms, scenario: Scenario) -> EquilibriumReport:
     """The unique pure Nash equilibrium of the band game at one position, on
-    the terms' floats: :func:`nash_equilibrium_batch`'s allocation at that
-    position, bit for bit. The report has no iterations and zero residual."""
-    w1, w2 = _kkt_allocation([terms.psi1 - terms.phi1, terms.psi2 - terms.phi2], scenario)
-    alloc = BandAllocation(w1=w1, w2=w2)
-    return EquilibriumReport(
-        allocation=alloc,
-        utilities=utility_pair(alloc, terms, scenario),
-        kind="NE",
-        iterations=0,
-        residual=0.0,
-        converged=True,
-    )
-
-
-def nash_equilibrium_batch(terms: MarginalTerms, scenario: Scenario) -> BandAllocation:
-    """Equilibrium allocations of a batch of marginal terms, whose fields are
-    arrays over the positions or floats for one position; the allocations are
-    arrays.
+    the terms' floats (numpy scalars are taken as floats), or at a batch, on
+    their arrays. The report's allocation, utilities and ``converged`` flag
+    are floats or arrays over the positions; no iterations, zero residual.
 
     Every position tries the nine clamp patterns of the KKT conditions in a
     fixed order and takes the first feasible one. In a pattern, interior
@@ -221,20 +206,35 @@ def nash_equilibrium_batch(terms: MarginalTerms, scenario: Scenario) -> BandAllo
     coordinate does not point into the box (within the slack, 1e-12 of the
     largest of |c1|, |c2| and 3*b*omega, where c_i = psi_i - phi_i). Both
     tolerances are relative, so rescaling the utilities or the band does not
-    move the equilibrium. Positions where no pattern is feasible get NaN.
+    move the equilibrium. One position where no pattern is feasible raises
+    ConvergenceError; in a batch it gets NaN, and ``converged`` False.
     """
-    c = np.reshape(np.array([terms.psi1, terms.psi2]) - np.array([terms.phi1, terms.phi2]),
-                   (2, -1))
-    # An interior coordinate that overflows (c/(3b) at a tiny price) or is
-    # NaN (inf - inf at infinite terms) fails the box test.
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = _kkt_allocation(c, scenario)
-    return BandAllocation(w1=w[0], w2=w[1])
+    phi1, psi1, phi2, psi2 = terms.phi1, terms.psi1, terms.phi2, terms.psi2
+    if not (type(phi1) is type(psi1) is type(phi2) is type(psi2) is float) and not np.ndim(phi1):
+        phi1, psi1, phi2, psi2 = map(float, (phi1, psi1, phi2, psi2))  # numpy scalars
+        terms = MarginalTerms(phi1, psi1, phi2, psi2)
+    if type(phi1) is float:
+        w1, w2 = _kkt_allocation([psi1 - phi1, psi2 - phi2], scenario)
+    else:  # a batch
+        c = np.array([psi1, psi2]) - np.array([phi1, phi2])
+        # An interior coordinate that overflows (c/(3b) at a tiny price) or is
+        # NaN (inf - inf at infinite terms) fails the box test.
+        with np.errstate(over="ignore", invalid="ignore"):
+            w1, w2 = _kkt_allocation(c, scenario)
+    alloc = BandAllocation(w1=w1, w2=w2)
+    return EquilibriumReport(
+        allocation=alloc,
+        utilities=utility_pair(alloc, terms, scenario),
+        kind="NE",
+        iterations=0,
+        residual=0.0,
+        converged=w1 == w1,  # False where no pattern is feasible (NaN)
+    )
 
 
 def _kkt_allocation(c, scenario: Scenario):
     """The equilibrium allocation (w1, w2) of the relay advantages ``c`` =
-    (c1, c2), as :func:`nash_equilibrium_batch` defines it. One position's
+    (c1, c2), as :func:`nash_equilibrium` defines it. One position's
     two floats return at their first feasible pattern, and raise
     ConvergenceError if none is. A (2, N) array keeps the rows that no
     pattern has decided yet and stops when none is left; the result is a
@@ -279,5 +279,4 @@ def _kkt_allocation(c, scenario: Scenario):
             break
     if batch:
         return out
-    raise ConvergenceError(  # pragma: no cover - the patterns are exhaustive
-        "no KKT pattern validated; inconsistent inputs")
+    raise ConvergenceError(_NO_PATTERN)  # pragma: no cover - the patterns are exhaustive

@@ -9,13 +9,15 @@ check of the ``maps-paper`` bench workload (``bench/workloads.py``), which
 tests the equilibrium, the bargaining solution, the gains and the Hessian
 eigenvalues against ``bench/reference.py`` (numpy and scipy only, nothing
 from ``bandgame``). At every row it also runs the one-position entry points,
-which take the position's floats where the sweep takes arrays:
-``link_budget`` must give the sweep's link budget at that row
-(``link_budget_batch``, which the sweep calls) bit for bit, and
-``make_context`` an equilibrium allocation and threat utilities equal to
-the row's cells bit for bit (``%.17e`` cells round-trip). Where the batch
-records a failure, each must raise it, of the same type with the same
-message (``make_context_batch``'s for ``make_context``).
+which run the sweep's functions on the position's floats where the sweep
+runs them on arrays: ``link_budget`` must give the sweep's link budget at
+that row (``link_budget_batch``, which the sweep calls) bit for bit, and
+``make_context`` (which shares its body with ``make_context_batch``: link
+budget, marginal terms, ``nash_equilibrium``) an equilibrium allocation and
+threat utilities equal to the row's cells bit for bit (``%.17e`` cells
+round-trip). Where the batch records a failure, each must raise it, of the
+same type with the same message (``make_context_batch``'s for
+``make_context``).
 Prints the failing rows with their reasons and exits 1 if there is one. On
 a 2-CPU Xeon machine the 10 m grid takes about 14 s for the bundled
 scenario and 7 to 13 s for random seeds 1 to 3.

@@ -68,10 +68,29 @@ def test_make_context_holds_floats(paper):
                 assert type(getattr(value, name)) is float, (value, name)
 
 
+def test_every_equilibrium_goes_through_nash_equilibrium(paper, monkeypatch):
+    # The contexts solve their equilibrium through the module-level name
+    # that a tracer wraps, once per call: one position, a batch and a sweep.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return nash_equilibrium(*args)
+
+    monkeypatch.setattr(bargaining, "nash_equilibrium", counted, raising=False)
+    make_context(paper, RELAY_450)
+    assert len(calls) == 1
+    make_context_batch(paper, [450.0, 100.0, 0.0], [450.0, 600.0, 0.0])
+    assert len(calls) == 2
+    sweep(paper, SweepGrid(step=100.0))
+    assert len(calls) == 3
+
+
 def _context_for(scenario, terms):
     """Context from hand-built marginal terms."""
     ne = nash_equilibrium(terms, scenario)
-    return NashProductContext(scenario=scenario, terms=terms, ne_alloc=ne.allocation)
+    return NashProductContext(scenario=scenario, terms=terms, ne_alloc=ne.allocation,
+                              threat=ne.utilities)
 
 
 def central_gradient(alloc, ctx, h):

@@ -17,7 +17,6 @@ from bandgame import (BandAllocation, MarginalTerms, Point, SweepGrid,
 from bandgame import cli
 from bandgame.bargaining import NO_BARGAIN_NOTE
 from bandgame.cli import sweep_csv
-from bandgame.game import nash_equilibrium_batch
 from conftest import RELAY_450, random_scenario, rows
 
 
@@ -356,7 +355,7 @@ def test_equilibrium_batch_matches_loop_at_pattern_ties(paper):
         rows = [(c1, c2) for p, c1, c2 in cases if p == price]
         c1, c2 = np.array(rows).T
         terms = MarginalTerms(phi1=np.zeros_like(c1), psi1=c1, phi2=np.zeros_like(c2), psi2=c2)
-        got = nash_equilibrium_batch(terms, replace(paper, b=price))
+        got = nash_equilibrium(terms, replace(paper, b=price)).allocation
         ref = [loop_reference.nash_equilibrium(x, y, price, omega) for x, y in rows]
         assert _bits(np.column_stack([got.w1, got.w2])) == _bits(ref)
         for x, y in rows:

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,6 @@ from bandgame import (BandAllocation, LinkBudget, MarginalTerms, UserLink,
                       best_response, best_response_iteration, link_budget,
                       marginal_terms, nash_equilibrium, utility_pair,
                       utility_partial)
-from bandgame.game import nash_equilibrium_batch
 from conftest import RELAY_450, random_scenario
 
 # 50-digit reference values for the bundled scenario, relay at (450, 450).
@@ -169,14 +169,32 @@ def test_nash_equilibrium_matches_batch(paper):
         c1, c2 = (np.array(c) for c in zip(*((x, y) for x in advantages for y in advantages)))
         zero = np.zeros_like(c1)
         scenario = replace(paper, b=price)
-        batch = nash_equilibrium_batch(
-            MarginalTerms(phi1=zero, psi1=c1, phi2=zero, psi2=c2), scenario)
+        batch = nash_equilibrium(
+            MarginalTerms(phi1=zero, psi1=c1, phi2=zero, psi2=c2), scenario).allocation
         for k in range(len(c1)):
             terms = MarginalTerms(phi1=0.0, psi1=c1[k].item(), phi2=0.0, psi2=c2[k].item())
             alloc = nash_equilibrium(terms, scenario).allocation
             assert type(alloc.w1) is type(alloc.w2) is float
             assert np.array([alloc.w1, alloc.w2]).tobytes() == np.array(
                 [batch.w1[k], batch.w2[k]]).tobytes(), (price, c1[k], c2[k])
+
+
+def test_nash_equilibrium_on_numpy_scalars(paper):
+    # numpy-scalar terms are one position: the floats' report, bit for bit,
+    # with no numpy warning where c/(3b) overflows at the smallest price.
+    scenario = replace(paper, b=5e-324)
+    floats = nash_equilibrium(MarginalTerms(0.0, 1.0, 0.0, 2.0), scenario)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = nash_equilibrium(MarginalTerms(np.float64(0.0), np.float64(1.0),
+                                                np.float64(0.0), np.float64(2.0)), scenario)
+    values = (report.allocation.w1, report.allocation.w2,
+              report.utilities.u1, report.utilities.u2)
+    assert all(type(x) is float for x in values)
+    assert np.array(values).tobytes() == np.array([
+        floats.allocation.w1, floats.allocation.w2,
+        floats.utilities.u1, floats.utilities.u2]).tobytes()
+    assert report.converged is True
 
 
 def test_nash_equilibrium_relay_useless(paper):
