@@ -11,8 +11,10 @@ objective through 2x2 eigenvalues, builds the sampled utility region with its
 Pareto boundary and time-sharing hull, and sweeps relay positions into
 bandwidth-gain, welfare-gain and concavity maps through one array pipeline
 over all positions. Each stage (link budget, marginal terms, equilibrium,
-bargaining context) is one function, run on one position's floats or on
-arrays over many, so a single position gets the sweep's bits.
+bargaining context, exact bargaining solution) is one function, run on one
+position's floats or on arrays over many, so a single position gets the
+sweep's bits; every solver's report says in fields which path produced it
+and whether there is a bargain.
 The positions enter as two coordinate arrays, and a sweep is one record
 whose fields are arrays over them; a failed position keeps its slot, with
 NaN values.

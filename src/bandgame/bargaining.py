@@ -19,14 +19,15 @@ convex hull, Pareto boundary and time-sharing mixtures. The oracle and the
 region evaluate the utilities on the same uniform allocation grid, one
 broadcast over its axis of band values.
 
-Contexts, allocations, Hessians and eigenvalue pairs hold floats for one
-relay position, or equal-length arrays for a batch of positions; both
-context builders run one body, whose threat is the report of
-:func:`~bandgame.game.nash_equilibrium`. The Nash product, its gradient, its
-Hessian and the eigenvalues take either; the bargaining solution is computed
-for a batch at once (:func:`exact_nbs_batch`), and :func:`exact_nbs` is its
-call with N = 1. A batch context keeps a failed position in its slot with a
-NaN equilibrium, and everything computed from it is NaN, or False for a flag.
+Contexts, allocations, Hessians, eigenvalue pairs and the exact solver's
+reports hold floats for one relay position, or equal-length arrays for a
+batch of positions; both context builders run one body, whose threat is the
+report of :func:`~bandgame.game.nash_equilibrium`. The Nash product, its
+gradient, its Hessian, the eigenvalues and :func:`exact_nbs` each take
+either, through one body. A batch context keeps a failed position in its
+slot with a NaN equilibrium, and everything computed from it is NaN, or
+False for a flag. Every bargaining report says in fields whether there is a
+bargain and which path produced it (``bargain``, ``source``).
 """
 
 import math
@@ -374,9 +375,12 @@ def cg_nbs(ctx: NashProductContext, w0: BandAllocation | None = None,
     One exit rule: an endpoint that does not weakly dominate the threat
     point, whose Nash product is not positive, or whose residual is not
     finite (a gradient norm that overflows), is rejected, and
-    :func:`exact_nbs` is returned in its place with a note. So where there
-    is no bargain the result is the threat allocation, and where there is
-    one it weakly dominates the threat point with a positive product.
+    :func:`exact_nbs` is returned in its place with a note. Its source is
+    then ``cg-non-finite`` where :func:`cg_minimize` stopped at a
+    non-finite value (its note says so), else ``cg-rejected``. So where
+    there is no bargain the result is the threat allocation, and where there
+    is one it weakly dominates the threat point with a positive product; an
+    accepted endpoint is a bargain, with source ``cg``.
     """
     if w0 is None:
         w0 = BandAllocation(0.9 * ctx.ne_alloc.w1, 0.9 * ctx.ne_alloc.w2)
@@ -411,18 +415,13 @@ def cg_nbs(ctx: NashProductContext, w0: BandAllocation | None = None,
         exact = exact_nbs(ctx)
         return replace(
             exact,
+            source="cg-non-finite" if NON_FINITE_NOTE in notes else "cg-rejected",
             diagnostics=exact.diagnostics + tuple(notes) + (
                 "cg endpoint rejected; exact result returned",))
 
     return EquilibriumReport(
-        allocation=alloc,
-        utilities=u,
-        kind="NBS",
-        iterations=iters,
-        residual=residual,
-        converged=converged,
-        diagnostics=tuple(notes),
-    )
+        allocation=alloc, utilities=u, kind="NBS", source="cg", iterations=iters,
+        residual=residual, converged=converged, bargain=True, diagnostics=tuple(notes))
 
 
 NO_BARGAIN_NOTE = ("no allocation improves both utilities on the threat "
@@ -431,31 +430,14 @@ NO_BARGAIN_NOTE = ("no allocation improves both utilities on the threat "
 
 def exact_nbs(ctx: NashProductContext) -> EquilibriumReport:
     """Nash bargaining solution in closed form: the maximizer of the Nash
-    product over the allocations that weakly dominate the threat point.
+    product over the allocations that weakly dominate the threat point, for
+    one position (a context with float fields) or for a batch (one from
+    :func:`make_context_batch`, with array fields).
 
-    Solved by :func:`exact_nbs_batch` with N = 1. Where no allocation has a
-    positive product the threat allocation is returned, with a note.
-    """
-    alloc, bargain = exact_nbs_batch(ctx.terms, ctx.ne_alloc, ctx.scenario)
-    if not bargain[0]:
-        return EquilibriumReport(
-            allocation=ctx.ne_alloc, utilities=ctx.threat, kind="NBS",
-            iterations=0, residual=0.0, converged=True,
-            diagnostics=(NO_BARGAIN_NOTE,))
-    alloc = select(alloc, 0)
-    return EquilibriumReport(
-        allocation=alloc, utilities=utility_pair(alloc, ctx.terms, ctx.scenario),
-        kind="NBS", iterations=0, residual=0.0, converged=True)
-
-
-def exact_nbs_batch(terms: MarginalTerms, ne_alloc: BandAllocation,
-                    scenario: Scenario) -> tuple:
-    """Bargaining solutions of a batch: marginal terms and threat (equilibrium)
-    allocations whose fields are arrays over the positions, or floats for one
-    position.
-
-    Returns the allocations, with the threat allocation where there is no
-    bargain, and the mask of the positions that have one, as arrays.
+    The report's values and flags are floats and bools for one position,
+    arrays for a batch; its source is ``exact``. Without a bargain the
+    allocation is the threat's (one position's report adds a note). A
+    failed position of a batch (NaN threat) gets NaN values, False flags.
 
     Works in units where the band is 1 and the largest of |c1|, |c2| and
     b*omega is 1 (c_i = psi_i - phi_i), with the threat allocation a. On a
@@ -473,7 +455,8 @@ def exact_nbs_batch(terms: MarginalTerms, ne_alloc: BandAllocation,
     the only ones scored (:func:`_best_candidates`).
 
     Only positions where both users rent band at the threat point are
-    scored. Where user i rents none, user j's threat band is its best
+    scored (one position's floats are tested before any array is built).
+    Where user i rents none, user j's threat band is its best
     response to 0, its global maximum, since u_j(w_i, w_j) <= u_j(0, w_j)
     for b >= 0; so g_j <= 0 everywhere and no product is positive.
 
@@ -489,33 +472,45 @@ def exact_nbs_batch(terms: MarginalTerms, ne_alloc: BandAllocation,
     u_i ignores w_j, and there is no bargain; its quartic has no finite
     root in s.
     """
-    omega = scenario.omega
-    w1, w2 = (np.array(w, dtype=float, ndmin=1) for w in (ne_alloc.w1, ne_alloc.w2))
-    a1, a2 = w1 / omega, w2 / omega
-    bargain = np.zeros(len(w1), dtype=bool)
-    scored = np.flatnonzero((a1 > 0.0) & (a2 > 0.0))  # NaN rows fall out too
-    if len(scored):
-        # unit > 0: b*omega > 0, or at b = 0 renting band needs c_i > 0.
-        c1, c2 = (np.reshape(terms.relay_advantage(i), -1)[scored] for i in (1, 2))
-        b = scenario.b * omega
-        unit = np.maximum(np.maximum(abs(c1), abs(c2)), b)
-        best, y1, y2 = _best_candidates(c1 / unit, c2 / unit, b / unit,
-                                        a1[scored], a2[scored])
-        won = best > 0.0
-        bargain[scored[won]] = True
-        w1[scored[won]], w2[scored[won]] = omega * y1[won], omega * y2[won]
-    return BandAllocation(w1=w1, w2=w2), bargain
+    ne, omega = ctx.ne_alloc, ctx.scenario.omega
+    one, bargain = not np.ndim(ne.w1), False
+    if not one or (ne.w1 / omega > 0.0 and ne.w2 / omega > 0.0):
+        w1, w2 = (np.array(w, dtype=float, ndmin=1) for w in (ne.w1, ne.w2))
+        a1, a2 = w1 / omega, w2 / omega
+        bargain = np.zeros(len(w1), dtype=bool)
+        scored = np.flatnonzero((a1 > 0.0) & (a2 > 0.0))  # NaN rows fall out too
+        if len(scored):
+            # unit > 0: b*omega > 0, or at b = 0 renting band needs c_i > 0.
+            c1, c2 = (np.reshape(ctx.terms.relay_advantage(i), -1)[scored] for i in (1, 2))
+            b = ctx.scenario.b * omega
+            unit = np.maximum(np.maximum(abs(c1), abs(c2)), b)
+            best, y1, y2 = _best_candidates(c1 / unit, c2 / unit, b / unit,
+                                            a1[scored], a2[scored])
+            won = best > 0.0
+            bargain[scored[won]] = True
+            w1[scored[won]], w2[scored[won]] = omega * y1[won], omega * y2[won]
+        alloc = BandAllocation(w1=w1, w2=w2)
+        if one:
+            alloc, bargain = select(alloc, 0), bool(bargain[0])
+    if one and not bargain:
+        return EquilibriumReport(
+            allocation=ne, utilities=ctx.threat, kind="NBS", source="exact", iterations=0,
+            residual=0.0, converged=True, bargain=False, diagnostics=(NO_BARGAIN_NOTE,))
+    return EquilibriumReport(  # converged is False where the threat is NaN
+        allocation=alloc, utilities=utility_pair(alloc, ctx.terms, ctx.scenario),
+        kind="NBS", source="exact", iterations=0, residual=0.0,
+        converged=alloc.w1 == alloc.w1, bargain=bargain)
 
 
 def _best_candidates(c1, c2, b, a1, a2) -> tuple:
     """The largest Nash product over the four candidates of the quartic's
     real roots, and the allocation that wins it, for N positions in
-    :func:`exact_nbs_batch`'s normalized units (the (N,) arrays ``c1``,
+    :func:`exact_nbs`'s normalized units (the (N,) arrays ``c1``,
     ``c2``, ``b``, and the threat allocation ``a1``, ``a2``, both positive).
 
     No corner or edge is scored: with both users renting band at the threat
     point, no boundary point has a positive product (see
-    :func:`exact_nbs_batch`). Each candidate is scored with gains written
+    :func:`exact_nbs`). Each candidate is scored with gains written
     without subtracting two nearly equal utilities; a candidate that is not
     a slice peak (AB <= 0, a non-finite value) or that does not dominate the
     threat point scores -inf, so the product is -inf where none does. The
@@ -549,7 +544,7 @@ def _best_candidates(c1, c2, b, a1, a2) -> tuple:
 
 def _interior_quartic(c1, c2, b, alpha1, alpha2) -> tuple:
     """Coefficients (e3, e2, e1, e0) of the monic quartic in t = b*s whose
-    roots are the stationary points of :func:`exact_nbs_batch`'s slice
+    roots are the stationary points of :func:`exact_nbs`'s slice
     maximum N(s)**2/(4AB), in its normalized units; elementwise.
 
     With AB = b**2*s**2 - b*(c1 + c2)*s + c1*c2 and
@@ -664,10 +659,12 @@ def grid_oracle_nbs(ctx: NashProductContext, resolution: int = 401,
 
     Grid points whose utilities fail to weakly dominate the threat point are
     discarded; if none qualifies the threat allocation itself is returned and
-    flagged. ``utility_scale`` applies positive per-player rescalings
-    (kappa1*u1, kappa2*u2, with the threat rescaled identically) before the
-    argmax; the bargaining solution is invariant to such rescalings, which
-    makes the hook useful for validation. Reported utilities are unscaled.
+    flagged. The report's source is ``grid-oracle``, and ``bargain`` tells
+    whether some grid point has a positive product. ``utility_scale``
+    applies positive per-player rescalings (kappa1*u1, kappa2*u2, with the
+    threat rescaled identically) before the argmax; the bargaining solution
+    is invariant to such rescalings, which makes the hook useful for
+    validation. Reported utilities are unscaled.
     """
     k1, k2 = utility_scale
     if not (k1 > 0 and k2 > 0):
@@ -679,32 +676,24 @@ def grid_oracle_nbs(ctx: NashProductContext, resolution: int = 401,
     n_points = resolution * resolution
     if not bool(qualifying.any()):
         return EquilibriumReport(
-            allocation=ctx.ne_alloc,
-            utilities=ctx.threat,
-            kind="NBS",
-            iterations=n_points,
-            residual=0.0,
-            converged=True,
+            allocation=ctx.ne_alloc, utilities=ctx.threat, kind="NBS", source="grid-oracle",
+            iterations=n_points, residual=0.0, converged=True, bargain=False,
             diagnostics=("no grid point weakly dominates the threat point; "
-                         "returning the threat allocation",),
-        )
+                         "returning the threat allocation",))
     product = np.where(qualifying, F1 * F2, -np.inf)
     # Exact product ties happen when one utility gain is pinned at zero (a
     # whole edge of the region scores zero); bargaining then requires the
     # Pareto-efficient representative, so prefer the larger utility sum, then
     # the lowest index for determinism.
-    ties = np.flatnonzero(product == product.max())
+    best = product.max()
+    ties = np.flatnonzero(product == best)
     idx = int(ties[np.argmax(U.u1.flat[ties] + U.u2.flat[ties])])
     i, j = divmod(idx, resolution)
     return EquilibriumReport(
         allocation=BandAllocation(float(axis[i]), float(axis[j])),
         utilities=UtilityPair(float(U.u1.flat[idx]), float(U.u2.flat[idx])),
-        kind="NBS",
-        iterations=n_points,
-        residual=0.0,
-        converged=True,
-        diagnostics=(),
-    )
+        kind="NBS", source="grid-oracle", iterations=n_points, residual=0.0,
+        converged=True, bargain=bool(best > 0.0))
 
 
 # Shewchuk's bound on the rounding error of an orientation (a - o) x (b - o)

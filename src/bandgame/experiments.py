@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bargaining import (eigenvalues, exact_nbs_batch, hessian,
-                         make_context_batch)
-from .game import BandAllocation, UtilityPair, utility_pair
+from .bargaining import eigenvalues, exact_nbs, hessian, make_context_batch
+from .game import BandAllocation, UtilityPair
 from .system_model import Scenario
 
 
@@ -117,7 +116,7 @@ def sweep(scenario: Scenario, grid: SweepGrid) -> SweepRecord:
     """Solve NE and NBS at every relay position of the grid.
 
     Per position: bargaining context with the closed-form NE, the exact
-    bargaining solution (:func:`exact_nbs_batch`), bandwidth and welfare
+    bargaining solution (one :func:`exact_nbs` call), bandwidth and welfare
     gains, and the Nash product eigenvalues at the reported NBS allocation,
     each stage computed for all positions at once. Individual position
     failures are recorded, never raised: a failed position's equilibrium is
@@ -127,14 +126,14 @@ def sweep(scenario: Scenario, grid: SweepGrid) -> SweepRecord:
     xr, yr = grid.positions()
     ctx, failures = make_context_batch(scenario, xr, yr)
     ne, ne_u = ctx.ne_alloc, ctx.threat
-    nbs, bargain = exact_nbs_batch(ctx.terms, ne, scenario)
-    nbs_u = utility_pair(nbs, ctx.terms, scenario)
+    report = exact_nbs(ctx)
+    nbs, nbs_u = report.allocation, report.utilities
     eig = eigenvalues(hessian(nbs, ctx))
     failure = np.array(failures, dtype=object)
     ok = np.equal(failure, None)
     failure[~ok] = [str(f) for f in failure[~ok]]  # the failed positions only
     return SweepRecord(
-        xr=xr, yr=yr, ne=ne, ne_u=ne_u, nbs=nbs, nbs_u=nbs_u, bargain=bargain,
+        xr=xr, yr=yr, ne=ne, ne_u=ne_u, nbs=nbs, nbs_u=nbs_u, bargain=report.bargain,
         gain_bw_u1_pct=np.where(ok, bandwidth_gain(ne.w1, nbs.w1), 0.0),
         gain_bw_u2_pct=np.where(ok, bandwidth_gain(ne.w2, nbs.w2), 0.0),
         gain_bw_total_pct=np.where(ok, bandwidth_gain(ne.w1 + ne.w2, nbs.w1 + nbs.w2), 0.0),

@@ -77,14 +77,25 @@ class MarginalTerms:
 
 @dataclass(frozen=True)
 class EquilibriumReport:
-    """Solver output: an allocation, its utilities, and diagnostics."""
+    """Solver output: an allocation, its utilities, and how they were found;
+    value fields are floats for one position, arrays for a batch.
+
+    ``source`` is ``closed-form`` (the NE), ``exact``, ``cg`` (an accepted
+    CG endpoint), ``cg-rejected`` or ``cg-non-finite`` (CG's endpoint
+    rejected after a stop at a non-finite value, the exact NBS returned) or
+    ``grid-oracle``. ``bargain``: for an NBS, whether some allocation
+    improves both utilities on the threat point (None for an NE). The
+    ``diagnostics`` are notes for people, which the CLI prints.
+    """
 
     allocation: BandAllocation
     utilities: UtilityPair
     kind: str  # "NE" or "NBS"
+    source: str
     iterations: int
     residual: float
     converged: bool
+    bargain: bool | None = None
     diagnostics: tuple = ()
 
 
@@ -222,14 +233,9 @@ def nash_equilibrium(terms: MarginalTerms, scenario: Scenario) -> EquilibriumRep
         with np.errstate(over="ignore", invalid="ignore"):
             w1, w2 = _kkt_allocation(c, scenario)
     alloc = BandAllocation(w1=w1, w2=w2)
-    return EquilibriumReport(
-        allocation=alloc,
-        utilities=utility_pair(alloc, terms, scenario),
-        kind="NE",
-        iterations=0,
-        residual=0.0,
-        converged=w1 == w1,  # False where no pattern is feasible (NaN)
-    )
+    return EquilibriumReport(  # converged is False where no pattern is feasible (NaN)
+        allocation=alloc, utilities=utility_pair(alloc, terms, scenario), kind="NE",
+        source="closed-form", iterations=0, residual=0.0, converged=w1 == w1)
 
 
 def _kkt_allocation(c, scenario: Scenario):

@@ -11,13 +11,15 @@ eigenvalues against ``bench/reference.py`` (numpy and scipy only, nothing
 from ``bandgame``). At every row it also runs the one-position entry points,
 which run the sweep's functions on the position's floats where the sweep
 runs them on arrays: ``link_budget`` must give the sweep's link budget at
-that row (``link_budget_batch``, which the sweep calls) bit for bit, and
+that row (``link_budget_batch``, which the sweep calls) bit for bit;
 ``make_context`` (which shares its body with ``make_context_batch``: link
 budget, marginal terms, ``nash_equilibrium``) an equilibrium allocation and
 threat utilities equal to the row's cells bit for bit (``%.17e`` cells
-round-trip). Where the batch records a failure, each must raise it, of the
-same type with the same message (``make_context_batch``'s for
-``make_context``).
+round-trip); and ``exact_nbs`` on that context the row's bargaining
+allocation and utilities bit for bit, with the ``bargain`` flag of
+``exact_nbs`` on the batch context. Where the batch records a failure,
+each must raise it, of the same type with the same message
+(``make_context_batch``'s for ``make_context``).
 Prints the failing rows with their reasons and exits 1 if there is one. On
 a 2-CPU Xeon machine the 10 m grid takes about 14 s for the bundled
 scenario and 7 to 13 s for random seeds 1 to 3.
@@ -40,7 +42,7 @@ import reference  # noqa: E402
 from workloads import (MapsPaper, _csv_rows, _num, _random_scenario_text,  # noqa: E402
                        grid_axis)
 
-from bandgame import Point, SweepGrid, link_budget, make_context  # noqa: E402
+from bandgame import Point, SweepGrid, exact_nbs, link_budget, make_context  # noqa: E402
 from bandgame.bargaining import make_context_batch  # noqa: E402
 from bandgame.cli import main, paper_scenario_path, parse_scenario  # noqa: E402
 from bandgame.system_model import link_budget_batch, select  # noqa: E402
@@ -55,13 +57,15 @@ def _error(exc) -> tuple:
     return type(exc), str(exc)
 
 
-def single_reasons(scenario, relay, cells, budget, budget_failure, failure) -> list:
-    """``link_budget`` and ``make_context`` at one row's relay against the
-    sweep: the budget against the batch's ``budget`` at that row, and the
-    context's equilibrium allocation and threat utilities against the row's
-    cells, bit for bit, or each one's error against the batch's failure
-    there (``budget_failure`` from ``link_budget_batch``, ``failure`` from
-    ``make_context_batch``; None where the position is solved)."""
+def single_reasons(scenario, relay, cells, budget, budget_failure, failure, bargain) -> list:
+    """``link_budget``, ``make_context`` and ``exact_nbs`` at one row's relay
+    against the sweep: the budget against the batch's ``budget`` at that
+    row; the context's equilibrium allocation and threat utilities, and its
+    bargaining allocation and utilities, against the row's cells, bit for
+    bit, and its ``bargain`` flag against the batch's ``bargain`` there; or
+    each one's error against the batch's failure there (``budget_failure``
+    from ``link_budget_batch``, ``failure`` from ``make_context_batch``;
+    None where the position is solved)."""
     try:
         got = _hex(link_budget(scenario, Point(*relay)))
         want = _hex(budget) if budget_failure is None else None
@@ -70,11 +74,19 @@ def single_reasons(scenario, relay, cells, budget, budget_failure, failure) -> l
     reasons = [] if got == want else ["budget"]
     try:
         ctx = make_context(scenario, Point(*relay))
-        got = [x.hex() for x in (ctx.ne_alloc.w1, ctx.ne_alloc.w2, ctx.threat.u1, ctx.threat.u2)]
-        want = [float(cells[k]).hex() for k in (2, 3, 6, 7)] if failure is None else None
     except (ValueError, RuntimeError) as exc:
-        got, want = _error(exc), failure and _error(failure)
-    return reasons if got == want else reasons + ["context"]
+        return reasons if failure and _error(exc) == _error(failure) else reasons + ["context"]
+    if failure is not None:
+        return reasons + ["context"]
+    got = [x.hex() for x in (ctx.ne_alloc.w1, ctx.ne_alloc.w2, ctx.threat.u1, ctx.threat.u2)]
+    if got != [float(cells[k]).hex() for k in (2, 3, 6, 7)]:
+        reasons.append("context")
+    nbs = exact_nbs(ctx)
+    got = [x.hex() for x in (nbs.allocation.w1, nbs.allocation.w2,
+                             nbs.utilities.u1, nbs.utilities.u2)]
+    if got != [float(cells[k]).hex() for k in (4, 5, 8, 9)] or nbs.bargain is not bargain:
+        reasons.append("nbs")
+    return reasons
 
 
 def check(step: float, seed=None) -> int:
@@ -93,19 +105,21 @@ def check(step: float, seed=None) -> int:
             return 1
         rows = _csv_rows(out)
     positions = SweepGrid(step=step).positions()
-    _, failures = make_context_batch(model, *positions)
+    ctx, failures = make_context_batch(model, *positions)
+    bargains = exact_nbs(ctx).bargain.tolist()
     budgets, budget_failures = link_budget_batch(model, *positions)
     if not len(rows) == len(failures) == len(relays):
         print(f"{len(rows)} rows and {len(failures)} records for {len(relays)} relay positions")
         return 1
     failed = 0
-    for k, (relay, cells, failure) in enumerate(zip(relays, rows, failures)):
+    for k, (relay, cells, failure, bargain) in enumerate(zip(relays, rows, failures,
+                                                             bargains)):
         if (_num(cells[0]), _num(cells[1])) != relay:
             reasons = ["position"]
         else:
             reasons = MapsPaper._sweep_row(reference, params, relay, cells)
             reasons += single_reasons(model, relay, cells, select(budgets, k),
-                                      budget_failures[k], failure)
+                                      budget_failures[k], failure, bargain)
         if reasons:
             failed += 1
             print(f"relay {relay}: {', '.join(reasons)}")

@@ -17,9 +17,10 @@ from bandgame import (BandAllocation, Hessian2x2, MarginalTerms,
                       sample_utility_region, sweep, utility_pair,
                       utility_partial)
 from bandgame import bargaining
-from bandgame.bargaining import (NON_FINITE_NOTE, _interior_quartic, _pareto_chain,
-                                 _quartic_roots, exact_nbs_batch, make_context_batch)
+from bandgame.bargaining import (NO_BARGAIN_NOTE, NON_FINITE_NOTE, _interior_quartic,
+                                 _pareto_chain, _quartic_roots, make_context_batch)
 from bandgame.cli import main, paper_scenario_path
+from bandgame.system_model import select
 from conftest import RELAY_450, random_relay, random_scenario, rows
 from test_acceptance import _criterion3_sites
 
@@ -248,7 +249,7 @@ def test_kernel_matches_utility_formulas(paper):
                 cases.append((alloc, ctx))
     grid = SweepGrid(step=25.0)
     ctx, _ = make_context_batch(paper, *grid.positions())
-    nbs, _ = exact_nbs_batch(ctx.terms, ctx.ne_alloc, paper)
+    nbs = exact_nbs(ctx).allocation
     cases += [(ctx.ne_alloc, ctx), (nbs, ctx),
               (BandAllocation(*rng.uniform(0.0, paper.omega, (2, len(nbs.w1)))), ctx)]
     for alloc, ctx in cases:
@@ -425,7 +426,7 @@ def test_cg_stationary_start(ctx450):
 def test_cg_matches_oracle_and_continuum(ctx450, paper):
     report = cg_nbs(ctx450)
     assert report.converged
-    assert "grid-oracle result returned" not in " ".join(report.diagnostics)
+    assert report.source == "cg"
     oracle = grid_oracle_nbs(ctx450)
     cell = paper.omega / 400.0
     assert abs(report.allocation.w1 - oracle.allocation.w1) <= cell
@@ -449,7 +450,7 @@ def test_cg_center_start_falls_back_to_exact(ctx450, paper):
     # rejected at the dominance check and return the exact solution, flagged.
     report = cg_nbs(ctx450, w0=BandAllocation(paper.omega / 2, paper.omega / 2))
     assert report.allocation == exact_nbs(ctx450).allocation
-    assert "cg endpoint rejected; exact result returned" in report.diagnostics
+    assert report.source == "cg-rejected"
 
 
 def test_cg_corner_equilibrium_finds_bargain(paper):
@@ -462,7 +463,7 @@ def test_cg_corner_equilibrium_finds_bargain(paper):
     report = cg_nbs(ctx)
     assert nash_product(report.allocation, ctx) > 0.0
     assert report.allocation == exact_nbs(ctx).allocation
-    assert "cg endpoint rejected; exact result returned" in report.diagnostics
+    assert report.source == "cg-rejected"
 
 
 def test_cg_threat_point_start_returns_exact(ctx450):
@@ -470,7 +471,7 @@ def test_cg_threat_point_start_returns_exact(ctx450):
     # there at once, and the endpoint is rejected for the exact bargain.
     report = cg_nbs(ctx450, w0=ctx450.ne_alloc)
     assert report.allocation == exact_nbs(ctx450).allocation
-    assert "cg endpoint rejected; exact result returned" in report.diagnostics
+    assert report.source == "cg-rejected"
     assert nash_product(report.allocation, ctx450) > 0.0
 
 
@@ -483,11 +484,13 @@ def test_cg_single_exit_rule():
     no_bargain = 0
     for ctx in itertools.islice(_seeded_contexts(1414), draws):
         report = cg_nbs(ctx)
-        if exact_nbs(ctx).allocation == ctx.ne_alloc:
+        if not exact_nbs(ctx).bargain:
             no_bargain += 1
             assert report.allocation == ctx.ne_alloc
             assert report.utilities == ctx.threat
+            assert report.bargain is False
             continue
+        assert report.bargain is True
         for i in (1, 2):
             assert report.utilities.u(i) >= ctx.threat.u(i) - 1e-12 * abs(ctx.threat.u(i))
         assert nash_product(report.allocation, ctx) > 0.0
@@ -621,13 +624,37 @@ def test_cg_large_units_return_exact(paper, scale, monkeypatch):
             report = cg_nbs(ctx)
     else:
         report = cg_nbs(ctx)
-        assert NON_FINITE_NOTE in report.diagnostics
+    assert report.source == ("cg-rejected" if scale < 1e160 else "cg-non-finite")
     assert calls[0] <= at_unit
     exact = exact_nbs(ctx)
     assert report.allocation == exact.allocation
     assert report.utilities == exact.utilities
-    assert report.diagnostics[-1] == _REJECTED
     assert nash_product(report.allocation, ctx) > 0.0
+
+
+def test_notes_agree_with_fields(paper):
+    # A report's fields say what its notes say: bargain is False exactly
+    # where the no-bargain note is written; the source is cg-rejected or
+    # cg-non-finite exactly where cg_nbs notes a rejected endpoint, and
+    # cg-non-finite exactly where it notes CG's stop at a non-finite value.
+    scaled = [make_context(replace(paper, alpha=paper.alpha * scale, b=paper.b * scale),
+                           RELAY_450) for scale in (1.0, 1e160, 1e200)]
+    contexts = list(itertools.islice(_seeded_contexts(1414), 100)) + scaled
+    reports = [cg_nbs(scaled[0], w0=BandAllocation(paper.omega / 2, paper.omega / 2))]
+    for ctx in contexts:
+        reports.append(exact_nbs(ctx))
+        reports += [cg_nbs(ctx, mode=mode) for mode in ("joint", "alternating")]
+    seen = set()
+    for report in reports:
+        notes = report.diagnostics
+        assert report.bargain == (NO_BARGAIN_NOTE not in notes), notes
+        assert (report.source in ("cg-rejected", "cg-non-finite")) == (_REJECTED in notes), notes
+        assert (report.source == "cg-non-finite") == (NON_FINITE_NOTE in notes), notes
+        seen.add((report.source, report.bargain))
+    assert seen == {("exact", True), ("exact", False), ("cg", True), ("cg-rejected", True),
+                    ("cg-rejected", False), ("cg-non-finite", True)}
+    ne = nash_equilibrium(contexts[0].terms, contexts[0].scenario)
+    assert (ne.source, ne.bargain) == ("closed-form", None)
 
 
 def test_cg_stops_at_non_finite_values():
@@ -670,6 +697,7 @@ def test_cg_dominance_on_accepted_result(ctx450):
 def test_exact_matches_continuum(ctx450):
     report = exact_nbs(ctx450)
     assert report.kind == "NBS" and report.converged and not report.diagnostics
+    assert report.source == "exact" and report.bargain is True
     assert report.allocation.w1 == pytest.approx(NBS_CONTINUUM[0], rel=1e-9)
     assert report.allocation.w2 == pytest.approx(NBS_CONTINUUM[1], rel=1e-9)
     assert nash_product(report.allocation, ctx450) == pytest.approx(PI_STAR, rel=1e-12)
@@ -701,7 +729,7 @@ def test_exact_returns_threat_without_bargain(paper):
         report = exact_nbs(ctx)
         assert report.allocation == ctx.ne_alloc
         assert report.utilities == ctx.threat
-        assert any("threat allocation" in d for d in report.diagnostics)
+        assert report.bargain is False and report.source == "exact"
 
 
 def test_exact_dominates_and_beats_oracle(paper):
@@ -875,8 +903,8 @@ def test_exact_sweep_reports_missed_bargains(paper):
 
 
 def test_zero_band_positions_have_no_bargain(paper):
-    # exact_nbs_batch scores only the positions where both users rent band at
-    # the threat point. The loop reference, which scores the corners, the
+    # exact_nbs scores only the positions where both users rent band at the
+    # threat point. The loop reference, which scores the corners, the
     # box edges and the quartic's roots, finds no bargain at the positions it
     # skips: on the bundled 25 m grid, which holds the near-zero products of
     # a gain formula with cancellation, and on seeded random scenarios.
@@ -892,9 +920,40 @@ def test_zero_band_positions_have_no_bargain(paper):
             assert loop_reference.exact_nbs(
                 float(t.psi1[k] - t.phi1[k]), float(t.psi2[k] - t.phi2[k]), scenario.b,
                 scenario.omega, (float(ne.w1[k]), float(ne.w2[k]))) is None
-        assert not exact_nbs_batch(t, ne, scenario)[1][zero].any()
+        assert not exact_nbs(ctx).bargain[zero].any()
         skipped.append(len(zero))
     assert skipped[0] == 539 and sum(skipped[1:]) > 2000
+
+
+def test_exact_batch_matches_one_position(paper):
+    # exact_nbs on a batch context gives at every position the bits of its
+    # call on that position's own context: allocation, utilities and bargain.
+    # A failed position gets NaN values and no bargain. Grids: the bundled
+    # 25 m one, which holds one co-located position, and seeded random
+    # scenarios at 50 m.
+    rng = np.random.default_rng(64)
+    grids = [(paper, SweepGrid(step=25.0))]
+    grids += [(random_scenario(rng), SweepGrid(step=50.0)) for _ in range(8)]
+    seen = {True: 0, False: 0, "failed": 0}
+    for scenario, grid in grids:
+        xr, yr = grid.positions()
+        ctx, failures = make_context_batch(scenario, xr, yr)
+        batch = exact_nbs(ctx)
+        assert batch.bargain.dtype == bool and batch.bargain.shape == xr.shape
+        for k, failure in enumerate(failures):
+            got = select(batch, k)
+            values = [got.allocation.w1, got.allocation.w2, got.utilities.u1, got.utilities.u2]
+            if failure is not None:
+                assert np.isnan(values).all() and got.bargain is False
+                seen["failed"] += 1
+                continue
+            one = exact_nbs(make_context(scenario, Point(xr[k], yr[k])))
+            want = [one.allocation.w1, one.allocation.w2, one.utilities.u1, one.utilities.u2]
+            assert [type(x) for x in want] == [float] * 4
+            assert [x.hex() for x in values] == [x.hex() for x in want], (xr[k], yr[k])
+            assert got.bargain is one.bargain, (xr[k], yr[k])
+            seen[one.bargain] += 1
+    assert min(seen.values()) > 0, seen
 
 
 # Rounding floor of test_bargains_are_interior, as a fraction of m1*m2, where
@@ -911,7 +970,7 @@ BOUNDARY_FLOOR = 16.0 * 2.0 ** -53
 
 
 def test_bargains_are_interior(paper):
-    # Both users rent band at every position that exact_nbs_batch scores, so
+    # Both users rent band at every position that exact_nbs scores, so
     # no point of the box boundary can hold a bargain and it scores only the
     # quartic's roots. Every bargain lies inside the box, and dense samples
     # of the four box edges, plus the threat's own band on each and the two
@@ -930,7 +989,8 @@ def test_bargains_are_interior(paper):
     for scenario, grid in grids:
         ctx, failures = make_context_batch(scenario, *grid.positions())
         t, ne = ctx.terms, ctx.ne_alloc
-        alloc, bargain = exact_nbs_batch(t, ne, scenario)
+        report = exact_nbs(ctx)
+        alloc, bargain = report.allocation, report.bargain
         for w in (alloc.w1[bargain], alloc.w2[bargain]):
             assert ((w > 0.0) & (w < scenario.omega)).all()
         bargains += bargain.sum()
@@ -976,6 +1036,7 @@ def test_oracle_resolution_two_corners(ctx450, paper):
     # exhaustive tiny case takes the flagged threat-allocation fallback
     report = grid_oracle_nbs(ctx450, resolution=2)
     assert report.allocation == ctx450.ne_alloc
+    assert report.bargain is False and report.source == "grid-oracle"
     assert any("no grid point" in d for d in report.diagnostics)
     # with the threat pinned at the origin the corner (0, 0) itself qualifies
     terms = MarginalTerms(phi1=1.5, psi1=1.5, phi2=0.7, psi2=0.7)
@@ -983,6 +1044,7 @@ def test_oracle_resolution_two_corners(ctx450, paper):
     corner = grid_oracle_nbs(degenerate, resolution=2)
     assert corner.allocation == BandAllocation(0.0, 0.0)
     assert not corner.diagnostics
+    assert corner.bargain is False  # its product is zero
 
 
 def test_oracle_rejects_bad_inputs(ctx450):

@@ -140,6 +140,29 @@ def test_cli_nbs_with_oracle(paper_path, tmp_path, capsys):
     assert "oracle_match = true" in capsys.readouterr().out
 
 
+def test_cli_nbs_prints_notes(paper_path, tmp_path, capsys):
+    # The reports' notes reach the user word for word. At (100, 600) user 2
+    # rents no band, so there is no bargain, and CG's endpoint is rejected.
+    # With alpha and b x 1e160 the gradient at CG's start is NaN.
+    rc = main(["nbs", "--scenario", paper_path, "--relay", "100,600"])
+    notes = [line for line in capsys.readouterr().out.splitlines() if line.startswith("note: ")]
+    assert rc == 0
+    assert notes == [
+        "note: no allocation improves both utilities on the threat point; "
+        "returning the threat allocation",
+        "note: steepest-descent fallback used on 29 iteration(s)",
+        "note: stopped at a box-stationary point (projected gradient below epsilon)",
+        "note: cg endpoint rejected; exact result returned"]
+    paper = parse_scenario(paper_path)
+    path = tmp_path / "large.cfg"
+    write_scenario(replace(paper, alpha=paper.alpha * 1e160, b=paper.b * 1e160), path)
+    rc = main(["nbs", "--scenario", str(path), "--relay", "450,450"])
+    notes = [line for line in capsys.readouterr().out.splitlines() if line.startswith("note: ")]
+    assert rc == 0
+    assert notes == ["note: stopped at a non-finite iterate, objective or gradient",
+                     "note: cg endpoint rejected; exact result returned"]
+
+
 def test_cli_region(paper_path, tmp_path, capsys):
     out_file = tmp_path / "region.csv"
     rc = main(["region", "--scenario", paper_path, "--relay", "450,450",

@@ -14,8 +14,7 @@ from bandgame import (BandAllocation, MarginalTerms, Point, SweepGrid,
                       exact_nbs, hessian, is_strictly_concave_at,
                       make_context, nash_equilibrium, social_welfare_gain,
                       sweep)
-from bandgame import cli
-from bandgame.bargaining import NO_BARGAIN_NOTE
+from bandgame import cli, experiments
 from bandgame.cli import sweep_csv
 from conftest import RELAY_450, random_scenario, rows
 
@@ -67,7 +66,7 @@ def test_sweep_single_position_composes(paper):
     assert r.ne_u == ne.utilities
     assert r.nbs == nbs.allocation
     assert r.nbs_u == nbs.utilities
-    assert r.bargain == (NO_BARGAIN_NOTE not in nbs.diagnostics)
+    assert r.bargain == nbs.bargain
     assert r.gain_bw_u1_pct == bandwidth_gain(ne.allocation.w1, nbs.allocation.w1)
     assert r.gain_bw_total_pct == bandwidth_gain(
         ne.allocation.w1 + ne.allocation.w2, nbs.allocation.w1 + nbs.allocation.w2)
@@ -75,6 +74,21 @@ def test_sweep_single_position_composes(paper):
     eig = eigenvalues(hessian(nbs.allocation, ctx))
     assert (r.lambda1, r.lambda2) == (eig.lambda1, eig.lambda2)
     assert r.strictly_concave == (eig.lambda2 < 0.0)
+
+
+def test_sweep_calls_exact_nbs_once(paper, monkeypatch):
+    # The sweep solves every position's bargain, and gets its utilities,
+    # from one exact_nbs call on the batch context.
+    calls = []
+
+    def counted(ctx):
+        calls.append(ctx)
+        return exact_nbs(ctx)
+
+    monkeypatch.setattr(experiments, "exact_nbs", counted)
+    records = sweep(paper, SweepGrid(step=100.0))
+    assert len(calls) == 1
+    assert len(calls[0].ne_alloc.w1) == len(records.xr)
 
 
 def test_sweep_at_the_smallest_price(paper):
@@ -238,7 +252,7 @@ def _assert_sweep_matches_loop(scenario, grid) -> tuple:
         eig = eigenvalues(hessian(nbs.allocation, ctx))
         assert _bits([ctx.ne_alloc.w1, ctx.ne_alloc.w2, ctx.threat.u1, ctx.threat.u2]) == _bits(
             [r.ne.w1, r.ne.w2, r.ne_u.u1, r.ne_u.u2]), relay
-        assert (nbs.allocation, nbs.utilities, NO_BARGAIN_NOTE not in nbs.diagnostics) == (
+        assert (nbs.allocation, nbs.utilities, nbs.bargain) == (
             r.nbs, r.nbs_u, r.bargain), relay
         assert _bits([eig.lambda1, eig.lambda2]) == _bits([r.lambda1, r.lambda2]), relay
         assert _bits([r.ne.w1, r.ne.w2]) == _bits(ref["ne"]), relay
