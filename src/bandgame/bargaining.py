@@ -7,27 +7,23 @@ The bargaining objective is the Nash product
 whose maximizer over the utilities weakly dominating the equilibrium pair is
 the Nash bargaining solution. This module provides the analytic gradient and
 Hessian of pi, its eigenvalue-based concavity certificate, the exact
-closed-form bargaining solver that production paths use (it scores the real
-roots of one quartic and nothing else: where both users rent band at the
-threat point no point of the box boundary has a positive product, and where
-one rents none there is no bargain), the paper's projected
-Polak-Ribiere conjugate-gradient solver with Newton step lengths (which returns
-the exact solver's answer in place of an endpoint that does not weakly
-dominate the threat point or has no positive product), a brute-force grid
-oracle kept as the tests' reference, and the sampled utility region with its
-convex hull, Pareto boundary and time-sharing mixtures. The oracle and the
-region evaluate the utilities on the same uniform allocation grid, one
-broadcast over its axis of band values.
+closed-form bargaining solver that production paths use, the paper's
+projected Polak-Ribiere conjugate-gradient solver with Newton step lengths, a
+brute-force grid oracle kept as the tests' reference, and the sampled utility
+region with its convex hull, Pareto boundary and time-sharing mixtures. The
+oracle and the region evaluate the utilities on the same uniform allocation
+grid, one broadcast over its axis of band values.
 
 Contexts, allocations, Hessians, eigenvalue pairs and the exact solver's
 reports hold floats for one relay position, or equal-length arrays for a
-batch of positions; both context builders run one body, whose threat is the
-report of :func:`~bandgame.game.nash_equilibrium`. The Nash product, its
-gradient, its Hessian, the eigenvalues and :func:`exact_nbs` each take
-either, through one body. A batch context keeps a failed position in its
-slot with a NaN equilibrium, and everything computed from it is NaN, or
-False for a flag. Every bargaining report says in fields whether there is a
-bargain and which path produced it (``bargain``, ``source``).
+batch; the context builders, the Nash product, its gradient, its Hessian, the
+eigenvalues and :func:`exact_nbs` each run one body for either. A context's
+threat is the report of :func:`~bandgame.game.nash_equilibrium`, and its
+units are decided once (:attr:`NashProductContext.scale`) for the exact
+solver, the Hessian and CG's Hessian. A batch context keeps a failed position
+in its slot with a NaN equilibrium, and everything computed from it is NaN,
+or False for a flag. Every bargaining report says in fields whether there is
+a bargain and which path produced it (``bargain``, ``source``).
 """
 
 import math
@@ -35,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .game import (_NO_PATTERN, BandAllocation, ConvergenceError, EquilibriumReport,
+from .game import (_FLOAT_OPS, _NO_PATTERN, BandAllocation, ConvergenceError, EquilibriumReport,
                    MarginalTerms, UtilityPair, marginal_terms, nash_equilibrium, utility_pair)
 from .system_model import Point, Scenario, _fail, link_budget, link_budget_batch, select
 
@@ -50,6 +46,18 @@ class NashProductContext:
     ne_alloc: BandAllocation
     threat: UtilityPair
 
+    @property
+    def scale(self) -> tuple:
+        """``(U, p, q)``, U and q arrays for a batch: :func:`exact_nbs`' unit
+        U = max(|c1|, |c2|, b*omega), with c_i = psi_i - phi_i; the band unit
+        2**p, p the binary exponent of omega; the utility unit 2**q, q = p
+        plus U's binary exponent."""
+        s, c1, c2 = self.scenario, self.terms.relay_advantage(1), self.terms.relay_advantage(2)
+        xp = np if isinstance(c1, np.ndarray) else _FLOAT_OPS
+        unit = xp.maximum(xp.maximum(abs(c1), abs(c2)), s.b * s.omega)
+        p = math.frexp(s.omega)[1]
+        return unit, p, p + (np.frexp if xp is np else math.frexp)(unit)[1]
+
 
 def make_context(scenario: Scenario, relay: Point) -> NashProductContext:
     """The bargaining context of one relay position (computes the NE): the
@@ -60,14 +68,11 @@ def make_context(scenario: Scenario, relay: Point) -> NashProductContext:
 
 def make_context_batch(scenario: Scenario, xr, yr) -> tuple:
     """Bargaining contexts at the N relay positions with coordinates ``xr``,
-    ``yr``: link budgets, marginal terms and closed-form equilibria, each
-    computed for all positions at once.
-
-    Returns the context, whose value fields are arrays over the positions,
-    and a tuple with, for each position, None or the error that leaves it
-    unsolvable (a DegenerateGeometryError from the link budget, or a
-    ConvergenceError). A failed position keeps its slot with a NaN
-    equilibrium, so everything computed from it is NaN as well.
+    ``yr``, computed for all positions at once: the context, whose value
+    fields are arrays over the positions, and a tuple with, for each
+    position, None or the error that leaves it unsolvable (a
+    DegenerateGeometryError from the link budget, or a ConvergenceError). A
+    failed position keeps its slot with a NaN equilibrium (see :func:`_context`).
     """
     budget, failures = link_budget_batch(scenario, xr, yr)
     failures = list(failures)
@@ -126,11 +131,9 @@ def _gradient(w1, w2, b, d1, d2, du1, du2) -> tuple:
     return du1 * d2 + d1 * (-b * w2), d1 * du2 + d2 * (-b * w1)
 
 
-def _curvature(w1, w2, b, unit, d1, d2, du1, du2) -> tuple:
-    """The Hessian entries (a11, a22, a12) of the Nash product at (w1, w2)
-    divided by ``unit`` squared, from :func:`_gains`' values there."""
-    b = b * unit
-    d1, d2, du1, du2 = d1 * unit, d2 * unit, du1 * unit, du2 * unit
+def _curvature(w1, w2, b, d1, d2, du1, du2) -> tuple:
+    """The Hessian entries (a11, a22, a12) of the Nash product at (w1, w2),
+    from :func:`_gains`' values there, each in the units of :func:`hessian`."""
     a11 = -2.0 * b * d2 - 2.0 * b * w2 * du1
     a22 = -2.0 * b * d1 - 2.0 * b * w1 * du2
     a12 = -b * d2 - b * d1 + b * b * w1 * w2 + du1 * du2
@@ -152,7 +155,7 @@ def nash_product_gradient(alloc: BandAllocation, ctx: NashProductContext):
 @dataclass(frozen=True)
 class Hessian2x2:
     """Second partials of the Nash product: 2**exponent times the matrix
-    [[a11, a12], [a12, a22]]; ``a12`` is both off-diagonal entries."""
+    [[a11, a12], [a12, a22]] (``a12`` is both off-diagonal entries)."""
 
     a11: float
     a22: float
@@ -160,26 +163,21 @@ class Hessian2x2:
     exponent: int = 0
 
 
-# The Hessian is quadratic in the utility unit, which alpha and b carry. Its
-# factors are divided by 2**m, m the multiple of this step nearest log2(alpha):
-# that is exact, m is 0 for every alpha between about 1e-38 and 1e38, and no
-# entry overflows at any unit.
-_UNIT_STEP = 256
-
-
-def _unit_exponent(alpha: float) -> int:
-    """m of the Hessian's unit 2**m (see ``_UNIT_STEP``)."""
-    return _UNIT_STEP * round(math.frexp(alpha)[1] / _UNIT_STEP)
-
-
 def hessian(alloc: BandAllocation, ctx: NashProductContext) -> Hessian2x2:
     """Analytic Hessian of the Nash product at ``alloc``; elementwise for a
-    batch context and allocation."""
-    m = _unit_exponent(ctx.scenario.alpha)
+    batch context and allocation. Its entries are O(1) at any units: with
+    (U, p, q) the context's scale, they take w*2**-p, b*2**(2p - q), the gains
+    d*2**-q and the partials du*2**(p - q), and the exponent is 2(q - p). So
+    wherever a raw entry is a normal float, 2**exponent times the entry is it."""
+    _, p, q = ctx.scale
     w1, w2 = alloc.w1, alloc.w2
-    a11, a22, a12 = _curvature(w1, w2, ctx.scenario.b, math.ldexp(1.0, -m),
-                               *_gains(w1, w2, *_numbers(ctx)))
-    return Hessian2x2(a11=a11, a22=a22, a12=a12, exponent=2 * m)
+    d1, d2, du1, du2 = _gains(w1, w2, *_numbers(ctx))
+    # A failed position's q is p (U is NaN): its price, squared, may overflow.
+    with np.errstate(over="ignore"):
+        a11, a22, a12 = _curvature(
+            np.ldexp(w1, -p), np.ldexp(w2, -p), np.ldexp(ctx.scenario.b, 2 * p - q),
+            np.ldexp(d1, -q), np.ldexp(d2, -q), np.ldexp(du1, p - q), np.ldexp(du2, p - q))
+    return Hessian2x2(a11=a11, a22=a22, a12=a12, exponent=2 * (q - p))
 
 
 @dataclass(frozen=True)
@@ -190,16 +188,18 @@ class EigenPair:
     lambda2: float
     delta: float
 
+    def negative_definite(self):
+        """lambda2 < 0 elementwise, by its sign: -0.0 (underflow) counts, NaN not."""
+        return np.signbit(self.lambda2) & ~np.isnan(self.lambda2)
+
 
 def eigenvalues(h: Hessian2x2) -> EigenPair:
     """Closed-form eigenvalues via trace and discriminant, of one Hessian or
-    of a batch (fields are arrays).
-
-    delta = (a11 - a22)**2 + 4*a12**2 is a sum of squares, hence the
-    eigenvalues are always real. Each Hessian is first scaled by the power of
-    two that brings its largest entry into [0.5, 1): that is exact, and no
-    square overflows or underflows on the way. An eigenvalue beyond the float
-    range is infinite, with its sign.
+    of a batch (fields are arrays). delta = (a11 - a22)**2 + 4*a12**2 is a
+    sum of squares, so the eigenvalues are real. Each Hessian is first scaled
+    by the power of two that brings its largest entry into [0.5, 1): that is
+    exact, and no square overflows or underflows on the way. An eigenvalue
+    beyond the float range is infinite, and one below it zero, with its sign.
     """
     _, e = np.frexp(np.maximum(np.maximum(abs(h.a11), abs(h.a22)), abs(h.a12)))
     a11, a22, a12 = np.ldexp(h.a11, -e), np.ldexp(h.a22, -e), np.ldexp(h.a12, -e)
@@ -215,7 +215,7 @@ def eigenvalues(h: Hessian2x2) -> EigenPair:
 
 def is_strictly_concave_at(alloc: BandAllocation, ctx: NashProductContext) -> bool:
     """True iff the Nash product Hessian at ``alloc`` is negative definite."""
-    return bool(eigenvalues(hessian(alloc, ctx)).lambda2 < 0.0)
+    return bool(eigenvalues(hessian(alloc, ctx)).negative_definite())
 
 
 NON_FINITE_NOTE = "stopped at a non-finite iterate, objective or gradient"
@@ -365,29 +365,26 @@ def cg_nbs(ctx: NashProductContext, w0: BandAllocation | None = None,
     1e-8 * max(1, |grad pi|) at the start (see :func:`cg_minimize`).
     Iterates are projected onto [0, omega]^2; the dominance constraint
     u_i >= u_i_ne is not enforced during the iteration. The context's
-    numbers (:func:`_numbers`) and the Hessian's unit are read once per
-    call; the objective, its gradient and its Hessian are then the
-    kernel's (:func:`_gains`) on the iterate's two Python floats, which
-    round as numpy's scalars do, so they have the bits of
-    :func:`nash_product`, :func:`nash_product_gradient` and
-    :func:`hessian`.
+    numbers and :func:`hessian`'s units (as factors) are read once per call;
+    the objective, gradient and Hessian are then the kernel's
+    (:func:`_gains`) on the iterate's two Python floats, with the bits of
+    :func:`nash_product`, :func:`nash_product_gradient` and :func:`hessian`.
 
     One exit rule: an endpoint that does not weakly dominate the threat
     point, whose Nash product is not positive, or whose residual is not
     finite (a gradient norm that overflows), is rejected, and
     :func:`exact_nbs` is returned in its place with a note. Its source is
     then ``cg-non-finite`` where :func:`cg_minimize` stopped at a
-    non-finite value (its note says so), else ``cg-rejected``. So where
-    there is no bargain the result is the threat allocation, and where there
-    is one it weakly dominates the threat point with a positive product; an
-    accepted endpoint is a bargain, with source ``cg``.
+    non-finite value (its note says so), else ``cg-rejected``. An accepted
+    endpoint is a bargain, with source ``cg``.
     """
     if w0 is None:
         w0 = BandAllocation(0.9 * ctx.ne_alloc.w1, 0.9 * ctx.ne_alloc.w2)
     numbers = _numbers(ctx)
     b = ctx.scenario.b
-    m = _unit_exponent(ctx.scenario.alpha)
-    unit = math.ldexp(1.0, -m)
+    _, p, q = ctx.scale
+    band, gain, partial = math.ldexp(1.0, -p), math.ldexp(1.0, -q), math.ldexp(1.0, p - q)
+    price, exponent = math.ldexp(b, 2 * p - q), 2 * (q - p)
 
     def fun_m(w):
         d1, d2, _, _ = _gains(*w.tolist(), *numbers)
@@ -400,8 +397,10 @@ def cg_nbs(ctx: NashProductContext, w0: BandAllocation | None = None,
 
     def hess_m(w):
         w1, w2 = w.tolist()
-        a11, a22, a12 = _curvature(w1, w2, b, unit, *_gains(w1, w2, *numbers))
-        return -np.ldexp(np.array([[a11, a12], [a12, a22]]), 2 * m)
+        d1, d2, du1, du2 = _gains(w1, w2, *numbers)
+        a11, a22, a12 = _curvature(w1 * band, w2 * band, price, d1 * gain, d2 * gain,
+                                   du1 * partial, du2 * partial)
+        return -np.ldexp(np.array([[a11, a12], [a12, a22]]), exponent)
 
     w, residual, iters, converged, notes = cg_minimize(
         fun_m, grad_m, hess_m, (w0.w1, w0.w2), 0.0, ctx.scenario.omega, epsilon,
@@ -430,19 +429,16 @@ NO_BARGAIN_NOTE = ("no allocation improves both utilities on the threat "
 
 def exact_nbs(ctx: NashProductContext) -> EquilibriumReport:
     """Nash bargaining solution in closed form: the maximizer of the Nash
-    product over the allocations that weakly dominate the threat point, for
-    one position (a context with float fields) or for a batch (one from
-    :func:`make_context_batch`, with array fields).
+    product over the allocations that weakly dominate the threat point. The
+    report's values and flags are floats and bools for one position, arrays
+    for a batch; its source is ``exact``. Without a bargain the allocation is
+    the threat's (one position's report adds a note). A failed position of a
+    batch (NaN threat) gets NaN values, False flags.
 
-    The report's values and flags are floats and bools for one position,
-    arrays for a batch; its source is ``exact``. Without a bargain the
-    allocation is the threat's (one position's report adds a note). A
-    failed position of a batch (NaN threat) gets NaN values, False flags.
-
-    Works in units where the band is 1 and the largest of |c1|, |c2| and
-    b*omega is 1 (c_i = psi_i - phi_i), with the threat allocation a. On a
-    slice of fixed total band s = w1 + w2 both users pay b*s per Hz, so
-    with A = c1 - b*s and B = c2 - b*s the gains are affine,
+    Works in units where the band and the context's U are 1, with c_i =
+    psi_i - phi_i and the threat allocation a. On a slice of fixed total band
+    s = w1 + w2 both users pay b*s per Hz, so with A = c1 - b*s and
+    B = c2 - b*s the gains are affine,
 
         g1 = alpha1 + A*w1,   g2 = alpha2 + B*(s - w1),
         alpha_i = -a_i*(c_i - b*(a1 + a2)),
@@ -480,10 +476,10 @@ def exact_nbs(ctx: NashProductContext) -> EquilibriumReport:
         bargain = np.zeros(len(w1), dtype=bool)
         scored = np.flatnonzero((a1 > 0.0) & (a2 > 0.0))  # NaN rows fall out too
         if len(scored):
-            # unit > 0: b*omega > 0, or at b = 0 renting band needs c_i > 0.
-            c1, c2 = (np.reshape(ctx.terms.relay_advantage(i), -1)[scored] for i in (1, 2))
+            # U > 0: b*omega > 0, or at b = 0 renting band needs c_i > 0.
+            c1, c2, unit = (np.reshape(x, -1)[scored] for x in (
+                ctx.terms.relay_advantage(1), ctx.terms.relay_advantage(2), ctx.scale[0]))
             b = ctx.scenario.b * omega
-            unit = np.maximum(np.maximum(abs(c1), abs(c2)), b)
             best, y1, y2 = _best_candidates(c1 / unit, c2 / unit, b / unit,
                                             a1[scored], a2[scored])
             won = best > 0.0

@@ -443,7 +443,8 @@ def _parse_pair(text: str, what: str):
 
 def _print_report(report: EquilibriumReport, label: str) -> None:
     flags = f"converged={_fmt(report.converged)} iterations={report.iterations}"
-    print(f"[{label}] kind={report.kind} {flags} residual={_fmt(report.residual)}")
+    print(f"[{label}] kind={report.kind} source={report.source} {flags} "
+          f"residual={_fmt(report.residual)}")
     print(f"w1 = {_fmt(report.allocation.w1)}")
     print(f"w2 = {_fmt(report.allocation.w2)}")
     print(f"u1 = {_fmt(report.utilities.u1)}")

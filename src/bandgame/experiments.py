@@ -138,7 +138,7 @@ def sweep(scenario: Scenario, grid: SweepGrid) -> SweepRecord:
         gain_bw_u2_pct=np.where(ok, bandwidth_gain(ne.w2, nbs.w2), 0.0),
         gain_bw_total_pct=np.where(ok, bandwidth_gain(ne.w1 + ne.w2, nbs.w1 + nbs.w2), 0.0),
         gain_sw_pct=np.where(ok, social_welfare_gain(ne_u, nbs_u), 0.0),
-        lambda1=eig.lambda1, lambda2=eig.lambda2, strictly_concave=eig.lambda2 < 0.0,
+        lambda1=eig.lambda1, lambda2=eig.lambda2, strictly_concave=eig.negative_definite(),
         failure=failure)
 
 

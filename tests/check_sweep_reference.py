@@ -15,9 +15,12 @@ that row (``link_budget_batch``, which the sweep calls) bit for bit;
 ``make_context`` (which shares its body with ``make_context_batch``: link
 budget, marginal terms, ``nash_equilibrium``) an equilibrium allocation and
 threat utilities equal to the row's cells bit for bit (``%.17e`` cells
-round-trip); and ``exact_nbs`` on that context the row's bargaining
+round-trip); ``exact_nbs`` on that context the row's bargaining
 allocation and utilities bit for bit, with the ``bargain`` flag of
-``exact_nbs`` on the batch context. Where the batch records a failure,
+``exact_nbs`` on the batch context; and ``eigenvalues(hessian(...))`` at
+that allocation the row's eigenvalue cells bit for bit, with its
+``negative_definite()`` the row's ``strictly_concave`` flag, so the float
+and the array Hessian cannot drift apart. Where the batch records a failure,
 each must raise it, of the same type with the same message
 (``make_context_batch``'s for ``make_context``).
 Prints the failing rows with their reasons and exits 1 if there is one. On
@@ -42,7 +45,8 @@ import reference  # noqa: E402
 from workloads import (MapsPaper, _csv_rows, _num, _random_scenario_text,  # noqa: E402
                        grid_axis)
 
-from bandgame import Point, SweepGrid, exact_nbs, link_budget, make_context  # noqa: E402
+from bandgame import (Point, SweepGrid, eigenvalues, exact_nbs, hessian,  # noqa: E402
+                      link_budget, make_context)
 from bandgame.bargaining import make_context_batch  # noqa: E402
 from bandgame.cli import main, paper_scenario_path, parse_scenario  # noqa: E402
 from bandgame.system_model import link_budget_batch, select  # noqa: E402
@@ -58,11 +62,13 @@ def _error(exc) -> tuple:
 
 
 def single_reasons(scenario, relay, cells, budget, budget_failure, failure, bargain) -> list:
-    """``link_budget``, ``make_context`` and ``exact_nbs`` at one row's relay
-    against the sweep: the budget against the batch's ``budget`` at that
-    row; the context's equilibrium allocation and threat utilities, and its
-    bargaining allocation and utilities, against the row's cells, bit for
-    bit, and its ``bargain`` flag against the batch's ``bargain`` there; or
+    """``link_budget``, ``make_context``, ``exact_nbs`` and the Hessian's
+    eigenvalues at one row's relay against the sweep: the budget against the
+    batch's ``budget`` at that row; the context's equilibrium allocation and
+    threat utilities, its bargaining allocation and utilities, and the
+    eigenvalues there, against the row's cells, bit for bit, its ``bargain``
+    flag against the batch's ``bargain`` there and its concavity against the
+    row's flag; or
     each one's error against the batch's failure there (``budget_failure``
     from ``link_budget_batch``, ``failure`` from ``make_context_batch``;
     None where the position is solved)."""
@@ -86,6 +92,10 @@ def single_reasons(scenario, relay, cells, budget, budget_failure, failure, barg
                              nbs.utilities.u1, nbs.utilities.u2)]
     if got != [float(cells[k]).hex() for k in (4, 5, 8, 9)] or nbs.bargain is not bargain:
         reasons.append("nbs")
+    eig = eigenvalues(hessian(nbs.allocation, ctx))
+    got = [float(eig.lambda1).hex(), float(eig.lambda2).hex(), bool(eig.negative_definite())]
+    if got != [float(cells[14]).hex(), float(cells[15]).hex(), cells[16] == "true"]:
+        reasons.append("eigenvalues")
     return reasons
 
 

@@ -168,12 +168,17 @@ def test_gradient_matches_finite_differences(ctx450, paper):
         assert np.linalg.norm(an - fd) <= 1e-5 * (np.linalg.norm(fd) + 1e-9)
 
 
+def _raw(h):
+    """The Hessian's entries times 2**exponent: its raw second partials."""
+    return Hessian2x2(*(np.ldexp(a, h.exponent) for a in (h.a11, h.a22, h.a12)))
+
+
 def test_hessian_zero_pricing():
     rng = np.random.default_rng(23)
     scenario = replace(random_scenario(rng), b=0.0)
     terms = MarginalTerms(phi1=1.0, psi1=2.0, phi2=2.5, psi2=1.5)
     ctx = _context_for(scenario, terms)
-    h = hessian(BandAllocation(1e5, 2e5), ctx)
+    h = _raw(hessian(BandAllocation(1e5, 2e5), ctx))
     assert h.a11 == 0.0 and h.a22 == 0.0
     assert h.a12 == (terms.phi1 - terms.psi1) * (terms.phi2 - terms.psi2)
 
@@ -184,7 +189,7 @@ def test_hessian_symmetry(ctx450, paper):
     step = 1e-4 * paper.omega
     for _ in range(50):
         w1, w2 = rng.uniform(0, paper.omega, 2)
-        h = hessian(BandAllocation(w1, w2), ctx450)
+        h = _raw(hessian(BandAllocation(w1, w2), ctx450))
         g1_up, _ = nash_product_gradient(BandAllocation(w1, w2 + step), ctx450)
         g1_dn, _ = nash_product_gradient(BandAllocation(w1, w2 - step), ctx450)
         _, g2_up = nash_product_gradient(BandAllocation(w1 + step, w2), ctx450)
@@ -200,7 +205,7 @@ def test_hessian_matches_finite_differences(ctx450, paper):
     for _ in range(100):
         alloc = BandAllocation(*(rng.uniform(0.05, 0.95, 2) * paper.omega))
         fd = central_hessian(alloc, ctx450, h_step)
-        an = hessian(alloc, ctx450)
+        an = _raw(hessian(alloc, ctx450))
         an_m = np.array([[an.a11, an.a12], [an.a12, an.a22]])
         assert np.linalg.norm(an_m - fd) <= 1e-4 * (np.linalg.norm(fd) + 1e-9)
 
@@ -215,20 +220,23 @@ def _formulas(alloc, ctx):
     w1, w2 = alloc.w1, alloc.w2
     product = d1 * d2
     gradient = (du1 * d2 + d1 * (-s.b * w2), d1 * du2 + d2 * (-s.b * w1))
-    m = 256 * round(math.frexp(s.alpha)[1] / 256)
-    unit = math.ldexp(1.0, -m)
-    b = s.b * unit
-    d1, d2, du1, du2 = d1 * unit, d2 * unit, du1 * unit, du2 * unit
+    # The entries in the band unit 2**p and the utility unit 2**q.
+    size = np.maximum(np.maximum(abs(t.psi1 - t.phi1), abs(t.psi2 - t.phi2)), s.b * s.omega)
+    p = math.frexp(s.omega)[1]
+    q = p + np.frexp(size)[1]
+    w1, w2, b = np.ldexp(w1, -p), np.ldexp(w2, -p), np.ldexp(s.b, 2 * p - q)
+    d1, d2 = np.ldexp(d1, -q), np.ldexp(d2, -q)
+    du1, du2 = np.ldexp(du1, p - q), np.ldexp(du2, p - q)
     curvature = Hessian2x2(a11=-2.0 * b * d2 - 2.0 * b * w2 * du1,
                            a22=-2.0 * b * d1 - 2.0 * b * w1 * du2,
                            a12=-b * d2 - b * d1 + b * b * w1 * w2 + du1 * du2,
-                           exponent=2 * m)
+                           exponent=2 * (q - p))
     return product, gradient, curvature
 
 
 def _bits(product, gradient, curvature):
     return [np.asarray(x, dtype=float).tobytes() for x in (
-        product, *gradient, curvature.a11, curvature.a22, curvature.a12)] + [curvature.exponent]
+        product, *gradient, curvature.a11, curvature.a22, curvature.a12, curvature.exponent)]
 
 
 def test_kernel_matches_utility_formulas(paper):
@@ -239,7 +247,7 @@ def test_kernel_matches_utility_formulas(paper):
     cases = []
     for base in itertools.islice(_seeded_contexts(30), 60):
         s = base.scenario
-        for scale in (1.0, 1e-100, 1e160):
+        for scale in (1.0, 1e-300, 1e-100, 1e160):
             ctx = base if scale == 1.0 else make_context(
                 replace(s, alpha=s.alpha * scale, b=s.b * scale), RELAY_450)
             omega = ctx.scenario.omega

@@ -103,7 +103,7 @@ def test_cli_ne_paper(paper_path, capsys):
     rc = main(["ne", "--scenario", paper_path, "--relay", "450,450"])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "kind=NE" in out
+    assert out.startswith("[ne] kind=NE source=closed-form converged=true iterations=0 ")
     w1 = float(out.split("w1 = ")[1].splitlines()[0])
     assert w1 == pytest.approx(148130.46015173438, rel=1e-9)
 
@@ -144,9 +144,14 @@ def test_cli_nbs_prints_notes(paper_path, tmp_path, capsys):
     # The reports' notes reach the user word for word. At (100, 600) user 2
     # rents no band, so there is no bargain, and CG's endpoint is rejected.
     # With alpha and b x 1e160 the gradient at CG's start is NaN.
+    # The header says which path the report came from: here the exact
+    # solver's report stands in for CG's rejected endpoint.
     rc = main(["nbs", "--scenario", paper_path, "--relay", "100,600"])
-    notes = [line for line in capsys.readouterr().out.splitlines() if line.startswith("note: ")]
+    out = capsys.readouterr().out.splitlines()
+    notes = [line for line in out if line.startswith("note: ")]
     assert rc == 0
+    assert out[0] == ("[nbs] kind=NBS source=cg-rejected converged=true iterations=0 "
+                      "residual=0.00000000000000000e+00")
     assert notes == [
         "note: no allocation improves both utilities on the threat point; "
         "returning the threat allocation",
@@ -157,10 +162,26 @@ def test_cli_nbs_prints_notes(paper_path, tmp_path, capsys):
     path = tmp_path / "large.cfg"
     write_scenario(replace(paper, alpha=paper.alpha * 1e160, b=paper.b * 1e160), path)
     rc = main(["nbs", "--scenario", str(path), "--relay", "450,450"])
-    notes = [line for line in capsys.readouterr().out.splitlines() if line.startswith("note: ")]
+    out = capsys.readouterr().out.splitlines()
+    notes = [line for line in out if line.startswith("note: ")]
     assert rc == 0
+    assert out[0].startswith("[nbs] kind=NBS source=cg-non-finite ")
     assert notes == ["note: stopped at a non-finite iterate, objective or gradient",
                      "note: cg endpoint rejected; exact result returned"]
+
+
+def test_cli_at_tiny_units(paper_path, tmp_path, capsys):
+    # With alpha and b x 1e-290 every subcommand that solves a bargain
+    # answers: the Hessian's units come from each position's terms and band.
+    paper = parse_scenario(paper_path)
+    path = tmp_path / "tiny.cfg"
+    write_scenario(replace(paper, alpha=paper.alpha * 1e-290, b=paper.b * 1e-290), path)
+    for command in ("sweep", "concavity-map"):
+        assert main([command, "--scenario", str(path), "--step", "100",
+                     "--out", str(tmp_path / f"{command}.csv")]) == 0
+        assert capsys.readouterr().out.startswith("wrote ")
+    assert main(["nbs", "--scenario", str(path), "--relay", "450,450", "--oracle"]) == 0
+    assert "oracle_match = true" in capsys.readouterr().out
 
 
 def test_cli_region(paper_path, tmp_path, capsys):

@@ -382,16 +382,20 @@ def test_equilibrium_batch_matches_loop_at_pattern_ties(paper):
 def test_sweep_unit_invariance(paper):
     # Rescaling the utilities (alpha*k, b*k) or the band (omega*k, b/k) is a
     # change of units: the equilibrium and the bargaining solution, in the
-    # rescaled band's units, and the concavity flags must not move.
+    # rescaled band's units, and the concavity flags must not move. At the
+    # smallest factors the raw Hessian underflows (alpha and b * 1e-200 and
+    # below, where every eigenvalue is a signed zero) or overflows (omega * k
+    # and b / k for k <= 1e-200, where b*b does), which its scale absorbs.
     rng = np.random.default_rng(83)
     grid = SweepGrid(step=100.0)
     for scenario in [paper] + [random_scenario(rng) for _ in range(3)]:
         base = sweep(scenario, grid)
         ok = np.equal(base.failure, None)
         cases = [(replace(scenario, alpha=scenario.alpha * k, b=scenario.b * k), 1.0)
-                 for k in (1e-100, 1e-12, 1e-9, 1e100, 1e140, 1e160, 1e200)]
+                 for k in (1e-300, 1e-270, 1e-200, 1e-100, 1e-12, 1e-9, 1e100, 1e140, 1e160,
+                           1e200)]
         cases += [(replace(scenario, omega=scenario.omega * k, b=scenario.b / k), k)
-                  for k in (1e-100, 1e-12, 1e100)]
+                  for k in (1e-300, 1e-200, 1e-100, 1e-12, 1e100)]
         for rescaled, k in cases:
             got = sweep(rescaled, grid)
             assert np.array_equal(np.equal(got.failure, None), ok)
